@@ -168,10 +168,6 @@ def disj(children) -> ChoiceExpr:
     return Or(tuple(unique))
 
 
-def neg(c: ChoiceExpr) -> ChoiceExpr:
-    return Not(c)
-
-
 def node_count(e: ChoiceExpr) -> int:
     if isinstance(e, Not):
         return 1 + node_count(e.child)
@@ -256,21 +252,107 @@ def mins_set(ks) -> frozenset[CompositeChoice]:
     return frozenset(minimal)
 
 
+# ---------------------------------------------------------------------------
+# The conjoin-and-absorb kernel
+# ---------------------------------------------------------------------------
+
+#: The most sets one conjoin step may hold before absorption; past it the
+#: step raises EnumerationLimitError instead of exhausting memory.
+CONJOIN_LIMIT = 250_000
+
+#: The set of sets denoting ⊤: the empty conjunction alone.
+_UNIT = (frozenset(),)
+
+
+def _join(a: frozenset, b: frozenset, guarded) -> frozenset | None:
+    """a ∧ b as one literal set, or None when it is inconsistent.
+
+    Literals are atomic choices and their negations.  Two heads of one
+    instance, or α with ¬α, are inconsistent; a chosen head α makes ¬α' of
+    the same instance redundant, and it is dropped.  Negations occur only
+    when ``guarded`` (the negated instances) is non-empty.
+    """
+    u = a | b
+    chosen: dict[tuple[str, ThetaKey], int] = {}
+    for lit in u:
+        if isinstance(lit, AtomicChoice):
+            if chosen.setdefault((lit.cid, lit.key), lit.index) != lit.index:
+                return None
+    if not guarded:
+        return u
+    redundant = []
+    for lit in u:
+        if isinstance(lit, Not):
+            index = chosen.get((lit.child.cid, lit.child.key))
+            if index == lit.child.index:
+                return None
+            if index is not None:
+                redundant.append(lit)
+    return u.difference(redundant) if redundant else u
+
+
+def _absorb(sets, guarded) -> list[frozenset]:
+    """The sets not absorbed by a strictly smaller kept one, shortest first.
+
+    A set k ⊂ s absorbs s only when s∖k holds no chosen head of a
+    ``guarded`` instance: such a head would drop a negation from a later
+    join of s but not from the same join of k, so k's joins need not stay
+    subsets of s's.  Equal-length sets cannot absorb each other, so each set
+    is compared with the shorter kept ones only.
+    """
+    kept: list[frozenset] = []
+    for _, group in itertools.groupby(sorted(sets, key=len), key=len):
+        kept += [
+            s
+            for s in group
+            if not any(
+                k < s
+                and not any(
+                    isinstance(lit, AtomicChoice) and (lit.cid, lit.key) in guarded
+                    for lit in s - k
+                )
+                for k in kept
+            )
+        ]
+    return kept
+
+
+def _conjoin(acc, factor, op: str, guarded=frozenset()) -> list[frozenset]:
+    """One kernel step: join every set of ``acc`` with every set of ``factor``
+
+    (a DNF given as literal sets), drop the inconsistent joins, and absorb.
+    Raises EnumerationLimitError once the joins pass ``CONJOIN_LIMIT``.
+    """
+    joined: set[frozenset] = set()
+    for a in acc:
+        for b in factor:
+            u = _join(a, b, guarded)
+            if u is not None:
+                joined.add(u)
+        if len(joined) > CONJOIN_LIMIT:
+            raise EnumerationLimitError(
+                f"{op}: {len(joined)} sets in one conjoin step exceed the "
+                f"limit {CONJOIN_LIMIT}"
+            )
+    return _absorb(joined, guarded)
+
+
 def otimes(k1, k2) -> frozenset[CompositeChoice]:
     """Pairwise unions, reduced to their consistent minimal elements."""
-    return mins_set(a | b for a in k1 for b in k2)
+    return frozenset(_conjoin(k1, k2, "otimes"))
 
 
 def duals(ks, g: GroundProgram) -> frozenset[CompositeChoice]:
     """The minimal composite choices covering exactly the selections *not*
 
-    covered by ``ks``: minimal hitting sets of the elementwise complements.
+    covered by ``ks``: minimal hitting sets of the elementwise complements,
+    built one complement at a time.
     """
-    complements = [
-        frozenset().union(*(complement_atomic(ac, g) for ac in k)) if k else frozenset()
-        for k in ks
-    ]
-    return mins_set(hits(complements))
+    result = _UNIT
+    for k in ks:
+        complement = {c for ac in k for c in complement_atomic(ac, g)}
+        result = _conjoin(result, [frozenset([c]) for c in complement], "duals")
+    return frozenset(result)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +371,12 @@ def gamma(e: ChoiceExpr, g: GroundProgram) -> frozenset[CompositeChoice]:
     if isinstance(e, Not):
         return duals(gamma(e.child, g), g)
     if isinstance(e, And):
-        result = frozenset([frozenset()])
+        result = frozenset(_UNIT)
         for c in e.children:
-            result = mins_set(otimes(result, gamma(c, g)))
+            result = otimes(result, gamma(c, g))
         return result
     if isinstance(e, Or):
-        units: set[CompositeChoice] = set()
-        for c in e.children:
-            units |= gamma(c, g)
-        return mins_set(units)
+        return otimes(_UNIT, [k for c in e.children for k in gamma(c, g)])
     raise TypeError(f"not a choice expression: {e!r}")
 
 
@@ -407,85 +486,32 @@ def _nnf(e: ChoiceExpr) -> ChoiceExpr:
     return e
 
 
-class _Conjunct:
-    """A consistent set of ±atomic-choice literals under construction."""
-
-    __slots__ = ("chosen", "banned")
-
-    def __init__(self):
-        self.chosen: dict[tuple[str, ThetaKey], int] = {}
-        self.banned: set[tuple[str, ThetaKey, int]] = set()
-
-    def clone(self) -> "_Conjunct":
-        c = _Conjunct()
-        c.chosen = dict(self.chosen)
-        c.banned = set(self.banned)
-        return c
-
-    def add_positive(self, ac: AtomicChoice) -> bool:
-        inst = (ac.cid, ac.key)
-        if (ac.cid, ac.key, ac.index) in self.banned:
-            return False
-        prev = self.chosen.setdefault(inst, ac.index)
-        return prev == ac.index
-
-    def add_negative(self, ac: AtomicChoice) -> bool:
-        inst = (ac.cid, ac.key)
-        if inst in self.chosen:
-            # A chosen head makes ¬(other head) redundant, ¬(same head) false.
-            return self.chosen[inst] != ac.index
-        self.banned.add((ac.cid, ac.key, ac.index))
-        return True
-
-    def literals(self) -> list[ChoiceExpr]:
-        lits: list[ChoiceExpr] = [
-            AtomicChoice(cid, key, i) for (cid, key), i in self.chosen.items()
-        ]
-        lits.extend(
-            Not(AtomicChoice(cid, key, i))
-            for (cid, key, i) in self.banned
-            if (cid, key) not in self.chosen
-        )
-        return lits
+def _negated_instances(e: ChoiceExpr) -> frozenset[tuple[str, ThetaKey]]:
+    """The instances of the negated atomic choices in an NNF expression."""
+    if isinstance(e, Not):
+        return frozenset([(e.child.cid, e.child.key)])
+    if isinstance(e, (And, Or)):
+        return frozenset().union(*(_negated_instances(c) for c in e.children))
+    return frozenset()
 
 
-def _dnf_conjuncts(e: ChoiceExpr) -> list[_Conjunct]:
-    """The disjuncts of an NNF expression, pruned for consistency on the fly."""
+def _dnf_sets(e: ChoiceExpr, guarded) -> list[frozenset]:
+    """The conjuncts of an NNF expression as literal sets, absorbed as far
+
+    as ``_absorb`` allows before the final pass."""
     if isinstance(e, _Bottom):
         return []
     if isinstance(e, _Top):
-        return [_Conjunct()]
-    if isinstance(e, AtomicChoice):
-        c = _Conjunct()
-        c.add_positive(e)
-        return [c]
-    if isinstance(e, Not):  # NNF: child is atomic
-        c = _Conjunct()
-        c.add_negative(e.child)
-        return [c]
+        return list(_UNIT)
+    if isinstance(e, (AtomicChoice, Not)):  # NNF: ¬ wraps an atomic choice
+        return [frozenset([e])]
     if isinstance(e, Or):
-        out: list[_Conjunct] = []
-        for child in e.children:
-            out.extend(_dnf_conjuncts(child))
-        return out
+        factor = [s for c in e.children for s in _dnf_sets(c, guarded)]
+        return _conjoin(_UNIT, factor, "dnf", guarded)
     if isinstance(e, And):
-        acc = [_Conjunct()]
-        for child in e.children:
-            branches = _dnf_conjuncts(child)
-            nxt: list[_Conjunct] = []
-            for a in acc:
-                for b in branches:
-                    merged = a.clone()
-                    ok = all(
-                        merged.add_positive(AtomicChoice(cid, key, i))
-                        for (cid, key), i in b.chosen.items()
-                    ) and all(
-                        merged.add_negative(AtomicChoice(cid, key, i))
-                        for (cid, key, i) in b.banned
-                    )
-                    if ok:
-                        nxt.append(merged)
-            acc = nxt
+        acc = list(_UNIT)
+        for c in e.children:
+            acc = _conjoin(acc, _dnf_sets(c, guarded), "dnf", guarded)
         return acc
     raise TypeError(f"not a choice expression: {e!r}")
 
@@ -493,13 +519,15 @@ def _dnf_conjuncts(e: ChoiceExpr) -> list[_Conjunct]:
 def dnf(e: ChoiceExpr, g: GroundProgram | None = None) -> ChoiceExpr:
     """Canonical disjunctive normal form.
 
-    Pushes negation to the leaves, distributes ∧ over ∨ with on-the-fly
-    consistency pruning, then simplifies (absorption, redundant literals) —
-    the result is ⊥, ⊤, a literal, a conjunction of literals, or a
-    disjunction of such conjunctions, in canonical child order.  Idempotent.
+    Pushes negation to the leaves, then conjoins the leaves with the kernel
+    (consistency pruning, redundant negations dropped, absorption after each
+    step) and absorbs once more at the end — the result is ⊥, ⊤, a literal,
+    a conjunction of literals, or a disjunction of such conjunctions, in
+    canonical child order.  Idempotent.
     """
-    conjuncts = _dnf_conjuncts(_nnf(e))
-    return simplify(disj(conj(c.literals()) for c in conjuncts))
+    nnf = _nnf(e)
+    conjuncts = _absorb(_dnf_sets(nnf, _negated_instances(nnf)), frozenset())
+    return disj(conj(c) for c in conjuncts)
 
 
 def is_dnf(e: ChoiceExpr) -> bool:

@@ -133,14 +133,12 @@ def chq(e: ChoiceExpr, g: GroundProgram, negated_atom: Atom | None = None) -> Re
     out: list[RAnd] = []
     for d in disjuncts:
         lits: list[RLit] = []
-        emptied = True
         for negated, ac in _expr_literals(d):
             rlit = _readable_lit(negated, ac, g)
             if negated and rlit.atom is not None and rlit.atom == negated_atom:
                 continue
             lits.append(rlit)
-        emptied = not lits
-        if emptied:
+        if not lits:
             return _TRIVIAL
         conj_ = RAnd(tuple(lits))
         if conj_ not in out:

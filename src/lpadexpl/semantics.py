@@ -19,8 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .choice_algebra import (
     AtomicChoice,
     ChoiceExpr,
@@ -36,7 +34,6 @@ from .syntax import Atom, Clause, NONE_PREDICATE, Query
 
 DEFAULT_SELECTION_LIMIT = 1_000_000
 DEFAULT_ASSIGNMENT_LIMIT = 1_000_000
-TOTAL_PROB_LIMIT = 50_000_000
 
 #: A selection as a value: one atomic choice per instance.
 Selection = frozenset[AtomicChoice]
@@ -46,20 +43,24 @@ def enumerate_selections(
     g: GroundProgram, limit: int = DEFAULT_SELECTION_LIMIT
 ):
     """Yield every selection (instance order, ascending head index)."""
+    message = "{count} selections exceed the enumeration limit {limit}"
+    return (selection for selection, _ in _weighted_selections(g, limit, message))
+
+
+def _weighted_selections(g: GroundProgram, limit: int, message: str):
+    """Yield every selection with its probability, in the order of
+
+    ``enumerate_selections``; past ``limit`` selections, raise
+    EnumerationLimitError with ``message`` formatted by count and limit."""
     count = g.selection_count()
     if count > limit:
-        raise EnumerationLimitError(
-            f"{count} selections exceed the enumeration limit {limit}"
+        raise EnumerationLimitError(message.format(count=count, limit=limit))
+    insts = g.instances
+    for indices in itertools.product(*(range(1, inst.n_heads + 1) for inst in insts)):
+        selection = frozenset(
+            AtomicChoice(inst.cid, inst.key, i) for inst, i in zip(insts, indices)
         )
-    for indices in _index_tuples(g):
-        yield frozenset(
-            AtomicChoice(inst.cid, inst.key, i)
-            for inst, i in zip(g.instances, indices)
-        )
-
-
-def _index_tuples(g: GroundProgram):
-    return itertools.product(*(range(1, inst.n_heads + 1) for inst in g.instances))
+        yield selection, math.prod(inst.prob(i) for inst, i in zip(insts, indices))
 
 
 @dataclass(slots=True)
@@ -191,44 +192,10 @@ def success_prob(
             return 0.0
         return event_prob(disj(exprs), g, limit or DEFAULT_ASSIGNMENT_LIMIT)
     if method == "oracle":
-        terms: list[float] = []
-        cap = limit or DEFAULT_SELECTION_LIMIT
-        count = g.selection_count()
-        if count > cap:
-            raise EnumerationLimitError(
-                f"{count} selections exceed the enumeration limit {cap}"
-            )
-        for indices in _index_tuples(g):
-            selection = frozenset(
-                AtomicChoice(inst.cid, inst.key, i)
-                for inst, i in zip(g.instances, indices)
-            )
-            w = world_of(selection, g)
-            if model_check(w, q):
-                p = 1.0
-                for inst, i in zip(g.instances, indices):
-                    p *= inst.prob(i)
-                terms.append(p)
-        return math.fsum(terms)
+        message = "{count} selections exceed the enumeration limit {limit}"
+        weighted = _weighted_selections(g, limit or DEFAULT_SELECTION_LIMIT, message)
+        return math.fsum(p for s, p in weighted if model_check(world_of(s, g), q))
     raise ValueError(f"unknown method {method!r} (expected 'engine' or 'oracle')")
-
-
-def total_world_prob(g: GroundProgram) -> float:
-    """The summed probability of every selection — 1.0 up to rounding.
-
-    Materializes the full product distribution as a flat array (meaningful
-    check: every world's probability is computed and summed, rather than
-    relying on per-instance normalization), so it is capped by array size.
-    """
-    count = g.selection_count()
-    if count > TOTAL_PROB_LIMIT:
-        raise EnumerationLimitError(
-            f"{count} selections exceed the materialization limit {TOTAL_PROB_LIMIT}"
-        )
-    acc = np.ones(1, dtype=np.float64)
-    for inst in g.instances:
-        acc = np.multiply.outer(acc, np.array(inst.probs, dtype=np.float64)).ravel()
-    return float(np.sum(acc))
 
 
 def worlds_table(
@@ -240,17 +207,7 @@ def worlds_table(
 
     order, for the CLI's world listing."""
     queries = queries or []
-    count = g.selection_count()
-    if count > limit:
-        raise EnumerationLimitError(f"{count} worlds exceed the limit {limit}")
-    for indices in _index_tuples(g):
-        selection = frozenset(
-            AtomicChoice(inst.cid, inst.key, i)
-            for inst, i in zip(g.instances, indices)
-        )
-        p = 1.0
-        for inst, i in zip(g.instances, indices):
-            p *= inst.prob(i)
+    message = "{count} worlds exceed the limit {limit}"
+    for selection, p in _weighted_selections(g, limit, message):
         w = world_of(selection, g)
-        truths = [model_check(w, q) for q in queries]
-        yield selection, p, truths
+        yield selection, p, [model_check(w, q) for q in queries]

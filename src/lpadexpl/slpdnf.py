@@ -38,7 +38,6 @@ from .choice_algebra import (
     disj,
     dnf,
     gamma,
-    render_expr,
 )
 from .errors import DepthLimitError, ProgramError
 from .grounder import GroundProgram
@@ -315,28 +314,3 @@ def expl(
         out |= gamma(expr, g)
     return frozenset(out)
 
-
-def render_tree(tree: SlpdnfTree, g: GroundProgram) -> str:
-    """A plain-text dump of a tree and its subsidiary trees (debugging aid)."""
-    lines: list[str] = []
-
-    def walk(node: SlpdnfNode, depth: int, edge: EdgeLabel | None) -> None:
-        goal = query_str(node.query) if node.query else "□"
-        label = ""
-        if edge is not None:
-            if edge.kind == "prob":
-                label = f"--{render_expr(edge.choice, g)}--> "
-            elif edge.kind == "neg":
-                label = f"--{render_expr(edge.expr, g)}--> "
-            else:
-                label = "--> "
-        mark = f"  [{node.marking}]" if node.marking != UNMARKED else ""
-        lines.append("   " * depth + f"{label}<{goal} ; {render_expr(node.expr, g)}>{mark}")
-        for e, child in node.children:
-            walk(child, depth + 1, e)
-
-    walk(tree.root, 0, None)
-    for atom in sorted(tree.subs, key=str):
-        lines.append(f"subsidiary tree for {atom}:")
-        walk(tree.subs[atom].root, 1, None)
-    return "\n".join(lines) + "\n"

@@ -303,18 +303,6 @@ def mgu(a1: Atom, a2: Atom) -> Substitution | None:
     return {v: walk(t) for v, t in bind.items() if walk(t) != v}
 
 
-_fresh_counter = 0
-
-
-def fresh_variable() -> Variable:
-    """A variable guaranteed not to clash with parsed ones (which never start
-
-    with ``_V``)."""
-    global _fresh_counter
-    _fresh_counter += 1
-    return Variable(f"_V{_fresh_counter}")
-
-
 # ---------------------------------------------------------------------------
 # Range restriction
 # ---------------------------------------------------------------------------

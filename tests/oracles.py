@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from lpadexpl.choice_algebra import AtomicChoice
+from lpadexpl.choice_algebra import BOT, TOP, And, AtomicChoice, Not, conj, disj
 from lpadexpl.grounder import GroundProgram
 from lpadexpl.syntax import Atom, Clause, Query
 
@@ -33,6 +33,19 @@ def selection_prob(selection, g: GroundProgram) -> float:
     for inst in g.instances:
         p *= inst.prob(chosen[(inst.cid, inst.key)])
     return p
+
+
+def total_world_prob(g: GroundProgram) -> float:
+    """The summed probability of every selection — 1.0 up to rounding.
+
+    Every world's probability is computed as the product of its chosen heads'
+    annotations and summed, rather than relying on per-instance
+    normalization.  It streams the product of the head probabilities: on the
+    7,962,624 worlds of the c2-restricted negation fixture, building each
+    selection and calling ``selection_prob`` is about 30 times slower.
+    """
+    axes = [inst.probs for inst in g.instances]
+    return math.fsum(math.prod(ps) for ps in itertools.product(*axes))
 
 
 def world_clauses(selection, g: GroundProgram) -> list[Clause]:
@@ -124,3 +137,47 @@ def coverage(ks, g: GroundProgram) -> set[frozenset]:
 
 def complement_coverage(ks, g: GroundProgram) -> set[frozenset]:
     return {s for s in all_selections(g) if not covers(ks, s)}
+
+
+def dnf_reference(e):
+    """dnf by its definition: push ¬ to the leaves, expand the full product
+
+    of literal sets, drop the inconsistent ones (two heads of one instance,
+    or α with ¬α), drop ¬α' where another head α of its instance is chosen,
+    and keep the subset-minimal sets.  Returns the same canonical form as
+    ``choice_algebra.dnf``."""
+    sets = {n for s in _literal_sets(e, False) if (n := _normalised(s)) is not None}
+    return disj(conj(s) for s in sets if not any(m < s for m in sets))
+
+
+def _literal_sets(e, negated: bool) -> list[frozenset]:
+    """The raw DNF of ``e`` (of ``¬e`` when ``negated``) as literal sets."""
+    if e in (TOP, BOT):
+        return [frozenset()] if (e == TOP) != negated else []
+    if isinstance(e, AtomicChoice):
+        return [frozenset([Not(e) if negated else e])]
+    if isinstance(e, Not):
+        return _literal_sets(e.child, not negated)
+    parts = [_literal_sets(c, negated) for c in e.children]
+    if isinstance(e, And) != negated:
+        return [frozenset().union(*pick) for pick in itertools.product(*parts)]
+    return [s for part in parts for s in part]
+
+
+def _normalised(lits: frozenset):
+    """``lits`` without redundant negations, or None when inconsistent."""
+    chosen = {}
+    for lit in lits:
+        if isinstance(lit, AtomicChoice):
+            if chosen.setdefault((lit.cid, lit.key), lit.index) != lit.index:
+                return None
+    kept = set()
+    for lit in lits:
+        if isinstance(lit, Not):
+            index = chosen.get((lit.child.cid, lit.child.key))
+            if index == lit.child.index:
+                return None
+            if index is not None:
+                continue
+        kept.add(lit)
+    return frozenset(kept)

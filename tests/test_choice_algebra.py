@@ -17,7 +17,6 @@ from lpadexpl.choice_algebra import (
     is_consistent,
     is_dnf,
     mins_set,
-    neg,
     otimes,
     parse_composite_set_text,
     parse_expr_text,
@@ -157,8 +156,8 @@ def test_dnf_double_negation_and_de_morgan(neg_ground):
     a = ac(neg_ground, "c3", ("p1",), 1)
     b = ac(neg_ground, "c4", ("p1",), 1)
     assert dnf(Not(Not(a))) == a
-    assert equiv(dnf(neg(conj([a, b]))), disj([Not(a), Not(b)]), neg_ground)
-    assert equiv(dnf(neg(disj([a, b]))), conj([Not(a), Not(b)]), neg_ground)
+    assert equiv(dnf(Not(conj([a, b]))), disj([Not(a), Not(b)]), neg_ground)
+    assert equiv(dnf(Not(disj([a, b]))), conj([Not(a), Not(b)]), neg_ground)
 
 
 def test_dnf_prunes_inconsistent_conjuncts(neg_ground):
@@ -166,6 +165,22 @@ def test_dnf_prunes_inconsistent_conjuncts(neg_ground):
     a2 = ac(neg_ground, "c6", ("p1",), 2)
     b = ac(neg_ground, "c5", ("p1",), 1)
     assert dnf(conj([disj([a1, a2]), conj([a1, b])])) == conj([a1, b])
+
+
+def test_dnf_keeps_conjuncts_absorbed_before_a_later_join(neg_ground_full):
+    # {¬(c2,[p1,p2],3)} ⊂ {¬(c2,[p1,p2],3), (c2,[p3,p3],2)} part-way through,
+    # but after joining ¬(c2,[p3,p3],1) the chosen head drops that negation
+    # from the superset only, so neither result contains the other.
+    g = neg_ground_full
+    e = parse_expr_text(
+        "~((c2,[p1,p2],3) & (c1,[p3],1) | (c2,[p1,p2],3) & ~(c2,[p3,p3],2)"
+        " | (c6,[p3],3) & (c2,[p3,p3],1))",
+        g,
+    )
+    assert render_expr(dnf(e, g), g) == (
+        "~(c1,[p3],1) & (c2,[p3,p3],2) | ~(c2,[p1,p2],3) & ~(c2,[p3,p3],1)"
+        " | ~(c2,[p1,p2],3) & (c2,[p3,p3],2) | ~(c2,[p1,p2],3) & ~(c6,[p3],3)"
+    )
 
 
 def test_dnf_of_negated_units():

@@ -6,14 +6,25 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import lpadexpl.__main__
+from lpadexpl.choice_algebra import (
+    CONJOIN_LIMIT,
+    gamma,
+    parse_composite_set_text,
+    parse_expr_text,
+)
 from lpadexpl.cli import main
+from lpadexpl.grounder import ground
+from lpadexpl.syntax import parse_program
 
 from conftest import FIXTURES, golden_text
+import genprog
+import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -288,6 +299,49 @@ def test_duals_of_an_expression(capsys):
     assert (code, out) == (0, "{{(c5,[p1],2)},{(c6,[p1],1)}}\n")
 
 
+def test_duals_of_a_seeded_expression_finishes(capsys, tmp_path):
+    # The hitting product over the complements of this expression's ten
+    # composite choices has 30,233,088 picks; absorbing after each
+    # complement keeps every step small.
+    text, _ = genprog.generate(29724)
+    program = tmp_path / "seed29724.lpad"
+    program.write_text(text)
+    expr = "(c4,[],3) | ~(c4,[],3) & ~(c2,[],1)"
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, ["duals", str(program), expr])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+    g = ground(parse_program(text))
+    answer = parse_composite_set_text(out, g)
+    ks = gamma(parse_expr_text(expr, g), g)
+    assert oracles.coverage(answer, g) == oracles.complement_coverage(ks, g)
+
+
+def test_duals_past_the_conjoin_limit_exits_two(capsys, tmp_path):
+    # covid(p1)'s explanations in a 14-person contact star: the duals number
+    # 3^13, more than one conjoin step may hold.
+    n = 14
+    program = tmp_path / "star.lpad"
+    program.write_text(
+        "covid(X):0.9 :- pcr(X).\n"
+        "covid(X):0.4; flu(X):0.3 :- contact(X,Y), covid(Y).\n"
+        + "".join(f"pcr(p{i}).\ncontact(p1,p{i}).\n" for i in range(2, n + 1))
+    )
+    restriction = tmp_path / "star.json"
+    restriction.write_text(
+        json.dumps({"c2": [{"X": "p1", "Y": f"p{i}"} for i in range(2, n + 1)]})
+    )
+    sets = "{{(c1,[p1],1)}," + ",".join(
+        f"{{(c2,[p1,p{i}],1),(c1,[p{i}],1)}}" for i in range(2, n + 1)
+    ) + "}"
+    code, out, err = run(
+        capsys, ["duals", str(program), sets, "--restrict", str(restriction)]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: duals: ")
+    assert f"exceed the limit {CONJOIN_LIMIT}" in err
+
+
 # ---------------------------------------------------------------------------
 # Errors and exit codes
 # ---------------------------------------------------------------------------
@@ -369,3 +423,17 @@ def test_installed_script_runs():
     # function ``python -m lpadexpl`` calls.
     module, _, attr = declared_scripts()["lpadexpl"].partition(":")
     assert getattr(importlib.import_module(module), attr) is lpadexpl.__main__.entry
+
+
+def test_cli_import_leaves_numpy_out():
+    package_root = str(Path(lpadexpl.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, lpadexpl.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n")

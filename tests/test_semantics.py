@@ -13,7 +13,6 @@ from lpadexpl.semantics import (
     event_prob,
     model_check,
     success_prob,
-    total_world_prob,
     world_of,
     world_prob,
     worlds_table,
@@ -155,8 +154,8 @@ def test_enumerate_selections_limit(neg_ground_min):
 
 
 def test_total_world_prob_sums_to_one(pos_ground, neg_ground_min):
-    assert total_world_prob(pos_ground) == pytest.approx(1.0, abs=1e-9)
-    assert total_world_prob(neg_ground_min) == pytest.approx(1.0, abs=1e-9)
+    assert oracles.total_world_prob(pos_ground) == pytest.approx(1.0, abs=1e-9)
+    assert oracles.total_world_prob(neg_ground_min) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_worlds_table_rows_and_total(neg_ground_min):
