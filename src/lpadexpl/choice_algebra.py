@@ -10,8 +10,10 @@ Choice expressions close atomic choices under ¬, ∧, ∨ (with ⊥ and ⊤).  
 meaning ``gamma(C)`` is a set of composite choices whose worlds are the
 worlds satisfying ``C``; negation goes through ``duals`` (minimal hitting
 sets of the complemented composite choices).  Up to world equivalence the
-expressions form a Boolean algebra, which is what makes the rewrite rules in
-``simplify``/``dnf`` sound.
+expressions form a Boolean algebra, which is what makes ``dnf``, the one
+normaliser, sound.  ``assignments_over`` is the one enumerator of head
+assignments: ``equiv`` and ``semantics`` decide truth and sum probability
+over it, within a bound on the number of assignments.
 
 Everything here is deterministic: ∧/∨ keep their children as canonically
 sorted, duplicate-free tuples (so associativity, commutativity, and
@@ -21,7 +23,9 @@ canonical order.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -29,11 +33,8 @@ from .errors import EnumerationLimitError, LpadError
 from .grounder import GroundProbClause, GroundProgram, ThetaKey
 from .syntax import NONE_PREDICATE
 
-EQUIV_INSTANCE_LIMIT = 20
-
-#: Fallback iteration bound multiplier for simplify (rule applications can
-#: only shrink the expression, so the bound is never hit in practice).
-SIMPLIFY_ROUNDS_PER_NODE = 10
+#: The default bound on the head assignments one enumeration may visit.
+DEFAULT_ASSIGNMENT_LIMIT = 1_000_000
 
 
 class ChoiceExpr:
@@ -58,6 +59,7 @@ BOT = _Bottom()
 TOP = _Top()
 
 
+@functools.cache
 def _natural(text: str) -> tuple:
     """Sort key treating digit runs numerically, so c2 < c10."""
     return tuple(
@@ -381,87 +383,8 @@ def gamma(e: ChoiceExpr, g: GroundProgram) -> frozenset[CompositeChoice]:
 
 
 # ---------------------------------------------------------------------------
-# Rewriting: simplify and dnf
+# Rewriting: dnf
 # ---------------------------------------------------------------------------
-
-
-def _same_instance(a: AtomicChoice, b: AtomicChoice) -> bool:
-    return a.cid == b.cid and a.key == b.key
-
-
-def _conjunct_parts(e: ChoiceExpr) -> frozenset[ChoiceExpr]:
-    return frozenset(e.children) if isinstance(e, And) else frozenset([e])
-
-
-def _simplify_once(e: ChoiceExpr) -> ChoiceExpr:
-    if isinstance(e, Not):
-        return Not(_simplify_once(e.child))
-    if isinstance(e, And):
-        children = [_simplify_once(c) for c in e.children]
-        merged = conj(children)
-        if not isinstance(merged, And):
-            return merged
-        kids = list(merged.children)
-        if any(isinstance(c, _Bottom) for c in kids):
-            return BOT
-        kids = [c for c in kids if not isinstance(c, _Top)]
-        kid_set = set(kids)
-        # Contradictory or complementary siblings.
-        choices = [c for c in kids if isinstance(c, AtomicChoice)]
-        for a, b in itertools.combinations(choices, 2):
-            if _same_instance(a, b) and a.index != b.index:
-                return BOT
-        for c in kids:
-            if Not(c) in kid_set:
-                return BOT
-        # A positive choice subsumes a negated sibling of the same instance.
-        drop: set[ChoiceExpr] = set()
-        for c in kids:
-            if isinstance(c, Not) and isinstance(c.child, AtomicChoice):
-                if any(
-                    _same_instance(a, c.child) and a.index != c.child.index
-                    for a in choices
-                ):
-                    drop.add(c)
-        kids = [c for c in kids if c not in drop]
-        return conj(kids)
-    if isinstance(e, Or):
-        children = [_simplify_once(c) for c in e.children]
-        merged = disj(children)
-        if not isinstance(merged, Or):
-            return merged
-        kids = list(merged.children)
-        if any(isinstance(c, _Top) for c in kids):
-            return TOP
-        kids = [c for c in kids if not isinstance(c, _Bottom)]
-        # Absorption: drop any disjunct whose conjunct set contains another's
-        # (children are already deduplicated, so containment is strict).
-        parts = [_conjunct_parts(c) for c in kids]
-        keep = [
-            c
-            for i, c in enumerate(kids)
-            if not any(parts[j] < parts[i] for j in range(len(kids)))
-        ]
-        return disj(keep)
-    return e
-
-
-def simplify(e: ChoiceExpr, g: GroundProgram | None = None) -> ChoiceExpr:
-    """Fixpoint of the world-preserving shrink rules.
-
-    Unit laws (C∧⊤→C, C∧⊥→⊥, C∨⊤→⊤, C∨⊥→C), contradictory sibling choices
-    (α∧α'→⊥ for different heads of one instance), complement collapse
-    (C∧¬C→⊥), redundant negated siblings (α∧¬α'→α), absorption
-    (C∨(C∧D)→C), and idempotence (structural).  Never grows the expression.
-    """
-    bound = max(4, SIMPLIFY_ROUNDS_PER_NODE * node_count(e))
-    cur = e
-    for _ in range(bound):
-        nxt = _simplify_once(cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
-    return cur
 
 
 def _nnf(e: ChoiceExpr) -> ChoiceExpr:
@@ -516,7 +439,7 @@ def _dnf_sets(e: ChoiceExpr, guarded) -> list[frozenset]:
     raise TypeError(f"not a choice expression: {e!r}")
 
 
-def dnf(e: ChoiceExpr, g: GroundProgram | None = None) -> ChoiceExpr:
+def dnf(e: ChoiceExpr) -> ChoiceExpr:
     """Canonical disjunctive normal form.
 
     Pushes negation to the leaves, then conjoins the leaves with the kernel
@@ -570,37 +493,34 @@ def eval_expr(e: ChoiceExpr, assignment: dict[tuple[str, ThetaKey], int]) -> boo
     raise TypeError(f"not a choice expression: {e!r}")
 
 
-def _instances_of(
-    keys: set[tuple[str, ThetaKey]], g: GroundProgram
-) -> list[GroundProbClause]:
-    insts = [g.instance(cid, key) for cid, key in keys]
-    return sorted(insts, key=lambda i: (_natural(i.cid), i.key))
+def assignments_over(insts: list[GroundProbClause], limit: int, message: str):
+    """Every head assignment of the given instances, the last varying fastest.
 
-
-def assignments_over(insts: list[GroundProbClause]):
-    """All head assignments for the given instances."""
-    ranges = [range(1, inst.n_heads + 1) for inst in insts]
+    Each assignment maps (clause id, θ) to a head index, keyed in ``insts``
+    order.  Past ``limit`` assignments, raises EnumerationLimitError with
+    ``message`` formatted by ``count`` and ``limit`` before yielding any.
+    """
+    count = math.prod(inst.n_heads for inst in insts)
+    if count > limit:
+        raise EnumerationLimitError(message.format(count=count, limit=limit))
     keys = [(inst.cid, inst.key) for inst in insts]
-    for combo in itertools.product(*ranges):
-        yield dict(zip(keys, combo))
+    ranges = [range(1, inst.n_heads + 1) for inst in insts]
+    return (dict(zip(keys, combo)) for combo in itertools.product(*ranges))
 
 
 def equiv(c1: ChoiceExpr, c2: ChoiceExpr, g: GroundProgram) -> bool:
     """World equivalence, decided by enumerating head assignments over the
 
     instances the two expressions mention (unmentioned instances cannot
-    distinguish them).  Errors out above ``EQUIV_INSTANCE_LIMIT`` instances.
+    distinguish them).  Raises past ``DEFAULT_ASSIGNMENT_LIMIT`` assignments.
     """
-    keys = mentioned_instances(c1) | mentioned_instances(c2)
-    if len(keys) > EQUIV_INSTANCE_LIMIT:
-        raise EnumerationLimitError(
-            f"equivalence check over {len(keys)} ground instances "
-            f"(limit {EQUIV_INSTANCE_LIMIT})"
-        )
-    for assignment in assignments_over(_instances_of(keys, g)):
-        if eval_expr(c1, assignment) != eval_expr(c2, assignment):
-            return False
-    return True
+    keys = sorted(mentioned_instances(c1) | mentioned_instances(c2))
+    insts = [g.instance(cid, key) for cid, key in keys]
+    message = "equivalence check over {count} head assignments exceeds the limit {limit}"
+    return all(
+        eval_expr(c1, assignment) == eval_expr(c2, assignment)
+        for assignment in assignments_over(insts, DEFAULT_ASSIGNMENT_LIMIT, message)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ enumerates head assignments only over the instances the expression mentions
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from .choice_algebra import (
+    DEFAULT_ASSIGNMENT_LIMIT,
     AtomicChoice,
     ChoiceExpr,
     assignments_over,
@@ -32,15 +32,12 @@ from .grounder import GroundProgram, ThetaKey
 from .slpdnf import DEFAULT_DEPTH_LIMIT, Derivation, success_expressions
 from .syntax import Atom, Clause, NONE_PREDICATE, Query
 
-DEFAULT_SELECTION_LIMIT = 1_000_000
-DEFAULT_ASSIGNMENT_LIMIT = 1_000_000
-
 #: A selection as a value: one atomic choice per instance.
 Selection = frozenset[AtomicChoice]
 
 
 def enumerate_selections(
-    g: GroundProgram, limit: int = DEFAULT_SELECTION_LIMIT
+    g: GroundProgram, limit: int = DEFAULT_ASSIGNMENT_LIMIT
 ):
     """Yield every selection (instance order, ascending head index)."""
     message = "{count} selections exceed the enumeration limit {limit}"
@@ -52,15 +49,13 @@ def _weighted_selections(g: GroundProgram, limit: int, message: str):
 
     ``enumerate_selections``; past ``limit`` selections, raise
     EnumerationLimitError with ``message`` formatted by count and limit."""
-    count = g.selection_count()
-    if count > limit:
-        raise EnumerationLimitError(message.format(count=count, limit=limit))
     insts = g.instances
-    for indices in itertools.product(*(range(1, inst.n_heads + 1) for inst in insts)):
+    for assignment in assignments_over(insts, limit, message):
         selection = frozenset(
-            AtomicChoice(inst.cid, inst.key, i) for inst, i in zip(insts, indices)
+            AtomicChoice(cid, key, i) for (cid, key), i in assignment.items()
         )
-        yield selection, math.prod(inst.prob(i) for inst, i in zip(insts, indices))
+        probs = (inst.prob(i) for inst, i in zip(insts, assignment.values()))
+        yield selection, math.prod(probs)
 
 
 @dataclass(slots=True)
@@ -151,17 +146,13 @@ def event_prob(
     insts = sorted(
         (g.instance(cid, key) for cid, key in keys), key=lambda i: (i.cid, i.key)
     )
-    count = math.prod(inst.n_heads for inst in insts)
-    if count > limit:
-        raise EnumerationLimitError(
-            f"{count} head assignments exceed the enumeration limit {limit}"
-        )
+    message = "{count} head assignments exceed the enumeration limit {limit}"
     terms: list[float] = []
-    for assignment in assignments_over(insts):
+    for assignment in assignments_over(insts, limit, message):
         if eval_expr(e, assignment):
             p = 1.0
-            for inst in insts:
-                p *= inst.prob(assignment[(inst.cid, inst.key)])
+            for inst, i in zip(insts, assignment.values()):
+                p *= inst.prob(i)
             terms.append(p)
     return math.fsum(terms)
 
@@ -186,14 +177,15 @@ def success_prob(
     success-leaf expressions; ``oracle`` enumerates every selection and sums
     the satisfying worlds' probabilities.  The two agree to within 1e-9.
     """
+    limit = DEFAULT_ASSIGNMENT_LIMIT if limit is None else limit
     if method == "engine":
         exprs = success_expressions(q, g, depth_limit)
         if not exprs:
             return 0.0
-        return event_prob(disj(exprs), g, limit or DEFAULT_ASSIGNMENT_LIMIT)
+        return event_prob(disj(exprs), g, limit)
     if method == "oracle":
         message = "{count} selections exceed the enumeration limit {limit}"
-        weighted = _weighted_selections(g, limit or DEFAULT_SELECTION_LIMIT, message)
+        weighted = _weighted_selections(g, limit, message)
         return math.fsum(p for s, p in weighted if model_check(world_of(s, g), q))
     raise ValueError(f"unknown method {method!r} (expected 'engine' or 'oracle')")
 

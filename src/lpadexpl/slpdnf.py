@@ -100,14 +100,13 @@ class SlpdnfTree:
     def success_leaves(self) -> list[SlpdnfNode]:
         """Success leaves in left-to-right order."""
         out: list[SlpdnfNode] = []
-
-        def walk(n: SlpdnfNode) -> None:
+        stack = [self.root]
+        while stack:
+            n = stack.pop()
             if n.marking == SUCCESS:
                 out.append(n)
-            for _, child in n.children:
-                walk(child)
-
-        walk(self.root)
+            for _, child in reversed(n.children):
+                stack.append(child)
         return out
 
     def success_expressions(self) -> list[ChoiceExpr]:
@@ -265,14 +264,19 @@ def build_tree(
 def derivations(tree: SlpdnfTree) -> list[Derivation]:
     """Root-to-success-leaf branches, in left-to-right leaf order."""
     out: list[Derivation] = []
-
-    def walk(node: SlpdnfNode, nodes: list[SlpdnfNode], edges: list[EdgeLabel]) -> None:
+    # The branch down to the node last popped: edges[i] leads into nodes[i].
+    nodes: list[SlpdnfNode] = []
+    edges: list[EdgeLabel | None] = []
+    stack = [(tree.root, None, 0)]
+    while stack:
+        node, edge, depth = stack.pop()
+        del nodes[depth:], edges[depth:]
+        nodes.append(node)
+        edges.append(edge)
         if node.marking == SUCCESS:
-            out.append(Derivation(tuple(nodes + [node]), tuple(edges)))
-        for edge, child in node.children:
-            walk(child, nodes + [node], edges + [edge])
-
-    walk(tree.root, [], [])
+            out.append(Derivation(tuple(nodes), tuple(edges[1:])))
+        for e, child in reversed(node.children):
+            stack.append((child, e, depth + 1))
     return out
 
 

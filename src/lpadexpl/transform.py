@@ -15,14 +15,15 @@ explicit ``ch`` atoms of its instance), ¬ ↦ negation, ∧ ↦ conjunction,
 auxiliary derived clauses (one fresh predicate per disjunction, compound
 negation, or unit), so the expression's probability can be recomputed by
 running the ordinary machinery on the transformed program —
-``prob_via_transform`` does exactly that and agrees with ``event_prob``.
+``prob_via_transform`` does exactly that, on the expression's ``dnf``, and
+agrees with ``event_prob``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .choice_algebra import BOT, TOP, And, AtomicChoice, ChoiceExpr, Not, Or, simplify
+from .choice_algebra import BOT, TOP, And, AtomicChoice, ChoiceExpr, Not, Or, dnf
 from .grounder import GroundProbClause, GroundProgram, ground
 from .semantics import DEFAULT_ASSIGNMENT_LIMIT, success_prob
 from .syntax import (
@@ -221,11 +222,13 @@ def prob_via_transform(
     """The expression's probability, recomputed by resolution over the
 
     choice-fact program — an independent route that must agree with
-    ``event_prob``."""
-    # Unit propagation removes every embedded ⊤/⊥; only a wholly-⊥ goal is
-    # left to special-case (the query for `false` would otherwise put a
-    # clauseless fresh predicate in the root query).
-    e = simplify(e)
+    ``event_prob``.  It runs on the expression's ``dnf``: the CLI's
+    disjunction of success expressions is only absorbed, but a large negated
+    expression can exceed ``CONJOIN_LIMIT`` and raise EnumerationLimitError."""
+    # dnf removes every embedded ⊤/⊥; only a wholly-⊥ goal is left to
+    # special-case (the query for `false` would otherwise put a clauseless
+    # fresh predicate in the root query).
+    e = dnf(e)
     if e == BOT:
         return 0.0
     program = trp(g)

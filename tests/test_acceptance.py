@@ -285,9 +285,9 @@ def test_criterion_6(arena):
     rng = random.Random(63)
     for _ in range(500):
         e = random_expr(rng, atoms, 2)
-        d = dnf(e, g)
+        d = dnf(e)
         assert equiv(d, e, g)
-        assert dnf(d, g) == d
+        assert dnf(d) == d
 
     # duals complement property: exactly one side covers each selection
     rng = random.Random(64)
@@ -312,7 +312,7 @@ def test_criterion_6(arena):
     for _ in range(500):
         e = random_expr(rng, atoms, 2)
         g1 = gamma(e, g)
-        g2 = gamma(dnf(e, g), g)
+        g2 = gamma(dnf(e), g)
         if g1 != g2:
             assert oracles.coverage(g1, g) == oracles.coverage(g2, g)
 
@@ -328,7 +328,7 @@ def test_dnf_matches_reference(arena):
     rng = random.Random(67)
     for _ in range(2000):
         e = random_expr(rng, atoms, 3)
-        assert dnf(e, arena) == oracles.dnf_reference(e), e
+        assert dnf(e) == oracles.dnf_reference(e), e
 
 
 def test_criterion_7(pos_ground, neg_ground, neg_ground_min):
@@ -376,6 +376,6 @@ def test_criterion_9(neg_ground_min):
     dual = duals(k_pro, g)
     assert len(dual) == 9
     e = disj([conj(sorted(k, key=str)) for k in sorted(k_pro, key=str)])
-    via_dnf = gamma(dnf(Not(e), g), g)
+    via_dnf = gamma(dnf(Not(e)), g)
     assert via_dnf == dual
     assert oracles.coverage(via_dnf, g) == oracles.complement_coverage(k_pro, g)

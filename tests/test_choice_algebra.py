@@ -22,9 +22,10 @@ from lpadexpl.choice_algebra import (
     parse_expr_text,
     render_composite_set,
     render_expr,
-    simplify,
 )
-from lpadexpl.errors import LpadError
+from lpadexpl.errors import EnumerationLimitError, LpadError
+from lpadexpl.grounder import ground
+from lpadexpl.syntax import parse_program
 
 import oracles
 
@@ -118,27 +119,27 @@ def test_gamma_of_conjunction_with_negation(neg_ground):
     )
 
 
-def test_simplify_units(neg_ground):
+def test_dnf_units(neg_ground):
     a = ac(neg_ground, "c6", ("p1",), 1)
-    assert simplify(conj([a, TOP])) == a
-    assert simplify(conj([a, BOT])) == BOT
-    assert simplify(disj([a, TOP])) == TOP
-    assert simplify(disj([a, BOT])) == a
+    assert dnf(conj([a, TOP])) == a
+    assert dnf(conj([a, BOT])) == BOT
+    assert dnf(disj([a, TOP])) == TOP
+    assert dnf(disj([a, BOT])) == a
 
 
-def test_simplify_same_instance_conflicts(neg_ground):
+def test_dnf_same_instance_conflicts(neg_ground):
     a1 = ac(neg_ground, "c6", ("p1",), 1)
     a2 = ac(neg_ground, "c6", ("p1",), 2)
-    assert simplify(conj([a1, a2])) == BOT
+    assert dnf(conj([a1, a2])) == BOT
     # choosing index 1 already implies index 2 was not chosen
-    assert simplify(conj([a1, Not(a2)])) == a1
-    assert simplify(conj([a1, Not(a1)])) == BOT
+    assert dnf(conj([a1, Not(a2)])) == a1
+    assert dnf(conj([a1, Not(a1)])) == BOT
 
 
-def test_simplify_absorption(neg_ground):
+def test_dnf_absorption(neg_ground):
     a = ac(neg_ground, "c5", ("p1",), 1)
     b = ac(neg_ground, "c6", ("p1",), 1)
-    assert simplify(disj([a, conj([a, b])])) == a
+    assert dnf(disj([a, conj([a, b])])) == a
 
 
 def test_dnf_shape_and_soundness(neg_ground):
@@ -177,7 +178,7 @@ def test_dnf_keeps_conjuncts_absorbed_before_a_later_join(neg_ground_full):
         " | (c6,[p3],3) & (c2,[p3,p3],1))",
         g,
     )
-    assert render_expr(dnf(e, g), g) == (
+    assert render_expr(dnf(e), g) == (
         "~(c1,[p3],1) & (c2,[p3,p3],2) | ~(c2,[p1,p2],3) & ~(c2,[p3,p3],1)"
         " | ~(c2,[p1,p2],3) & (c2,[p3,p3],2) | ~(c2,[p1,p2],3) & ~(c6,[p3],3)"
     )
@@ -192,6 +193,15 @@ def test_equiv_tautology(neg_ground):
     a = ac(neg_ground, "c6", ("p1",), 1)
     assert equiv(disj([a, Not(a)]), TOP, neg_ground)
     assert not equiv(a, TOP, neg_ground)
+
+
+def test_equiv_is_bounded_by_head_assignments():
+    # 11 instances of four heads (three explicit and none): 4**11 assignments.
+    people = "".join(f"person(p{n}).\n" for n in range(1, 12))
+    g = ground(parse_program("h(X):0.2; i(X):0.2; j(X):0.2 :- person(X).\n" + people))
+    e = disj(AtomicChoice(inst.cid, inst.key, 1) for inst in g.instances)
+    with pytest.raises(EnumerationLimitError, match="4194304 head assignments"):
+        equiv(e, e, g)
 
 
 def test_eval_expr(neg_ground):
@@ -232,5 +242,5 @@ def test_gamma_matches_dnf_coverage(neg_ground_min):
         "~((c3,[p1],1) | (c4,[p1],1) & ~(c5,[p1],1))", g
     )
     cover_gamma = oracles.coverage(gamma(e, g), g)
-    cover_dnf = oracles.coverage(gamma(dnf(e, g), g), g)
+    cover_dnf = oracles.coverage(gamma(dnf(e), g), g)
     assert cover_gamma == cover_dnf

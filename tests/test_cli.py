@@ -118,6 +118,25 @@ def test_prob_respects_enumeration_limit(capsys):
     assert err.startswith("error:")
 
 
+def test_prob_limit_zero_exits_two(capsys):
+    for method in ("engine", "oracle"):
+        code, out, err = run(
+            capsys, ["prob", NEG, "covid(p1)", "--method", method, "--limit", "0"]
+        )
+        assert (code, out) == (2, ""), method
+        assert "limit 0" in err, method
+
+
+def test_prob_of_a_long_derived_chain(capsys, tmp_path):
+    # Deeper than the interpreter's recursion limit, well inside the depth limit.
+    chain = tmp_path / "chain.lpad"
+    steps = "".join(f"s{i} :- s{i + 1}.\n" for i in range(3000))
+    chain.write_text(steps + "s3000:0.7.\n")
+    for method in ("engine", "transform"):
+        code, out, _ = run(capsys, ["prob", str(chain), "s0", "--method", method])
+        assert (code, out) == (0, "0.700000000\n"), method
+
+
 # ---------------------------------------------------------------------------
 # explain
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def ac(g, cid, values, index):
 
 def negation_path_expr(g):
     exprs = build_tree(parse_query("covid(p1)"), g).success_expressions()
-    return dnf(exprs[1], g)
+    return dnf(exprs[1])
 
 
 def test_print_transform_one_choice_fact_per_instance(neg_ground_min):
