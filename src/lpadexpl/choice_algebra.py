@@ -11,9 +11,10 @@ meaning ``gamma(C)`` is a set of composite choices whose worlds are the
 worlds satisfying ``C``; negation goes through ``duals`` (minimal hitting
 sets of the complemented composite choices).  Up to world equivalence the
 expressions form a Boolean algebra, which is what makes ``dnf``, the one
-normaliser, sound.  ``assignments_over`` is the one enumerator of head
-assignments: ``equiv`` and ``semantics`` decide truth and sum probability
-over it, within a bound on the number of assignments.
+normaliser, sound; ``dnf_sets`` gives its conjuncts as literal sets, which
+``semantics.event_prob`` expands.  ``assignments_over`` is the one
+enumerator of head assignments: ``equiv`` decides truth and ``semantics``
+enumerates worlds over it, within a bound on the number of assignments.
 
 Everything here is deterministic: ∧/∨ keep their children as canonically
 sorted, duplicate-free tuples (so associativity, commutativity, and
@@ -33,7 +34,8 @@ from .errors import EnumerationLimitError, LpadError
 from .grounder import GroundProbClause, GroundProgram, ThetaKey
 from .syntax import NONE_PREDICATE
 
-#: The default bound on the head assignments one enumeration may visit.
+#: The default bound on the head assignments one enumeration may visit, and
+#: on the conjuncts ``semantics.event_prob``'s decision diagram may hold.
 DEFAULT_ASSIGNMENT_LIMIT = 1_000_000
 
 
@@ -418,7 +420,7 @@ def _negated_instances(e: ChoiceExpr) -> frozenset[tuple[str, ThetaKey]]:
     return frozenset()
 
 
-def _dnf_sets(e: ChoiceExpr, guarded) -> list[frozenset]:
+def _nnf_sets(e: ChoiceExpr, guarded) -> list[frozenset]:
     """The conjuncts of an NNF expression as literal sets, absorbed as far
 
     as ``_absorb`` allows before the final pass."""
@@ -429,28 +431,34 @@ def _dnf_sets(e: ChoiceExpr, guarded) -> list[frozenset]:
     if isinstance(e, (AtomicChoice, Not)):  # NNF: ¬ wraps an atomic choice
         return [frozenset([e])]
     if isinstance(e, Or):
-        factor = [s for c in e.children for s in _dnf_sets(c, guarded)]
+        factor = [s for c in e.children for s in _nnf_sets(c, guarded)]
         return _conjoin(_UNIT, factor, "dnf", guarded)
     if isinstance(e, And):
         acc = list(_UNIT)
         for c in e.children:
-            acc = _conjoin(acc, _dnf_sets(c, guarded), "dnf", guarded)
+            acc = _conjoin(acc, _nnf_sets(c, guarded), "dnf", guarded)
         return acc
     raise TypeError(f"not a choice expression: {e!r}")
 
 
-def dnf(e: ChoiceExpr) -> ChoiceExpr:
-    """Canonical disjunctive normal form.
+def dnf_sets(e: ChoiceExpr) -> list[frozenset]:
+    """The conjuncts of ``dnf(e)`` as literal sets, shortest first.
 
     Pushes negation to the leaves, then conjoins the leaves with the kernel
     (consistency pruning, redundant negations dropped, absorption after each
-    step) and absorbs once more at the end — the result is ⊥, ⊤, a literal,
-    a conjunction of literals, or a disjunction of such conjunctions, in
-    canonical child order.  Idempotent.
+    step) and absorbs once more at the end.  ``[]`` is ⊥ and ``[∅]`` is ⊤.
     """
     nnf = _nnf(e)
-    conjuncts = _absorb(_dnf_sets(nnf, _negated_instances(nnf)), frozenset())
-    return disj(conj(c) for c in conjuncts)
+    return _absorb(_nnf_sets(nnf, _negated_instances(nnf)), frozenset())
+
+
+def dnf(e: ChoiceExpr) -> ChoiceExpr:
+    """Canonical disjunctive normal form: ⊥, ⊤, a literal, a conjunction of
+
+    literals, or a disjunction of such conjunctions, in canonical child
+    order (the conjuncts of ``dnf_sets``).  Idempotent.
+    """
+    return disj(conj(c) for c in dnf_sets(e))
 
 
 def is_dnf(e: ChoiceExpr) -> bool:

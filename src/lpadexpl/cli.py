@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=None,
-        help="enumeration bound for the oracle and engine back ends",
+        help="oracle: most selections enumerated; engine: most conjuncts held "
+        "by the decision diagram (default: 1000000 for both)",
     )
     p.add_argument(
         "--relevant",

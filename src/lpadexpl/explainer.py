@@ -330,14 +330,15 @@ def render_text(
     ``;`` between the alternative reasons of a negative literal.  With a
     depth limit, nodes at the cut with hidden content end in " ..."."""
     lines: list[str] = []
-
-    def emit(node: AndTree, depth: int) -> None:
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
         visible = node.visible_children()
         hidden = bool(visible) or node.expr is not None
         folded = depth_limit is not None and depth >= depth_limit and hidden
         lines.append(INDENT * depth + _lit_text(node.literal) + (" ..." if folded else ""))
         if folded:
-            return
+            continue
         if node.expr is not None:
             for i, conj_ in enumerate(node.expr.children):
                 if i:
@@ -345,10 +346,7 @@ def render_text(
                 for r in conj_.children:
                     text = ("¬" if r.negated else "") + r.text
                     lines.append(INDENT * (depth + 1) + text + _alts_suffix(r, alternatives))
-        for child in visible:
-            emit(child, depth + 1)
-
-    emit(tree, 0)
+        stack.extend((child, depth + 1) for child in reversed(visible))
     return "\n".join(lines) + "\n"
 
 
@@ -363,8 +361,9 @@ def render_nl(
     content end in " because", non-first siblings start with "and ", and the
     alternative reasons of a negative literal are joined by "or because"."""
     lines: list[str] = []
-
-    def emit(node: AndTree, depth: int, follows_sibling: bool) -> None:
+    stack = [(tree, 0, False)]
+    while stack:
+        node, depth, follows_sibling = stack.pop()
         visible = node.visible_children()
         hidden = bool(visible) or node.expr is not None
         folded = depth_limit is not None and depth >= depth_limit and hidden
@@ -372,7 +371,7 @@ def render_nl(
         prefix = "and " if follows_sibling else ""
         if folded:
             lines.append(INDENT * depth + prefix + phrase + " ...")
-            return
+            continue
         suffix = " because" if hidden else ""
         lines.append(INDENT * depth + prefix + phrase + suffix)
         if node.expr is not None:
@@ -382,10 +381,9 @@ def render_nl(
                 for j, r in enumerate(conj_.children):
                     text = ("and " if j else "") + _rlit_phrase(r, annotations)
                     lines.append(INDENT * (depth + 1) + text + _alts_suffix(r, alternatives))
-        for j, child in enumerate(visible):
-            emit(child, depth + 1, j > 0)
-
-    emit(tree, 0, False)
+        stack.extend(
+            (child, depth + 1, j > 0) for j, child in reversed(list(enumerate(visible)))
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -411,34 +409,26 @@ def render_graph(trees: list[AndTree] | AndTree, alternatives: bool = False) -> 
         trees = [trees]
     decls: list[str] = []
     edges: list[str] = []
-    ids: dict[int, int] = {}
 
     def escape(text: str) -> str:
         return text.replace("\\", "\\\\").replace('"', '\\"')
 
-    def declare(node: AndTree) -> None:
-        nid = len(ids)
-        ids[id(node)] = nid
-        label = BOX if node.literal is None else _lit_text(node.literal)
-        decls.append(f'  n{nid} [label="{escape(label)}"];')
-        for child in node.children:
-            declare(child)
-
-    def connect(node: AndTree) -> None:
-        nid = ids[id(node)]
-        for child in node.children:
-            cid = ids[id(child)]
-            if child.literal is None and node.expr is not None:
-                expr_text = escape(_expr_inline(node.expr, alternatives))
-                edges.append(f'  n{nid} -> n{cid} [label="{expr_text}"];')
-            else:
-                edges.append(f"  n{nid} -> n{cid};")
-            connect(child)
-
     for t in trees:
-        declare(t)
-    for t in trees:
-        connect(t)
+        # (parent, parent's id, node) in preorder; a node's edge from its
+        # parent is emitted when the node is numbered.
+        stack: list[tuple[AndTree | None, int, AndTree]] = [(None, -1, t)]
+        while stack:
+            parent, pid, node = stack.pop()
+            nid = len(decls)
+            label = BOX if node.literal is None else _lit_text(node.literal)
+            decls.append(f'  n{nid} [label="{escape(label)}"];')
+            if parent is not None:
+                if node.literal is None and parent.expr is not None:
+                    expr_text = escape(_expr_inline(parent.expr, alternatives))
+                    edges.append(f'  n{pid} -> n{nid} [label="{expr_text}"];')
+                else:
+                    edges.append(f"  n{pid} -> n{nid};")
+            stack.extend((node, nid, child) for child in reversed(node.children))
     return "digraph proof {\n" + "\n".join(decls + edges) + "\n}\n"
 
 

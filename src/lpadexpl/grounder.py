@@ -332,16 +332,23 @@ def stratify(g: GroundProgram) -> dict[tuple[str, int], int]:
         if scc_of[b] == scc_of[h]:
             raise StratificationError(_negative_cycle(b, h, sccs[scc_of[b]], successors))
 
+    # Body predicates by head, so each edge is visited once below.
+    pos_into: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    neg_into: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for edges, into in ((pos_edges, pos_into), (neg_edges, neg_into)):
+        for b, h in edges:
+            into.setdefault(h, []).append(b)
+
     # Tarjan yields SCCs in reverse topological order; process dependencies
     # first and push each predicate above its negated dependencies.
     strata: dict[tuple[str, int], int] = {}
     for scc in reversed(sccs):
         level = 0
         for p in scc:
-            for b, h in ((b, h) for (b, h) in pos_edges if h == p):
-                if scc_of[b] != scc_of[h]:
+            for b in pos_into.get(p, ()):
+                if scc_of[b] != scc_of[p]:
                     level = max(level, strata[b])
-            for b, h in ((b, h) for (b, h) in neg_edges if h == p):
+            for b in neg_into.get(p, ()):
                 level = max(level, strata[b] + 1)
         for p in scc:
             strata[p] = level

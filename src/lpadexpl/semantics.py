@@ -8,24 +8,28 @@ deliberately independent of the resolution engine, so the two can be compared.
 
 ``success_prob`` offers both routes: ``oracle`` sums the probabilities of the
 worlds satisfying the query; ``engine`` evaluates the disjunction of the
-resolution tree's success-leaf expressions with ``event_prob``, which
-enumerates head assignments only over the instances the expression mentions
-(independence marginalizes out the rest).
+resolution tree's success-leaf expressions with ``event_prob``.  That is a
+Shannon expansion of the expression's DNF over the instances it mentions
+(independence marginalizes out the rest), memoised on the residual
+conjuncts: in effect an ordered multi-valued decision diagram, as PITA
+builds for LPADs (Riguzzi & Swift, TPLP 2011).  Its ``limit`` bounds the
+conjuncts the diagram holds; the enumerations bound selections.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .choice_algebra import (
     DEFAULT_ASSIGNMENT_LIMIT,
     AtomicChoice,
     ChoiceExpr,
+    Not,
     assignments_over,
     disj,
-    eval_expr,
-    mentioned_instances,
+    dnf_sets,
 )
 from .errors import EnumerationLimitError
 from .grounder import GroundProgram, ThetaKey
@@ -139,22 +143,84 @@ def event_prob(
 ) -> float:
     """The probability mass of the worlds satisfying an expression.
 
-    Enumerates head assignments of the mentioned instances only; terms are
-    summed compensated, so ⊤ gives exactly 1.0 and ⊥ exactly 0.0.
+    Shannon expansion of ``dnf_sets(e)`` over the instances its literals
+    mention, in (clause id, θ) order, memoised on the residual: the
+    conjuncts still to satisfy, as a frozenset of literal frozensets.  The
+    memo is in effect an ordered multi-valued decision diagram.  A node is
+    ``fsum(p_i · P(residual_i))`` over its instance's heads; ⊥ (no conjunct)
+    is exactly 0.0 and ⊤ (the empty conjunct) exactly 1.0.  Raises
+    EnumerationLimitError once the memo holds more than ``limit`` conjuncts.
     """
-    keys = mentioned_instances(e)
-    insts = sorted(
-        (g.instance(cid, key) for cid, key in keys), key=lambda i: (i.cid, i.key)
-    )
-    message = "{count} head assignments exceed the enumeration limit {limit}"
-    terms: list[float] = []
-    for assignment in assignments_over(insts, limit, message):
-        if eval_expr(e, assignment):
-            p = 1.0
-            for inst, i in zip(insts, assignment.values()):
-                p *= inst.prob(i)
-            terms.append(p)
-    return math.fsum(terms)
+    sets = dnf_sets(e)
+    # Literals are numbered in (instance, head index, sign) order, so the
+    # smallest number in a conjunct is a literal of its first instance.
+    described = sorted({_describe(lit): lit for c in sets for lit in c}.items())
+    number = {lit: n for n, (_, lit) in enumerate(described)}
+    order = list(dict.fromkeys(inst for (inst, _, _), _ in described))
+    rank = {inst: r for r, inst in enumerate(order)}
+    probs = [g.instance(cid, key).probs for cid, key in order]
+    #: literal number -> (instance rank, head index, positive)
+    table = [(rank[inst], i, positive) for (inst, i, positive), _ in described]
+    root = frozenset(frozenset(number[lit] for lit in c) for c in sets)
+
+    # Every conjunct that can occur in a residual, split at its first
+    # instance v: (v, the heads of v its literals allow, the conjunct
+    # without v's literals).
+    splits: dict[frozenset, tuple[int, set[int], frozenset]] = {}
+    for c in root:
+        while c and c not in splits:
+            v = table[min(c)][0]
+            allowed = set(range(1, len(probs[v]) + 1))
+            rest = []
+            for n in c:
+                r, i, positive = table[n]
+                if r != v:
+                    rest.append(n)
+                elif positive:
+                    allowed &= {i}
+                else:
+                    allowed.discard(i)
+            splits[c] = (v, allowed, frozenset(rest))
+            c = splits[c][2]
+
+    top = frozenset([frozenset()])
+    memo: dict[frozenset, float] = {frozenset(): 0.0, top: 1.0}
+    held = 0
+    stack: list = [(root, None)]
+    while stack:
+        residual, branches = stack.pop()
+        if branches is not None:
+            memo[residual] = math.fsum(p * memo[child] for p, child in branches)
+            continue
+        if residual in memo:
+            continue
+        held += len(residual)
+        if held > limit:
+            raise EnumerationLimitError(
+                f"event_prob: {held} conjuncts in the decision diagram exceed "
+                f"the limit {limit} (--limit)"
+            )
+        parts = [splits[c] for c in residual]
+        v = min(map(itemgetter(0), parts))
+        # Conjuncts that do not mention v pass to every child unchanged.
+        kept = frozenset(c for c, part in zip(residual, parts) if part[0] != v)
+        rests: list[list[frozenset]] = [[] for _ in probs[v]]
+        for u, allowed, rest in parts:
+            if u == v:
+                for i in allowed:
+                    rests[i - 1].append(rest)
+        branches = [
+            (p, kept.union(r) if all(r) else top) for p, r in zip(probs[v], rests)
+        ]
+        stack.append((residual, branches))
+        stack.extend((child, None) for _, child in branches if child not in memo)
+    return memo[root]
+
+
+def _describe(lit: ChoiceExpr) -> tuple[tuple[str, ThetaKey], int, bool]:
+    """(instance, head index, positive) of a literal α or ¬α."""
+    atom = lit.child if isinstance(lit, Not) else lit
+    return (atom.cid, atom.key), atom.index, atom is lit
 
 
 def derivation_prob(

@@ -12,7 +12,17 @@ from __future__ import annotations
 import itertools
 import math
 
-from lpadexpl.choice_algebra import BOT, TOP, And, AtomicChoice, Not, conj, disj
+from lpadexpl.choice_algebra import (
+    BOT,
+    TOP,
+    And,
+    AtomicChoice,
+    Not,
+    conj,
+    disj,
+    eval_expr,
+    mentioned_instances,
+)
 from lpadexpl.grounder import GroundProgram
 from lpadexpl.syntax import Atom, Clause, Query
 
@@ -46,6 +56,23 @@ def total_world_prob(g: GroundProgram) -> float:
     """
     axes = [inst.probs for inst in g.instances]
     return math.fsum(math.prod(ps) for ps in itertools.product(*axes))
+
+
+def event_prob_by_enumeration(e, g: GroundProgram) -> float:
+    """An expression's probability by visiting every head assignment of the
+
+    instances it mentions, in (clause id, θ) order, and summing the
+    products of the satisfying ones' head probabilities."""
+    insts = sorted(
+        (g.instance(cid, key) for cid, key in mentioned_instances(e)),
+        key=lambda inst: (inst.cid, inst.key),
+    )
+    keys = [(inst.cid, inst.key) for inst in insts]
+    terms = []
+    for heads in itertools.product(*(range(1, inst.n_heads + 1) for inst in insts)):
+        if eval_expr(e, dict(zip(keys, heads))):
+            terms.append(math.prod(inst.prob(i) for inst, i in zip(insts, heads)))
+    return math.fsum(terms)
 
 
 def world_clauses(selection, g: GroundProgram) -> list[Clause]:

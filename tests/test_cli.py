@@ -127,14 +127,66 @@ def test_prob_limit_zero_exits_two(capsys):
         assert "limit 0" in err, method
 
 
-def test_prob_of_a_long_derived_chain(capsys, tmp_path):
+def covid_chain(tmp_path, n):
+    """The negation fixture's rules with chain facts: pcr(pn), contact(pi,pi+1)
+
+    for i < n, person(p1..pn), and c2 restricted to the chain pairs; returns
+    the CLI's file arguments."""
+    rules = Path(NEG).read_text().split("\npcr(p1).")[0]
+    facts = [f"pcr(p{n})."] + [f"contact(p{i},p{i + 1})." for i in range(1, n)]
+    facts += [f"person(p{i})." for i in range(1, n + 1)]
+    program = tmp_path / f"chain{n}.lpad"
+    program.write_text(rules + "\n" + "\n".join(facts) + "\n")
+    restriction = tmp_path / f"chain{n}.json"
+    pairs = [{"X": f"p{i}", "Y": f"p{i + 1}"} for i in range(1, n)]
+    restriction.write_text(json.dumps({"c2": pairs}))
+    return [str(program), "--restrict", str(restriction)]
+
+
+def test_prob_past_the_enumeration_frontier(capsys, tmp_path):
+    # 2.6e15 head assignments over the mentioned instances; the decision
+    # diagram answers under the default limits.
+    files = covid_chain(tmp_path, 8)
+    code, out, _ = run(capsys, ["prob", files[0], "covid(p1)"] + files[1:])
+    assert (code, out) == (0, "0.000002813\n")
+    code, out, err = run(
+        capsys, ["prob", files[0], "covid(p1)"] + files[1:] + ["--limit", "1000"]
+    )
+    assert (code, out) == (2, "")
+    assert "exceed the limit 1000 (--limit)" in err
+
+
+def long_derived_chain(tmp_path):
     # Deeper than the interpreter's recursion limit, well inside the depth limit.
     chain = tmp_path / "chain.lpad"
     steps = "".join(f"s{i} :- s{i + 1}.\n" for i in range(3000))
     chain.write_text(steps + "s3000:0.7.\n")
+    return str(chain)
+
+
+def test_prob_of_a_long_derived_chain(capsys, tmp_path):
+    chain = long_derived_chain(tmp_path)
     for method in ("engine", "transform"):
-        code, out, _ = run(capsys, ["prob", str(chain), "s0", "--method", method])
+        code, out, _ = run(capsys, ["prob", chain, "s0", "--method", method])
         assert (code, out) == (0, "0.700000000\n"), method
+
+
+def test_explain_of_a_long_derived_chain(capsys, tmp_path):
+    chain = long_derived_chain(tmp_path)
+    code, out, _ = run(capsys, ["explain", chain, "s0", "--format", "text"])
+    assert code == 0
+    assert out.startswith("proof 1\ns0\n   s1\n")
+    assert out.endswith("\n" + "   " * 3000 + "s3000\np = 0.7\n")
+    code, out, _ = run(capsys, ["explain", chain, "s0", "--format", "nl"])
+    assert code == 0
+    assert out.startswith("proof 1\ns0 because\n   s1 because\n")
+    assert out.endswith("\n" + "   " * 3000 + "s3000\np = 0.7\n")
+    code, out, _ = run(capsys, ["explain", chain, "s0", "--format", "graph"])
+    assert code == 0
+    assert out.startswith('digraph proof {\n  n0 [label="s0"];\n')
+    assert out.endswith('n3000 [label="s3000"];\n  n0 -> n1;\n' + "".join(
+        f"  n{i} -> n{i + 1};\n" for i in range(1, 3000)
+    ) + "}\n")
 
 
 # ---------------------------------------------------------------------------

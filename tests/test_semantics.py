@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lpadexpl.choice_algebra import BOT, TOP, AtomicChoice, Not, conj
+from lpadexpl.choice_algebra import BOT, TOP, AtomicChoice, Not, conj, disj
 from lpadexpl.errors import EnumerationLimitError
 from lpadexpl.grounder import ground
 from lpadexpl.semantics import (
@@ -17,10 +17,11 @@ from lpadexpl.semantics import (
     world_prob,
     worlds_table,
 )
-from lpadexpl.slpdnf import build_tree, derivations
-from lpadexpl.syntax import parse_query
+from lpadexpl.slpdnf import build_tree, derivations, success_expressions
+from lpadexpl.syntax import parse_program, parse_query
 
 from conftest import load_restriction
+import genprog
 import oracles
 
 
@@ -84,7 +85,28 @@ def test_event_prob_respects_assignment_limit(pos_ground):
     alpha = ac(pos_ground, "c1", ["p1"], 1)
     both = conj([alpha, ac(pos_ground, "c2", ["p1", "p2"], 1)])
     with pytest.raises(EnumerationLimitError):
-        event_prob(both, pos_ground, limit=5)
+        event_prob(both, pos_ground, limit=1)
+    # The diagram holds the root's conjunct and the one left after c1.
+    assert event_prob(both, pos_ground, limit=2) == pytest.approx(0.36, abs=1e-12)
+
+
+def test_event_prob_matches_enumeration_on_generated_programs():
+    """On genprog seeds 0-199, the engine's success_prob and every
+
+    derivation's derivation_prob are within 1e-9 of enumerating head
+    assignments."""
+    for seed in range(200):
+        text, query_text = genprog.generate(seed)
+        g = ground(parse_program(text))
+        q = parse_query(query_text)
+        expected = oracles.event_prob_by_enumeration(
+            disj(success_expressions(q, g)), g
+        )
+        assert success_prob(q, g) == pytest.approx(expected, abs=1e-9), seed
+        for d in derivations(build_tree(q, g)):
+            assert derivation_prob(d, g) == pytest.approx(
+                oracles.event_prob_by_enumeration(d.expr, g), abs=1e-9
+            ), seed
 
 
 def test_derivation_probs_without_negation(pos_ground):
