@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import EnumerationLimitError, LpadError
 from .grounder import GroundProbClause, GroundProgram, ThetaKey
-from .syntax import NONE_PREDICATE
+from .syntax import NONE_PREDICATE, _Parser, _tokenize
 
 #: The default bound on the head assignments one enumeration may visit, and
 #: on the conjuncts ``semantics.event_prob``'s decision diagram may hold.
@@ -575,139 +575,104 @@ def render_composite_set(ks, g: GroundProgram) -> str:
     return "{" + ",".join(render_composite(k, g) for k in sort_composites(ks)) + "}"
 
 
-_EXPR_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<triple>\(\s*[a-z][A-Za-z0-9_]*\s*,\s*\[[A-Za-z0-9_,]*\]\s*,\s*\d+\s*\))"
-    r"|(?P<word>top|bot)"
-    r"|(?P<op>[~&|(){},]))"
-)
-
-_TRIPLE_RE = re.compile(
-    r"\(\s*(?P<cid>[a-z][A-Za-z0-9_]*)\s*,\s*\[(?P<vals>[A-Za-z0-9_,]*)\]\s*,\s*(?P<idx>\d+)\s*\)"
-)
+#: The most ``~`` and ``(`` a choice expression may nest.
+MAX_EXPR_DEPTH = 256
 
 
-class _ExprParser:
-    """Parses the debug syntax for expressions and composite-choice sets."""
+class _ExprParser(_Parser):
+    """Parses the debug syntax for expressions and composite-choice sets
+
+    from the program tokenizer's tokens."""
 
     def __init__(self, text: str, g: GroundProgram):
+        super().__init__(_tokenize(text))
         self.g = g
-        self.tokens: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _EXPR_TOKEN_RE.match(text, pos)
-            if m is None:
-                rest = text[pos:].strip()
-                if not rest:
-                    break
-                raise LpadError(f"cannot parse choice expression at {rest[:20]!r}")
-            self.tokens.append(m.group().strip())
-            pos = m.end()
-        self.i = 0
 
-    @property
-    def cur(self) -> str | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def advance(self) -> str:
-        t = self.cur
-        if t is None:
-            raise LpadError("unexpected end of choice expression")
-        self.i += 1
-        return t
-
-    def expect(self, token: str) -> None:
-        t = self.advance()
-        if t != token:
-            raise LpadError(f"expected {token!r}, found {t!r}")
-
-    def atomic(self, text: str) -> AtomicChoice:
-        m = _TRIPLE_RE.match(text)
-        if m is None:
-            raise LpadError(f"expected an atomic choice (cid,[values],i), found {text!r}")
-        vals = tuple(v for v in m.group("vals").split(",") if v)
-        inst = self.g.instance_by_values(m.group("cid"), vals)
-        idx = int(m.group("idx"))
+    def atomic(self) -> AtomicChoice:
+        """``( cid , [values] , index )``."""
+        self.expect("(")
+        cid = self.expect("ident").text
+        self.expect(",")
+        vals = tuple(v for v in self.expect("bracket").text[1:-1].split(",") if v)
+        self.expect(",")
+        if self.cur.kind != "number" or not self.cur.text.isdigit():
+            self.fail(f"expected a head index, found {self.cur.text or 'end of input'!r}")
+        inst = self.g.instance_by_values(cid, vals)
+        idx = int(self.cur.text)
         if not 1 <= idx <= inst.n_heads:
-            raise LpadError(
+            self.fail(
                 f"head index {idx} out of range for {inst.cid} "
                 f"(instance has {inst.n_heads} heads)"
             )
+        self.advance()
+        self.expect(")")
         return AtomicChoice(inst.cid, inst.key, idx)
 
-    # expression grammar: disjunction of conjunctions of unary-negated atoms
-    def parse_expr(self) -> ChoiceExpr:
-        parts = [self.parse_conj()]
-        while self.cur == "|":
+    # expression grammar: disjunction of conjunctions of unary-negated atoms;
+    # ``depth`` counts the ``~`` and grouping ``(`` around the current point
+    def parse_expr(self, depth: int = 0) -> ChoiceExpr:
+        parts = [self.parse_conj(depth)]
+        while self.cur.kind == "|":
             self.advance()
-            parts.append(self.parse_conj())
+            parts.append(self.parse_conj(depth))
         return disj(parts) if len(parts) > 1 else parts[0]
 
-    def parse_conj(self) -> ChoiceExpr:
-        parts = [self.parse_unary()]
-        while self.cur == "&":
+    def parse_conj(self, depth: int) -> ChoiceExpr:
+        parts = [self.parse_unary(depth)]
+        while self.cur.kind == "&":
             self.advance()
-            parts.append(self.parse_unary())
+            parts.append(self.parse_unary(depth))
         return conj(parts) if len(parts) > 1 else parts[0]
 
-    def parse_unary(self) -> ChoiceExpr:
-        t = self.advance()
-        if t == "~":
-            return Not(self.parse_unary())
-        if t == "(":
-            inner = self.parse_expr()
+    def parse_unary(self, depth: int) -> ChoiceExpr:
+        tok, ahead = self.cur, self.tokens[self.i + 1 : self.i + 3]
+        if tok.kind == "(" and [t.kind for t in ahead] == ["ident", ","]:
+            return self.atomic()
+        if tok.kind in ("~", "("):
+            if depth == MAX_EXPR_DEPTH:
+                self.fail(f"choice expression nests deeper than the limit {MAX_EXPR_DEPTH}")
+            self.advance()
+            if tok.kind == "~":
+                return Not(self.parse_unary(depth + 1))
+            inner = self.parse_expr(depth + 1)
             self.expect(")")
             return inner
-        if t == "top":
-            return TOP
-        if t == "bot":
-            return BOT
-        if _TRIPLE_RE.match(t):
-            return self.atomic(t)
-        raise LpadError(f"unexpected token {t!r} in choice expression")
+        if tok.kind == "ident" and tok.text in ("top", "bot"):
+            self.advance()
+            return TOP if tok.text == "top" else BOT
+        self.fail(f"expected a choice expression, found {tok.text or 'end of input'!r}")
 
     def parse_composite_set(self) -> frozenset[CompositeChoice]:
-        self.expect("{")
-        out: set[CompositeChoice] = set()
-        if self.cur == "}":
-            self.advance()
-            return frozenset(out)
-        while True:
-            out.add(self.parse_composite())
-            if self.cur == ",":
-                self.advance()
-                continue
-            self.expect("}")
-            return frozenset(out)
+        return frozenset(self.braced(self.parse_composite))
 
     def parse_composite(self) -> CompositeChoice:
+        return frozenset(self.braced(self.atomic))
+
+    def braced(self, item) -> list:
+        """``{}`` or ``{ item , ... , item }``."""
         self.expect("{")
-        acs: set[AtomicChoice] = set()
-        if self.cur == "}":
+        out = [] if self.cur.kind == "}" else [item()]
+        while self.cur.kind == ",":
             self.advance()
-            return frozenset(acs)
-        while True:
-            acs.add(self.atomic(self.advance()))
-            if self.cur == ",":
-                self.advance()
-                continue
-            self.expect("}")
-            return frozenset(acs)
+            out.append(item())
+        self.expect("}")
+        return out
+
+    def parse_all(self, parse, what: str):
+        result = parse()
+        if self.cur.kind != "eof":
+            self.fail(f"trailing text in {what}: {self.cur.text!r}")
+        return result
 
 
 def parse_expr_text(text: str, g: GroundProgram) -> ChoiceExpr:
     p = _ExprParser(text, g)
-    e = p.parse_expr()
-    if p.cur is not None:
-        raise LpadError(f"trailing text in choice expression: {p.cur!r}")
-    return e
+    return p.parse_all(p.parse_expr, "choice expression")
 
 
 def parse_composite_set_text(text: str, g: GroundProgram) -> frozenset[CompositeChoice]:
     p = _ExprParser(text, g)
-    ks = p.parse_composite_set()
-    if p.cur is not None:
-        raise LpadError(f"trailing text in composite-choice set: {p.cur!r}")
-    return ks
+    return p.parse_all(p.parse_composite_set, "composite-choice set")
 
 
 def head_label(ac: AtomicChoice, g: GroundProgram) -> str:

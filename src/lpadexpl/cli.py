@@ -29,7 +29,7 @@ from .choice_algebra import (
     render_composite_set,
 )
 from .errors import LpadError, ProgramError, StratificationError
-from .explainer import explain, render_graph, render_nl, render_text, to_record
+from .explainer import explain, render_graph, render_nl, render_text, to_json, to_record
 from .grounder import GroundProgram, ground, relevant_subset
 from .semantics import success_prob, worlds_table
 from .slpdnf import success_expressions
@@ -127,7 +127,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 for i, item in enumerate(items, 1)
             ],
         }
-        print(json.dumps(record, indent=2, ensure_ascii=False))
+        print(to_json(record))
         return 0
     if not items:
         print("no proofs")
@@ -153,7 +153,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
         g = relevant_subset(g, q)
     if args.method == "transform":
         expr = disj(success_expressions(q, g))
-        p = prob_via_transform(expr, g)
+        p = prob_via_transform(expr, g, args.limit)
     else:
         p = success_prob(q, g, method=args.method, limit=args.limit)
     print(f"{p:.9f}")
@@ -265,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=None,
-        help="oracle: most selections enumerated; engine: most conjuncts held "
-        "by the decision diagram (default: 1000000 for both)",
+        help="oracle: most selections enumerated; engine and transform: most "
+        "conjuncts held by the decision diagram (default: 1000000 for all)",
     )
     p.add_argument(
         "--relevant",

@@ -17,6 +17,8 @@ probability, ties keeping leaf order.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass, field
 
 from .choice_algebra import (
@@ -45,14 +47,13 @@ from .syntax import (
     Literal,
     Program,
     Query,
-    Variable,
+    Substitution,
     apply_query,
     is_ground_query,
+    mgu,
     query_str,
     query_vars,
 )
-
-import re
 
 INDENT = "   "
 BOX = "□"
@@ -218,7 +219,9 @@ class Explanation:
 
 
 def _wrap_query(q: Query, g: GroundProgram) -> tuple[Query, GroundProgram]:
-    """For a non-atomic or negative goal, add ``main(vars) :- q`` and reground."""
+    """For a non-atomic or negative goal, add the ground instances of
+
+    ``main(vars) :- q`` to ``g``, which keeps whatever pruning ``g`` had."""
     taken = {name for name, _ in g.source.prob_predicates()}
     taken |= {name for name, _ in g.source.derived_predicates()}
     name = "main"
@@ -226,14 +229,13 @@ def _wrap_query(q: Query, g: GroundProgram) -> tuple[Query, GroundProgram]:
     while name in taken:
         k += 1
         name = f"main_{k}"
-    head = Atom(name, tuple(query_vars(q)))
-    program = Program(
-        g.source.prob_clauses,
-        g.source.derived_clauses + (Clause(head, q),),
-        g.source.annotations,
+    main = Clause(Atom(name, tuple(query_vars(q))), q)
+    source = Program(
+        g.source.prob_clauses, g.source.derived_clauses + (main,), g.source.annotations
     )
-    g2 = ground(program, list(g.constants), g.restriction)
-    return (Literal(True, head),), g2
+    mains = ground(Program(derived_clauses=(main,)), list(g.constants)).derived
+    g2 = GroundProgram(g.instances, g.derived + mains, g.constants, source, g.restriction)
+    return (Literal(True, main.head),), g2
 
 
 def explain(
@@ -260,23 +262,10 @@ def explain(
 # ---------------------------------------------------------------------------
 
 
-def _match_atom(pattern: Atom, ground: Atom) -> dict[str, str] | None:
-    if pattern.pred != ground.pred:
-        return None
-    bind: dict[str, str] = {}
-    for pt, gt in zip(pattern.args, ground.args):
-        if isinstance(pt, Variable):
-            if bind.setdefault(pt.name, gt.name) != gt.name:
-                return None
-        elif pt != gt:
-            return None
-    return bind
-
-
-def _fill(template: str, bind: dict[str, str]) -> str:
+def _fill(template: str, sigma: Substitution) -> str:
     out = template
-    for name, value in bind.items():
-        out = re.sub(rf"\b{re.escape(name)}\b", value, out)
+    for v, t in sigma.items():
+        out = re.sub(rf"\b{re.escape(v.name)}\b", t.name, out)
     return out
 
 
@@ -285,17 +274,13 @@ def phrase_for(lit: Literal, annotations: tuple[Annotation, ...]) -> str:
 
     of the same sign; else, for negative literals, "not " plus the first
     positive match; else the literal's syntax."""
-    for ann in annotations:
-        if ann.pattern.positive == lit.positive:
-            bind = _match_atom(ann.pattern.atom, lit.atom)
-            if bind is not None:
-                return _fill(ann.template, bind)
-    if not lit.positive:
+    tries = [(lit.positive, "")] + ([] if lit.positive else [(True, "not ")])
+    for positive, prefix in tries:
         for ann in annotations:
-            if ann.pattern.positive:
-                bind = _match_atom(ann.pattern.atom, lit.atom)
-                if bind is not None:
-                    return "not " + _fill(ann.template, bind)
+            if ann.pattern.positive == positive:
+                sigma = mgu(ann.pattern.atom, lit.atom)
+                if sigma is not None:
+                    return prefix + _fill(ann.template, sigma)
     return str(lit)
 
 
@@ -434,11 +419,54 @@ def render_graph(trees: list[AndTree] | AndTree, alternatives: bool = False) -> 
 
 def to_record(tree: AndTree, alternatives: bool = False) -> dict:
     """A JSON-ready nested record of one proof tree."""
-    record: dict = {"literal": BOX if tree.literal is None else _lit_text(tree.literal)}
-    if tree.has_expr:
-        record["expression"] = _expr_record(tree.expr, alternatives)
-    record["children"] = [to_record(c, alternatives) for c in tree.children]
-    return record
+
+    def node_record(node: AndTree) -> dict:
+        record: dict = {"literal": BOX if node.literal is None else _lit_text(node.literal)}
+        if node.has_expr:
+            record["expression"] = _expr_record(node.expr, alternatives)
+        record["children"] = []
+        return record
+
+    root = node_record(tree)
+    stack = [(tree, root)]
+    while stack:
+        node, record = stack.pop()
+        for child in node.children:
+            record["children"].append(node_record(child))
+            stack.append((child, record["children"][-1]))
+    return root
+
+
+_json_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def to_json(value) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` for a value of
+
+    dicts with string keys, lists and scalars, written without recursion."""
+    parts: list[str] = []
+    # Pending work, last first: text to write, or a (value, depth) to encode.
+    stack: list = [(value, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        v, depth = item
+        if isinstance(v, dict) and v:
+            entries, brackets = [(_json_scalar(k) + ": ", x) for k, x in v.items()], "{}"
+        elif isinstance(v, (list, tuple)) and v:
+            entries, brackets = [("", x) for x in v], "[]"
+        else:
+            parts.append(_json_scalar(v))
+            continue
+        parts.append(brackets[0])
+        stack.append("\n" + "  " * depth + brackets[1])
+        indent = "\n" + "  " * (depth + 1)
+        for k in reversed(range(len(entries))):
+            key, x = entries[k]
+            stack += [(x, depth + 1), ("," if k else "") + indent + key]
+    return "".join(parts)
 
 
 def _expr_record(e: ReadableExpr, alternatives: bool) -> dict:

@@ -250,7 +250,7 @@ def success_prob(
             return 0.0
         return event_prob(disj(exprs), g, limit)
     if method == "oracle":
-        message = "{count} selections exceed the enumeration limit {limit}"
+        message = "oracle: {count} selections exceed the enumeration limit {limit} (--limit)"
         weighted = _weighted_selections(g, limit, message)
         return math.fsum(p for s, p in weighted if model_check(world_of(s, g), q))
     raise ValueError(f"unknown method {method!r} (expected 'engine' or 'oracle')")
@@ -265,7 +265,7 @@ def worlds_table(
 
     order, for the CLI's world listing."""
     queries = queries or []
-    message = "{count} worlds exceed the limit {limit}"
+    message = "worlds: {count} worlds exceed the limit {limit} (--limit)"
     for selection, p in _weighted_selections(g, limit, message):
         w = world_of(selection, g)
         yield selection, p, [model_check(w, q) for q in queries]

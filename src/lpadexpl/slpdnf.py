@@ -25,15 +25,18 @@ composite choice in ``expl``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .choice_algebra import (
     BOT,
     TOP,
+    And,
     AtomicChoice,
     ChoiceExpr,
     CompositeChoice,
     Not,
+    Or,
     conj,
     disj,
     dnf,
@@ -242,12 +245,30 @@ class _TreeBuilder:
             self._expand(sub)
             self.subs[lit.atom] = sub
         node.subsidiary = sub
-        not_provable = dnf(Not(disj(sub.success_expressions())))
-        expr = dnf(conj([node.expr, not_provable]))
+        not_provable = self._satisfiable(dnf(Not(disj(sub.success_expressions()))))
+        expr = self._satisfiable(dnf(conj([node.expr, not_provable])))
         if expr == BOT:
             return  # failed: the goal's worlds all prove the negated atom
         edge = EdgeLabel("neg", (), expr=not_provable)
         node.children.append((edge, SlpdnfNode(node.query[1:], expr)))
+
+    def _satisfiable(self, e: ChoiceExpr) -> ChoiceExpr:
+        """A DNF without its conjuncts that negate every head of one instance.
+
+        ``dnf`` drops the other unsatisfiable conjuncts, so what is left is ⊥
+        exactly when no world satisfies it.  Only negations can leave an
+        instance no head, so ``_step_prob`` needs no such pass."""
+        conjuncts = e.children if isinstance(e, Or) else (e,)
+        kept = []
+        for c in conjuncts:
+            negated = Counter(
+                (lit.child.cid, lit.child.key)
+                for lit in (c.children if isinstance(c, And) else (c,))
+                if isinstance(lit, Not)
+            )
+            if all(n < self.g.instance(*inst).n_heads for inst, n in negated.items()):
+                kept.append(c)
+        return e if len(kept) == len(conjuncts) else disj(kept)
 
 
 def build_tree(

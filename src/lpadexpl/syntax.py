@@ -193,10 +193,6 @@ def _collect_query_constants(q: Query, into: set[str]) -> None:
 Substitution = dict[Variable, Term]
 
 
-def term_vars(t: Term) -> tuple[Variable, ...]:
-    return (t,) if isinstance(t, Variable) else ()
-
-
 def atom_vars(a: Atom) -> tuple[Variable, ...]:
     """Variables of ``a`` in first-occurrence order, without duplicates."""
     seen: dict[Variable, None] = {}
@@ -351,7 +347,7 @@ def _positive_body_vars(q: Query) -> set[Variable]:
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
-    | (?P<directive>%!read[^\n]*)
+    | (?P<read>%!read\w*)
     | (?P<comment>%[^\n]*)
     | (?P<neck>:-)
     | (?P<negation>\\\+)
@@ -359,13 +355,10 @@ _TOKEN_RE = re.compile(
     | (?P<bracket>\[[A-Za-z0-9_,]*\])
     | (?P<ident>[a-z][A-Za-z0-9_]*)
     | (?P<var>[A-Z_][A-Za-z0-9_]*)
-    | (?P<punct>[().,;:])
+    | (?P<string>"(?:[^"\\\n]|\\.)*")
+    | (?P<punct>[().,;:~&|{}])
     """,
     re.VERBOSE,
-)
-
-_DIRECTIVE_RE = re.compile(
-    r'%!read\s+(?P<pattern>.+?)\s+as:\s*"(?P<template>(?:[^"\\]|\\.)*)"\s*$'
 )
 
 
@@ -433,7 +426,7 @@ class _Parser:
         derived: list[Clause] = []
         annotations: list[Annotation] = []
         while self.cur.kind != "eof":
-            if self.cur.kind == "directive":
+            if self.cur.kind == "read":
                 annotations.append(self.parse_directive())
                 continue
             self.parse_clause(prob, derived)
@@ -442,17 +435,19 @@ class _Parser:
         return program
 
     def parse_directive(self) -> Annotation:
-        tok = self.advance()
-        m = _DIRECTIVE_RE.match(tok.text)
-        if m is None:
-            raise LpadSyntaxError(
-                'malformed %!read directive (expected: %!read <literal> as: "...")',
-                tok.line,
-                tok.column,
-            )
-        pattern = _parse_literal_text(m.group("pattern"), tok.line, tok.column)
-        template = m.group("template").replace('\\"', '"').replace("\\\\", "\\")
-        return Annotation(pattern, template)
+        """``%!read <literal> as: "<template>"``, all on the line of ``%!read``."""
+        keyword = self.advance()
+        if keyword.text == "%!read":
+            pattern = self.parse_literal()
+            if self.cur.text == "as" and self.tokens[self.i + 1].kind == ":":
+                self.i += 2
+                template = self.cur
+                if template.kind == "string" and template.line == keyword.line:
+                    self.advance()
+                    if self.cur.kind == "eof" or self.cur.line != keyword.line:
+                        text = template.text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+                        return Annotation(pattern, text)
+        self.fail('malformed %!read directive (expected, on one line: %!read <literal> as: "...")')
 
     def parse_clause(self, prob: list[ProbClause], derived: list[Clause]) -> None:
         first_tok = self.cur
@@ -524,17 +519,6 @@ class _Parser:
             return Variable(tok.text)
         self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
         raise AssertionError("unreachable")
-
-
-def _parse_literal_text(text: str, line: int, column: int) -> Literal:
-    try:
-        p = _Parser(_tokenize(text))
-        lit = p.parse_literal()
-        if p.cur.kind != "eof":
-            p.fail("trailing text after literal")
-        return lit
-    except LpadSyntaxError as e:
-        raise LpadSyntaxError(f"in %!read pattern: {e.args[0]}", line, column) from None
 
 
 def _make_prob_clause(

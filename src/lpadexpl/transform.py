@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .choice_algebra import BOT, TOP, And, AtomicChoice, ChoiceExpr, Not, Or, dnf
 from .grounder import GroundProbClause, GroundProgram, ground
-from .semantics import DEFAULT_ASSIGNMENT_LIMIT, success_prob
+from .semantics import success_prob
 from .syntax import (
     Atom,
     Clause,
@@ -217,14 +217,15 @@ def desugar(goal: Goal) -> tuple[tuple[Clause, ...], Query]:
 
 
 def prob_via_transform(
-    e: ChoiceExpr, g: GroundProgram, limit: int = DEFAULT_ASSIGNMENT_LIMIT
+    e: ChoiceExpr, g: GroundProgram, limit: int | None = None
 ) -> float:
     """The expression's probability, recomputed by resolution over the
 
     choice-fact program — an independent route that must agree with
     ``event_prob``.  It runs on the expression's ``dnf``: the CLI's
     disjunction of success expressions is only absorbed, but a large negated
-    expression can exceed ``CONJOIN_LIMIT`` and raise EnumerationLimitError."""
+    expression can exceed ``CONJOIN_LIMIT`` and raise EnumerationLimitError.
+    ``limit`` bounds the engine's decision diagram, as in ``success_prob``."""
     # dnf removes every embedded ⊤/⊥; only a wholly-⊥ goal is left to
     # special-case (the query for `false` would otherwise put a clauseless
     # fresh predicate in the root query).

@@ -5,7 +5,9 @@ generated program is stratified by construction; negative body literals
 always follow a positive literal that binds their variable, so derivations
 never flounder.  Budgets keep exhaustive selection enumeration cheap:
 at most 6 probabilistic instances, 4 heads per clause, 3 constants, and
-512 selections overall.
+512 selections overall.  With ``full_heads``, some clauses' head
+probabilities sum to 1, so that those instances have no ``none`` head and
+negating all their heads denotes no world.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ _PROB_CHOICES = (0.1, 0.2, 0.25, 0.3, 0.4, 0.5)
 
 
 class _Gen:
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, full_heads: bool):
         self.rng = random.Random(seed)
+        self.full_heads = full_heads
         self.constants = ["a", "b", "c"][: self.rng.randint(1, 3)]
         # predicates by layer: (name, arity)
         self.layers: list[list[tuple[str, int]]] = [[] for _ in range(MAX_LAYERS + 1)]
@@ -103,6 +106,9 @@ class _Gen:
             p = self.rng.choice([v for v in _PROB_CHOICES if v <= budget - 0.05] or [0.05])
             probs.append(p)
             budget -= p
+        # Draw only in this mode, so that the default keeps every seed's program.
+        if self.full_heads and self.rng.random() < 0.5:
+            probs[-1] = round(1 - sum(probs[:-1]), 2)
         # distinct head predicates per alternative
         names = [name] + [self.fresh(f"p{layer}_") for _ in probs[1:]]
         arg = head_atom[head_atom.index("(") :] if arity else ""
@@ -144,9 +150,9 @@ class _Gen:
         return ", ".join(lits)
 
 
-def generate(seed: int) -> tuple[str, str]:
+def generate(seed: int, full_heads: bool = False) -> tuple[str, str]:
     """A (program text, ground query text) pair for the given seed."""
-    gen = _Gen(seed)
+    gen = _Gen(seed, full_heads)
     for _ in range(gen.rng.randint(1, 4)):
         gen.add_prob_clause()
     for _ in range(gen.rng.randint(0, 3)):

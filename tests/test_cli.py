@@ -14,6 +14,7 @@ import pytest
 import lpadexpl.__main__
 from lpadexpl.choice_algebra import (
     CONJOIN_LIMIT,
+    MAX_EXPR_DEPTH,
     gamma,
     parse_composite_set_text,
     parse_expr_text,
@@ -119,12 +120,39 @@ def test_prob_respects_enumeration_limit(capsys):
 
 
 def test_prob_limit_zero_exits_two(capsys):
-    for method in ("engine", "oracle"):
+    for method in ("engine", "oracle", "transform"):
         code, out, err = run(
             capsys, ["prob", NEG, "covid(p1)", "--method", method, "--limit", "0"]
         )
         assert (code, out) == (2, ""), method
-        assert "limit 0" in err, method
+        assert "limit 0 (--limit)" in err, method
+
+
+def test_limit_errors_name_their_stage(capsys):
+    code, _, err = run(capsys, ["prob", NEG, "covid(p1)", "--method", "oracle", "--limit", "0"])
+    assert (code, err) == (
+        2,
+        "error: oracle: 17414258688 selections exceed the enumeration limit 0 (--limit)\n",
+    )
+    code, _, err = run(capsys, ["worlds", NEG, "--limit", "3"])
+    assert (code, err) == (2, "error: worlds: 17414258688 worlds exceed the limit 3 (--limit)\n")
+
+
+def test_no_world_negates_every_head(capsys, tmp_path):
+    # a and b are the only heads of one instance, so no world has neither.
+    two = tmp_path / "two.lpad"
+    two.write_text("a:0.5; b:0.5.\nq :- \\+a, \\+b.\n")
+    assert run(capsys, ["explain", str(two), "q"])[:2] == (0, "no proofs\n")
+    code, out, _ = run(capsys, ["explain", str(two), "q", "--format", "json"])
+    assert (code, json.loads(out)["proofs"]) == (0, [])
+    for method in ("engine", "oracle", "transform"):
+        code, out, _ = run(capsys, ["prob", str(two), "q", "--method", method])
+        assert (code, out) == (0, "0.000000000\n"), method
+    three = tmp_path / "three.lpad"
+    three.write_text("a:0.2; b:0.3; c:0.5.\nq :- \\+a, \\+b.\nr :- \\+a, \\+b, \\+c.\n")
+    code, out, _ = run(capsys, ["explain", str(three), "q"])
+    assert (code, out) == (0, "proof 1\nq\n   ¬a\n   ¬b\np = 0.5\n")
+    assert run(capsys, ["explain", str(three), "r"])[:2] == (0, "no proofs\n")
 
 
 def covid_chain(tmp_path, n):
@@ -187,6 +215,28 @@ def test_explain_of_a_long_derived_chain(capsys, tmp_path):
     assert out.endswith('n3000 [label="s3000"];\n  n0 -> n1;\n' + "".join(
         f"  n{i} -> n{i + 1};\n" for i in range(1, 3000)
     ) + "}\n")
+
+
+def test_explain_json_of_a_long_derived_chain(capsys, tmp_path):
+    chain = long_derived_chain(tmp_path)
+    code, out, _ = run(capsys, ["explain", chain, "s0", "--format", "json"])
+    assert code == 0
+    # Too deep for json.loads: check the text around the innermost record.
+    assert out.startswith('{\n  "query": "s0",\n  "proofs": [\n    {\n      "rank": 1,\n')
+    assert '"probability": 0.7,' in out
+    assert [out.count(f'"literal": "s{i}"') for i in (0, 1500, 3000)] == [1, 1, 1]
+    indent = "  " * (4 + 2 * 3000)
+    innermost = f'{indent}"literal": "s3000",\n{indent}"children": []\n'
+    assert innermost in out
+    assert out.endswith("}\n    }\n  ]\n}\n")
+
+
+def test_a_chain_past_the_depth_limit_exits_two(capsys, tmp_path):
+    chain = tmp_path / "chain.lpad"
+    chain.write_text("".join(f"s{i} :- s{i + 1}.\n" for i in range(10001)) + "s10001:0.7.\n")
+    code, out, err = run(capsys, ["prob", str(chain), "s0"])
+    assert (code, out) == (2, "")
+    assert err == "error: derivation exceeded 10000 steps at goal: s10000\n"
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +418,28 @@ def test_duals_of_an_expression(capsys):
         capsys, ["duals", NEG, "--restrict", RMIN, "(c5,[p1],1) & ~(c6,[p1],1)"]
     )
     assert (code, out) == (0, "{{(c5,[p1],2)},{(c6,[p1],1)}}\n")
+
+
+def test_duals_input_errors_carry_positions(capsys):
+    for text in ["(", "(c1", "~", "&", "{", "{{", "(c1,[],", "top |", ""]:
+        code, out, err = run(capsys, ["duals", NEG, "--restrict", RMIN, text])
+        assert (code, out) == (2, ""), text
+        assert err.startswith("error: line 1, column "), text
+
+
+def test_duals_nesting_is_bounded(capsys):
+    atom = "(c5,[p1],1)"
+    for depth, answer in [(MAX_EXPR_DEPTH, 0), (MAX_EXPR_DEPTH + 1, 2), (3000, 2)]:
+        for text in ["~" * depth + atom, "(" * depth + atom + ")" * depth]:
+            code, out, err = run(capsys, ["duals", NEG, "--restrict", RMIN, text])
+            assert code == answer, (depth, text[:1])
+            if answer == 0:
+                assert out == "{{(c5,[p1],2)}}\n"
+            else:
+                assert err == (
+                    f"error: line 1, column {MAX_EXPR_DEPTH + 1}: choice expression "
+                    f"nests deeper than the limit {MAX_EXPR_DEPTH}\n"
+                )
 
 
 def test_duals_of_a_seeded_expression_finishes(capsys, tmp_path):

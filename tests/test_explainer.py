@@ -1,5 +1,8 @@
 """Proof trees, readable expressions, annotation phrasing, and renderers."""
 
+import json
+import random
+
 import pytest
 
 from lpadexpl.choice_algebra import AtomicChoice, Not, conj, mentioned_instances
@@ -11,14 +14,16 @@ from lpadexpl.explainer import (
     and_tree,
     backpropagate,
     chq,
+    _wrap_query,
     explain,
     phrase_for,
     render_graph,
     render_nl,
     render_text,
+    to_json,
     to_record,
 )
-from lpadexpl.grounder import ground
+from lpadexpl.grounder import ground, relevant_subset
 from lpadexpl.slpdnf import build_tree, derivations
 from lpadexpl.syntax import is_ground_query, parse_program, parse_query
 
@@ -119,6 +124,16 @@ def test_explain_wraps_negative_queries(neg_ground):
     # covid(p3) has no proofs, so the reason is trivially true and the
     # negated literal renders as a bare leaf
     assert render_text(proofs[0].tree) == "main\n   ¬covid(p3)\n"
+
+
+def test_explain_wrapper_keeps_the_relevant_pruning():
+    g = ground(parse_program("f(a):0.5.\nf(b):0.4.\nh(X) :- f(X).\n"))
+    q = parse_query("\\+h(a)")
+    pruned = relevant_subset(g, q)
+    _, wrapped = _wrap_query(q, pruned)
+    assert len(wrapped.instances) == len(pruned.instances) < len(g.instances)
+    assert len(wrapped.derived) == len(pruned.derived) + 1
+    assert [e.prob for e in explain(q, pruned)] == [e.prob for e in explain(q, g)]
 
 
 def test_explain_wrapper_avoids_taken_names():
@@ -331,3 +346,31 @@ def test_trivial_expression_records_as_true():
     g = ground(parse_program("f(a):0.3.\nq :- \\+f(a).\n"))
     record = to_record(explain(parse_query("q"), g)[0].tree)
     assert record["children"][0]["expression"] == {"op": "true"}
+
+
+def random_json_value(rng, depth):
+    kind = rng.random()
+    if depth == 0 or kind < 0.35:
+        return rng.choice(
+            [None, True, False, 0, -7, 2**70, 0.1, 1e300, -0.0, "", 'a"b\\c\n', "¬é□", "\x01"]
+        )
+    if kind < 0.65:
+        keys = ["literal", "", "ü", 'q"k', "k1", "k2"]
+        return {rng.choice(keys): random_json_value(rng, depth - 1) for _ in range(rng.randint(0, 4))}
+    return [random_json_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+
+
+def test_to_json_matches_json_dumps(neg_proofs):
+    rng = random.Random(11)
+    for _ in range(2000):
+        value = random_json_value(rng, rng.randint(0, 6))
+        assert to_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
+    for alternatives in (False, True):
+        record = {
+            "query": "covid(p1)",
+            "proofs": [
+                {"rank": i, "probability": e.prob, "tree": to_record(e.tree, alternatives)}
+                for i, e in enumerate(neg_proofs, 1)
+            ],
+        }
+        assert to_json(record) == json.dumps(record, indent=2, ensure_ascii=False)

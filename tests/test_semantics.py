@@ -6,6 +6,7 @@ import pytest
 
 from lpadexpl.choice_algebra import BOT, TOP, AtomicChoice, Not, conj, disj
 from lpadexpl.errors import EnumerationLimitError
+from lpadexpl.explainer import explain
 from lpadexpl.grounder import ground
 from lpadexpl.semantics import (
     derivation_prob,
@@ -107,6 +108,25 @@ def test_event_prob_matches_enumeration_on_generated_programs():
             assert derivation_prob(d, g) == pytest.approx(
                 oracles.event_prob_by_enumeration(d.expr, g), abs=1e-9
             ), seed
+
+
+def test_no_proof_has_probability_zero():
+    """On genprog seeds 0-1999 with some heads summing to 1, so that negating
+
+    every head of an instance denotes no world: every proof ``explain``
+    returns has a positive probability, and the engine matches the oracle."""
+    proofs = 0
+    for seed in range(2000):
+        text, query_text = genprog.generate(seed, full_heads=True)
+        g = ground(parse_program(text))
+        q = parse_query(query_text)
+        items = explain(q, g)
+        assert all(item.prob > 0 for item in items), seed
+        proofs += len(items)
+        assert success_prob(q, g) == pytest.approx(
+            success_prob(q, g, method="oracle"), abs=1e-9
+        ), seed
+    assert proofs > 1000
 
 
 def test_derivation_probs_without_negation(pos_ground):

@@ -93,6 +93,21 @@ def test_roundtrip_through_printer():
     assert again.annotations == p.annotations
 
 
+def test_malformed_directive_reports_position():
+    with pytest.raises(LpadSyntaxError) as e:
+        parse_program('young(a):0.2.\n%!read young(A) "A is young"\n')
+    assert (e.value.line, e.value.column) == (2, 17)
+    assert "malformed %!read directive" in str(e.value)
+    # Every token of a directive sits on the line of %!read, and nothing
+    # follows the template there.
+    with pytest.raises(LpadSyntaxError) as e:
+        parse_program('%!read young(A) as:\n"A is young"\n')
+    assert (e.value.line, e.value.column) == (2, 1)
+    with pytest.raises(LpadSyntaxError) as e:
+        parse_program('%!read young(A) as: "A is young" young(a):0.2.\n')
+    assert (e.value.line, e.value.column) == (1, 34)
+
+
 def test_annotation_parsing():
     p = parse_program('%!read \\+young(A) as: "A is not young"\nyoung(a):0.2.\n')
     ann = p.annotations[0]
