@@ -112,7 +112,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     q = parse_query(args.query)
     if args.relevant:
         g = relevant_subset(g, q)
-    items = explain(q, g)
+    items = explain(q, g, limit=args.limit)
     if args.top is not None:
         items = items[: args.top]
     if args.format == "json":
@@ -247,6 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--relevant",
         action="store_true",
         help="restrict the grounding to instances relevant to the query",
+    )
+    p.add_argument(
+        "--limit",
+        type=int,
+        default=None,
+        help="most conjuncts held by the decision diagram of each proof's "
+        "probability (default: 1000000)",
     )
     _add_grounding_flags(p)
     p.set_defaults(func=cmd_explain)

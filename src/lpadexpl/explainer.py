@@ -221,7 +221,8 @@ class Explanation:
 def _wrap_query(q: Query, g: GroundProgram) -> tuple[Query, GroundProgram]:
     """For a non-atomic or negative goal, add the ground instances of
 
-    ``main(vars) :- q`` to ``g``, which keeps whatever pruning ``g`` had."""
+    ``main(vars) :- q`` that can fire in ``g`` to ``g``, which keeps
+    whatever pruning ``g`` had."""
     taken = {name for name, _ in g.source.prob_predicates()}
     taken |= {name for name, _ in g.source.derived_predicates()}
     name = "main"
@@ -233,7 +234,10 @@ def _wrap_query(q: Query, g: GroundProgram) -> tuple[Query, GroundProgram]:
     source = Program(
         g.source.prob_clauses, g.source.derived_clauses + (main,), g.source.annotations
     )
-    mains = ground(Program(derived_clauses=(main,)), list(g.constants)).derived
+    # Every atom that can be true in g seeds main's grounding, since
+    # Program((main,)) has no facts of its own.
+    possible = (*g.prob_head_atoms, *g.derived_heads)
+    mains = ground(Program(derived_clauses=(main,)), list(g.constants), None, possible).derived
     g2 = GroundProgram(g.instances, g.derived + mains, g.constants, source, g.restriction)
     return (Literal(True, main.head),), g2
 
@@ -242,11 +246,13 @@ def explain(
     q: Query,
     g: GroundProgram,
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
-    limit: int = DEFAULT_ASSIGNMENT_LIMIT,
+    limit: int | None = None,
 ) -> list[Explanation]:
     """All proofs of ``q`` as trees with probabilities, most probable first
 
-    (ties keep left-to-right proof order)."""
+    (ties keep left-to-right proof order).  ``limit`` bounds each proof's
+    decision diagram, as in ``success_prob``."""
+    limit = DEFAULT_ASSIGNMENT_LIMIT if limit is None else limit
     if len(q) != 1 or not q[0].positive:
         q, g = _wrap_query(q, g)
     tree = build_tree(q, g, depth_limit)

@@ -1,14 +1,23 @@
 """Grounding, relevance filtering, and stratification.
 
-Grounding instantiates every clause over a constant pool (by default the
-constants mentioned in the program), optionally restricted per clause id to an
-explicit list of substitutions.  Each probabilistic ground instance is the
-unit of random choice downstream: an instance with heads ``h1..hn`` (the
-implicit ``none`` included) independently takes exactly one head index.
+Grounding instantiates every probabilistic clause over a constant pool (by
+default the constants mentioned in the program), optionally restricted per
+clause id to an explicit list of substitutions.  Each probabilistic ground
+instance is the unit of random choice downstream: an instance with heads
+``h1..hn`` (the implicit ``none`` included) independently takes exactly one
+head index.
 
-Stratification is checked at the predicate level: the dependency graph must
-not contain a cycle through negation.  The resulting stratum map drives
-bottom-up world evaluation.
+Derived clauses are grounded bottom-up, only over the atoms that can be true:
+starting from the facts and from the explicit heads of every instance, a
+clause instance is kept when each atom of its positive body can be true, and
+its head then can be too.  Negative literals are ignored, so the kept
+clauses over-approximate those that can fire in some world, and no world
+loses a true atom.  This is semi-naive evaluation as in Datalog engines
+(Ullman, 1988) and ProbLog's grounder (Kimmig et al., TPLP 2011).
+
+Stratification is checked at the predicate level, on the source clauses: the
+dependency graph must not contain a cycle through negation.  The resulting
+stratum map drives bottom-up world evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +31,6 @@ from .syntax import (
     Atom,
     Clause,
     Constant,
-    Literal,
     NONE_PREDICATE,
     ProbClause,
     Program,
@@ -31,6 +39,7 @@ from .syntax import (
     Variable,
     apply_atom,
     apply_query,
+    apply_term,
     clause_vars,
     is_ground_atom,
     mgu,
@@ -85,7 +94,9 @@ class GroundProbClause:
 
 
 class GroundProgram:
-    """A fully ground program: probabilistic instances plus derived clauses."""
+    """A ground program: probabilistic instances plus the ground derived
+
+    clauses whose positive bodies can hold."""
 
     def __init__(
         self,
@@ -132,6 +143,39 @@ class GroundProgram:
             index.setdefault(c.head.pred, []).append(c)
         return index
 
+    @cached_property
+    def prob_head_atoms(self) -> dict[Atom, list[tuple[GroundProbClause, int]]]:
+        """Explicit heads grouped by their ground atom."""
+        index: dict[Atom, list[tuple[GroundProbClause, int]]] = {}
+        for inst in self.instances:
+            for i in range(1, inst.n_explicit + 1):
+                index.setdefault(inst.head_atom(i), []).append((inst, i))
+        return index
+
+    @cached_property
+    def derived_heads(self) -> dict[Atom, list[Clause]]:
+        """Derived clauses grouped by their ground head atom."""
+        index: dict[Atom, list[Clause]] = {}
+        for c in self.derived:
+            index.setdefault(c.head, []).append(c)
+        return index
+
+    def prob_heads_for(self, atom: Atom) -> list[tuple[GroundProbClause, int]]:
+        """The explicit heads that may unify with ``atom``: those equal to it
+
+        when it is ground, else every head of its predicate."""
+        if is_ground_atom(atom):
+            return self.prob_head_atoms.get(atom, [])
+        return self.prob_head_index.get(atom.pred, [])
+
+    def derived_for(self, atom: Atom) -> list[Clause]:
+        """The derived clauses whose head may unify with ``atom``, picked as
+
+        ``prob_heads_for`` picks heads."""
+        if is_ground_atom(atom):
+            return self.derived_heads.get(atom, [])
+        return self.derived_index.get(atom.pred, [])
+
     def is_prob_pred(self, pred: tuple[str, int]) -> bool:
         return pred in self.prob_head_index or pred in self.source.prob_predicates()
 
@@ -156,16 +200,21 @@ def ground(
     p: Program,
     constants: list[str] | None = None,
     restriction: dict[str, list[dict[str, str]]] | None = None,
+    possible: tuple[Atom, ...] = (),
 ) -> GroundProgram:
-    """Ground every clause of ``p`` over a constant pool.
+    """Ground ``p`` over a constant pool.
 
-    ``constants`` defaults to the constants mentioned in the program.
-    ``restriction`` maps probabilistic clause ids to the exact substitutions
-    to instantiate (each must bind precisely the clause's variables); clauses
-    not mentioned ground fully.  Instances are ordered by source clause, then
-    lexicographically by θ.
+    ``constants`` defaults to the constants mentioned in the program; a
+    constant listed twice counts once.  Probabilistic clauses ground over
+    the whole pool, except that ``restriction`` maps clause ids to the exact
+    substitutions to instantiate (each must bind precisely the clause's
+    variables).  A derived clause keeps the instances over the pool whose
+    positive body atoms can all be true (see the module docstring), taking
+    the atoms in ``possible`` as possible too; a variable that no positive
+    body literal binds ranges over the whole pool.  Instances and derived
+    clauses are ordered by source clause, then lexicographically by θ.
     """
-    pool = sorted(constants) if constants is not None else p.constants()
+    pool = sorted(set(constants)) if constants is not None else p.constants()
     if restriction:
         known = {c.cid for c in p.prob_clauses}
         for cid in restriction:
@@ -174,9 +223,9 @@ def ground(
 
     instances: list[GroundProbClause] = []
     for c in p.prob_clauses:
+        var_order = tuple(v.name for v in clause_vars(c))
         for theta in _substitutions_for(c, pool, restriction):
             key = theta_key(theta)
-            var_order = tuple(v.name for v in clause_vars(c))
             theta_map = dict(key)
             instances.append(
                 GroundProbClause(
@@ -190,21 +239,149 @@ def ground(
                 )
             )
 
-    derived: list[Clause] = []
-    for c in p.derived_clauses:
-        for theta in _substitutions_for(c, pool, None):
-            derived.append(Clause(apply_atom(theta, c.head), apply_query(theta, c.body)))
+    heads = [inst.head_atom(i) for inst in instances for i in range(1, inst.n_explicit + 1)]
+    derived = _ground_derived(p.derived_clauses, heads + list(possible), pool)
+    return GroundProgram(tuple(instances), derived, tuple(pool), p, restriction)
 
-    return GroundProgram(tuple(instances), tuple(derived), tuple(pool), p, restriction)
+
+def _no_constants(variables) -> ProgramError:
+    return ProgramError(
+        f"cannot ground clause with variables "
+        f"({', '.join(v.name for v in variables)}): no constants"
+    )
+
+
+def _ground_derived(
+    clauses: tuple[Clause, ...], heads: list[Atom], pool: list[str]
+) -> tuple[Clause, ...]:
+    """The instances of ``clauses`` over ``pool`` whose positive body atoms
+
+    can all be true, starting from ``heads`` and the facts.
+
+    Semi-naive: each atom that becomes possible is joined only against the
+    clauses whose positive body mentions its predicate, at the position it
+    fills.  The rest of that body is looked up among the atoms known so far,
+    through an index on the arguments bound at that point, so a clause
+    instance is found once the last of its body atoms is known.
+    """
+    if not clauses:
+        return ()
+    values = [Constant(name) for name in pool]
+    in_pool = set(pool)
+    #: per clause: its variables by name, those no positive literal binds,
+    #: and its positive body atoms
+    rules = []
+    #: predicate -> (clause number, body position) of each positive literal
+    triggers: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    for n, c in enumerate(clauses):
+        variables = clause_vars(c)
+        if variables and not pool:
+            raise _no_constants(variables)
+        positive = [lit.atom for lit in c.body if lit.positive]
+        bound = {t for a in positive for t in a.args if isinstance(t, Variable)}
+        ordered = sorted(variables, key=lambda v: v.name)
+        rules.append((ordered, [v for v in ordered if v not in bound], positive))
+        for i, a in enumerate(positive):
+            triggers.setdefault(a.pred, []).append((n, i))
+
+    #: per clause: the kept instances by the constant names of their θ
+    found: list[dict[tuple[str, ...], Clause]] = [{} for _ in clauses]
+    # Only atoms that some positive body mentions can make a clause fire.
+    possible = {a for a in heads if a.pred in triggers}
+    agenda = list(possible)
+    by_pred: dict[tuple[str, int], list[Atom]] = {}
+    #: predicate -> bound argument positions -> their values -> known atoms
+    index: dict[tuple[str, int], dict[tuple[int, ...], dict[tuple, list[Atom]]]] = {}
+
+    def fire(n: int, theta: Substitution) -> None:
+        """Keep clause ``n`` under ``theta`` extended over its free variables."""
+        ordered, free, _ = rules[n]
+        for combo in itertools.product(values, repeat=len(free)) if free else ((),):
+            full = {**theta, **dict(zip(free, combo))} if free else theta
+            row = tuple(full[v].name for v in ordered)
+            if row in found[n]:
+                continue
+            c = clauses[n]
+            if full:
+                c = Clause(apply_atom(full, c.head), apply_query(full, c.body))
+            found[n][row] = c
+            if c.head not in possible and c.head.pred in triggers:
+                possible.add(c.head)
+                agenda.append(c.head)
+
+    def lookup(pattern: Atom, theta: Substitution) -> list[Atom]:
+        """The known atoms that agree with ``pattern`` where θ binds it."""
+        key = tuple(
+            k for k, t in enumerate(pattern.args) if not isinstance(t, Variable) or t in theta
+        )
+        by_key = index.setdefault(pattern.pred, {})
+        if key not in by_key:
+            by_key[key] = {}
+            for a in by_pred.get(pattern.pred, ()):
+                by_key[key].setdefault(tuple(a.args[k] for k in key), []).append(a)
+        return by_key[key].get(tuple(apply_term(theta, pattern.args[k]) for k in key), [])
+
+    for n, (_, _, positive) in enumerate(rules):
+        if not positive:
+            fire(n, {})
+    while agenda:
+        atom = agenda.pop()
+        pred = atom.pred
+        by_pred.setdefault(pred, []).append(atom)
+        for key, by_value in index.get(pred, {}).items():
+            by_value.setdefault(tuple(atom.args[k] for k in key), []).append(atom)
+        for n, i in triggers[pred]:
+            positive = rules[n][2]
+            theta = _match(positive[i], atom, {}, in_pool)
+            stack = [] if theta is None else [(0, theta)]
+            while stack:
+                j, theta = stack.pop()
+                if j == i:
+                    j += 1
+                if j == len(positive):
+                    fire(n, theta)
+                    continue
+                for candidate in lookup(positive[j], theta):
+                    extended = _match(positive[j], candidate, theta, in_pool)
+                    if extended is not None:
+                        stack.append((j + 1, extended))
+
+    # The full product's order: by clause, then by θ, that is by the names
+    # θ maps the clause's variables to, since the pool is sorted.
+    return tuple(clause for kept in found for _, clause in sorted(kept.items()))
+
+
+def _match(
+    pattern: Atom, atom: Atom, theta: Substitution, in_pool: set[str]
+) -> Substitution | None:
+    """``theta`` extended so that it maps ``pattern`` onto the ground ``atom``
+
+    of the same predicate, binding variables to constants named in
+    ``in_pool`` only; None when there is no such extension."""
+    out = theta
+    for t, value in zip(pattern.args, atom.args):
+        if isinstance(t, Variable):
+            bound = out.get(t)
+            if bound is None:
+                if value.name not in in_pool:
+                    return None
+                if out is theta:
+                    out = dict(theta)
+                out[t] = value
+            elif bound != value:
+                return None
+        elif t != value:
+            return None
+    return out
 
 
 def _substitutions_for(
-    c: ProbClause | Clause,
+    c: ProbClause,
     pool: list[str],
     restriction: dict[str, list[dict[str, str]]] | None,
 ):
     variables = clause_vars(c)
-    if restriction is not None and isinstance(c, ProbClause) and c.cid in restriction:
+    if restriction is not None and c.cid in restriction:
         names = {v.name for v in variables}
         for entry in restriction[c.cid]:
             if set(entry) != names:
@@ -218,10 +395,7 @@ def _substitutions_for(
         yield {}
         return
     if not pool:
-        raise ProgramError(
-            f"cannot ground clause with variables "
-            f"({', '.join(v.name for v in variables)}): no constants"
-        )
+        raise _no_constants(variables)
     ordered = sorted(variables, key=lambda v: v.name)
     for combo in itertools.product(pool, repeat=len(ordered)):
         yield {v: Constant(name) for v, name in zip(ordered, combo)}
@@ -240,50 +414,41 @@ def relevant_subset(g: GroundProgram, q: Query) -> GroundProgram:
     head — any explicit head, for probabilistic instances — is a relevant
     atom, and a relevant clause makes all its body atoms relevant (through
     negation too).  Resolution of ``q`` only ever touches relevant clauses,
-    so inference over the subset builds the same tree.
+    so inference over the subset builds the same tree.  A worklist over the
+    ground-head indexes visits each relevant atom once.
     """
     relevant: set[Atom] = set()
+    agenda: list[Atom] = []
+
+    def mark(atom: Atom) -> None:
+        if atom not in relevant:
+            relevant.add(atom)
+            agenda.append(atom)
+
     for lit in q:
         if is_ground_atom(lit.atom):
-            relevant.add(lit.atom)
-        else:
-            for inst in g.instances:
-                for i in range(1, inst.n_explicit + 1):
-                    if mgu(lit.atom, inst.head_atom(i)) is not None:
-                        relevant.add(inst.head_atom(i))
-            for c in g.derived:
-                if mgu(lit.atom, c.head) is not None:
-                    relevant.add(c.head)
+            mark(lit.atom)
+            continue
+        for inst, i in g.prob_heads_for(lit.atom):
+            if mgu(lit.atom, inst.head_atom(i)) is not None:
+                mark(inst.head_atom(i))
+        for c in g.derived_for(lit.atom):
+            if mgu(lit.atom, c.head) is not None:
+                mark(c.head)
 
-    kept_instances: set[int] = set()
-    kept_derived: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for idx, inst in enumerate(g.instances):
-            if idx in kept_instances:
-                continue
-            if any(
-                inst.head_atom(i) in relevant for i in range(1, inst.n_explicit + 1)
-            ):
-                kept_instances.add(idx)
-                for lit in inst.body:
-                    if lit.atom not in relevant:
-                        relevant.add(lit.atom)
-                changed = True
-        for idx, c in enumerate(g.derived):
-            if idx in kept_derived:
-                continue
-            if c.head in relevant:
-                kept_derived.add(idx)
+    kept: set[int] = set()  # ids of the kept instances and clauses
+    while agenda:
+        atom = agenda.pop()
+        defining = [inst for inst, _ in g.prob_head_atoms.get(atom, ())]
+        for c in defining + g.derived_heads.get(atom, []):
+            if id(c) not in kept:
+                kept.add(id(c))
                 for lit in c.body:
-                    if lit.atom not in relevant:
-                        relevant.add(lit.atom)
-                changed = True
+                    mark(lit.atom)
 
     return GroundProgram(
-        tuple(inst for i, inst in enumerate(g.instances) if i in kept_instances),
-        tuple(c for i, c in enumerate(g.derived) if i in kept_derived),
+        tuple(inst for inst in g.instances if id(inst) in kept),
+        tuple(c for c in g.derived if id(c) in kept),
         g.constants,
         g.source,
         g.restriction,
@@ -298,9 +463,11 @@ def relevant_subset(g: GroundProgram, q: Query) -> GroundProgram:
 def stratify(g: GroundProgram) -> dict[tuple[str, int], int]:
     """Assign each predicate a stratum so that clauses only depend positively
 
-    on their own stratum and negatively on strictly lower ones.  Raises
-    :class:`StratificationError` (carrying the offending cycle) when the
-    predicate dependency graph has a cycle through negation.
+    on their own stratum and negatively on strictly lower ones.  The edges
+    come from the ground instances and from the source's derived clauses,
+    so the answer does not depend on which derived instances the grounding
+    kept.  Raises :class:`StratificationError` (carrying the offending
+    cycle) when the predicate dependency graph has a cycle through negation.
     """
     preds: set[tuple[str, int]] = set()
     pos_edges: set[tuple[tuple[str, int], tuple[str, int]]] = set()
@@ -317,7 +484,7 @@ def stratify(g: GroundProgram) -> dict[tuple[str, int], int]:
 
     for inst in g.instances:
         add_clause([a for a, _ in inst.heads], inst.body)
-    for c in g.derived:
+    for c in g.source.derived_clauses:
         add_clause([c.head], c.body)
 
     # Dependency graph: edge b -> h when h's clause mentions b in its body.

@@ -213,17 +213,17 @@ class _TreeBuilder:
 
     def _step_derived(self, node: SlpdnfNode, lit: Literal) -> None:
         rest = node.query[1:]
-        for clause in self.g.derived_index.get(lit.atom.pred, ()):
+        for clause in self.g.derived_for(lit.atom):
             sigma = mgu(lit.atom, clause.head)
             if sigma is None:
                 continue
-            child_query = clause.body + apply_query(sigma, rest)
+            child_query = clause.body + (apply_query(sigma, rest) if sigma else rest)
             edge = EdgeLabel("derived", _sigma_key(sigma))
             node.children.append((edge, SlpdnfNode(child_query, node.expr)))
 
     def _step_prob(self, node: SlpdnfNode, lit: Literal) -> None:
         rest = node.query[1:]
-        for inst, i in self.g.prob_head_index.get(lit.atom.pred, ()):
+        for inst, i in self.g.prob_heads_for(lit.atom):
             sigma = mgu(lit.atom, inst.head_atom(i))
             if sigma is None:
                 continue
@@ -231,7 +231,7 @@ class _TreeBuilder:
             expr = dnf(conj([node.expr, ac]))
             if expr == BOT:
                 continue
-            child_query = inst.body + apply_query(sigma, rest)
+            child_query = inst.body + (apply_query(sigma, rest) if sigma else rest)
             edge = EdgeLabel("prob", _sigma_key(sigma), choice=ac)
             node.children.append((edge, SlpdnfNode(child_query, expr)))
 

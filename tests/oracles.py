@@ -1,9 +1,10 @@
 """Brute-force reference implementations for cross-checking the library.
 
 Everything here recomputes results from first principles: selections are
-enumerated outright, worlds are evaluated by a naive stratified fixpoint
-written independently of the library's model code, and coverage/complement
-properties are checked selection by selection.  Intentionally slow and
+enumerated outright, derived clauses are ground by the full product over the
+constant pool (independently of the grounder's pruning), worlds are evaluated
+by a naive stratified fixpoint written independently of the library's model
+code, and coverage/complement properties are checked selection by selection.  Intentionally slow and
 simple — these functions define what the fast code must agree with.
 """
 
@@ -24,7 +25,7 @@ from lpadexpl.choice_algebra import (
     mentioned_instances,
 )
 from lpadexpl.grounder import GroundProgram
-from lpadexpl.syntax import Atom, Clause, Query
+from lpadexpl.syntax import Atom, Clause, Constant, Query, Variable, apply_atom, apply_query
 
 
 def all_selections(g: GroundProgram):
@@ -75,10 +76,29 @@ def event_prob_by_enumeration(e, g: GroundProgram) -> float:
     return math.fsum(terms)
 
 
-def world_clauses(selection, g: GroundProgram) -> list[Clause]:
+def full_grounding(g: GroundProgram) -> list[Clause]:
+    """The source's derived clauses over ``g.constants`` by the full product,
+
+    whether their bodies can hold or not: what ``g.derived`` is a pruned,
+    order-keeping subsequence of."""
+    clauses = []
+    for c in g.source.derived_clauses:
+        variables = sorted(
+            {t for a in [c.head] + [lit.atom for lit in c.body] for t in a.args
+             if isinstance(t, Variable)},
+            key=lambda v: v.name,
+        )
+        for values in itertools.product(g.constants, repeat=len(variables)):
+            theta = {v: Constant(name) for v, name in zip(variables, values)}
+            clauses.append(Clause(apply_atom(theta, c.head), apply_query(theta, c.body)))
+    return clauses
+
+
+def world_clauses(selection, g: GroundProgram, derived: list[Clause]) -> list[Clause]:
     """The normal ground program of a selection: each chosen explicit head
 
-    keeps its instance's body; 'none' picks contribute nothing."""
+    keeps its instance's body; 'none' picks contribute nothing.  ``derived``
+    is ``full_grounding(g)``."""
     chosen = {(ac.cid, ac.key): ac.index for ac in selection}
     clauses = []
     for inst in g.instances:
@@ -86,7 +106,7 @@ def world_clauses(selection, g: GroundProgram) -> list[Clause]:
         head = inst.head_atom(i)
         if head.predicate != "none":
             clauses.append(Clause(head, inst.body))
-    clauses.extend(g.derived)
+    clauses.extend(derived)
     return clauses
 
 
@@ -95,7 +115,7 @@ def predicate_levels(g: GroundProgram) -> dict[tuple[str, int], int]:
 
     (every potential world clause counted, whichever heads get chosen)."""
     rules: list[tuple[tuple[str, int], Query]] = [
-        (c.head.pred, c.body) for c in g.derived
+        (c.head.pred, c.body) for c in full_grounding(g)
     ]
     for inst in g.instances:
         for i in range(1, inst.n_heads + 1):
@@ -144,8 +164,11 @@ def holds(model: set[Atom], q: Query) -> bool:
 
 def satisfying_selections(q: Query, g: GroundProgram) -> list[frozenset]:
     level = predicate_levels(g)
+    derived = full_grounding(g)
     return [
-        s for s in all_selections(g) if holds(least_model(world_clauses(s, g), level), q)
+        s
+        for s in all_selections(g)
+        if holds(least_model(world_clauses(s, g, derived), level), q)
     ]
 
 

@@ -128,6 +128,20 @@ def test_prob_limit_zero_exits_two(capsys):
         assert "limit 0 (--limit)" in err, method
 
 
+def test_explain_limit(capsys):
+    argv = ["explain", NEG, "covid(p1)", "--restrict", RC2]
+    code, out, err = run(capsys, argv + ["--limit", "0"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: event_prob: 1 conjuncts in the decision diagram exceed the limit 0 (--limit)\n"
+    )
+    # The default is the one prob uses: the output without the flag is the
+    # output with it.
+    default = run(capsys, argv)
+    assert default[0] == 0 and default[1].startswith("proof 1\n")
+    assert run(capsys, argv + ["--limit", "1000000"]) == default
+
+
 def test_limit_errors_name_their_stage(capsys):
     code, _, err = run(capsys, ["prob", NEG, "covid(p1)", "--method", "oracle", "--limit", "0"])
     assert (code, err) == (

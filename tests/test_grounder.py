@@ -1,10 +1,14 @@
 import pytest
 
+from lpadexpl.cli import main
 from lpadexpl.errors import ProgramError, StratificationError
 from lpadexpl.grounder import ground, relevant_subset, stratify, theta_key
+from lpadexpl.semantics import success_prob
 from lpadexpl.syntax import Variable, Constant, parse_program, parse_query
 
-from conftest import fixture_text, load_restriction
+from conftest import FIXTURES, fixture_text, load_restriction
+import genprog
+import oracles
 
 
 def test_ground_covid_pos(pos_ground):
@@ -117,3 +121,175 @@ def test_negative_self_loop_detected():
     with pytest.raises(StratificationError) as e:
         stratify(g)
     assert "p -> p" in str(e.value)
+
+
+# ---------------------------------------------------------------------------
+# Derived clauses are ground over the atoms that can be true
+# ---------------------------------------------------------------------------
+
+
+def deep(n):
+    """A link path n0 -> ... -> nn with one probabilistic goal at its end."""
+    lines = ["reach(X) :- goal(X).", "reach(X) :- link(X,Y), reach(Y).", f"goal(n{n}):0.7."]
+    lines += [f"link(n{i},n{i + 1})." for i in range(n)]
+    return parse_program("\n".join(lines) + "\n")
+
+
+def test_deep_grounds_only_the_clauses_that_can_fire():
+    # goal(nn) gives reach(nn); each link then gives one reach clause.
+    for n in (1, 5, 40):
+        assert len(ground(deep(n)).derived) == 2 * n + 1
+    g = ground(deep(40))
+    assert g.constants == tuple(sorted(f"n{i}" for i in range(41)))
+    assert [str(c) for c in g.derived[:2]] == ["reach(n40) :- goal(n40).", "reach(n0) :- link(n0,n1), reach(n1)."]
+
+
+def test_deep_1000_answers():
+    g = ground(deep(1000))
+    assert len(g.derived) == 2001
+    assert success_prob(parse_query("reach(n0)"), g) == pytest.approx(0.7, abs=1e-12)
+
+
+def _positive_model(g, clauses):
+    """The least model of ``clauses`` with negative literals dropped, over the
+
+    explicit heads of every instance taken as facts (naive iteration)."""
+    model = {inst.head_atom(i) for inst in g.instances for i in range(1, inst.n_explicit + 1)}
+    changed = True
+    while changed:
+        changed = False
+        for c in clauses:
+            if c.head not in model and all(lit.atom in model for lit in c.body if lit.positive):
+                model.add(c.head)
+                changed = True
+    return model
+
+
+def _pruned_full_grounding(g):
+    full = oracles.full_grounding(g)
+    model = _positive_model(g, full)
+    return [c for c in full if all(lit.atom in model for lit in c.body if lit.positive)]
+
+
+def test_derived_is_the_full_grounding_filtered_in_order():
+    grounds = [
+        ground(parse_program(fixture_text(name)), restriction=load_restriction(r) if r else None)
+        for name, restrictions in (
+            ("covid_pos.lpad", (None, "restrict_c2.json")),
+            ("covid_neg.lpad", (None, "restrict_c2.json", "restrict_min.json")),
+        )
+        for r in restrictions
+    ]
+    # Atoms outside the pool bind no variable, as the full product never
+    # put them there: r(c) :- q(c) is no instance over {a, b}.
+    grounds.append(ground(parse_program("r(X) :- q(X).\nq(c).\nq2(a):0.5.\nq(X) :- q2(X).\n"), ["a", "b"]))
+    for full_heads in (False, True):
+        for seed in range(200):
+            text, _ = genprog.generate(seed, full_heads=full_heads)
+            grounds.append(ground(parse_program(text)))
+    dropped = 0
+    for g in grounds:
+        assert list(g.derived) == _pruned_full_grounding(g)
+        dropped += len(oracles.full_grounding(g)) - len(g.derived)
+    assert dropped > 0
+
+
+def test_unbound_variables_range_over_the_pool():
+    g = ground(parse_program("r(X) :- \\+q(X).\nq(a).\nt(b):0.5.\n"))
+    assert [str(c) for c in g.derived] == ["r(a) :- \\+q(a).", "r(b) :- \\+q(b).", "q(a)."]
+    g = ground(parse_program("s(X,Y) :- \\+t.\nt:0.5.\n"), constants=["b", "a"])
+    assert [str(c.head) for c in g.derived] == ["s(a,a)", "s(a,b)", "s(b,a)", "s(b,b)"]
+
+
+def test_a_constant_listed_twice_counts_once(capsys):
+    # Listed twice, p1 used to give two instances with one key, and the
+    # oracle then failed with an IndexError.
+    g = ground(parse_program(fixture_text("covid_pos.lpad")), constants=["p1", "p1", "p2"])
+    assert g.constants == ("p1", "p2")
+    assert len(g.instances) == 2 + 4
+    for method in ("engine", "oracle", "transform"):
+        argv = ["prob", str(FIXTURES / "covid_pos.lpad"), "covid(p1)", "--method", method]
+        assert main(argv + ["--constants", "p1,p1,p2"]) == 0
+        assert capsys.readouterr().out == "0.936000000\n"
+
+
+def test_negated_body_atoms_do_not_prune():
+    # Negation is ignored: missing's clause stays although it cannot fire.
+    g = ground(parse_program("p :- \\+missing.\nmissing :- r(a), \\+r(a).\nr(a):0.5.\n"))
+    assert [str(c) for c in g.derived] == ["p :- \\+missing.", "missing :- r(a), \\+r(a)."]
+
+
+def test_no_constants_error_is_unchanged():
+    with pytest.raises(ProgramError) as e:
+        ground(parse_program("p(X) :- q.\nq.\n"))
+    assert str(e.value) == "cannot ground clause with variables (X): no constants"
+
+
+def test_strata_do_not_depend_on_the_pruning(capsys, tmp_path):
+    cycle = tmp_path / "cycle.lpad"
+    cycle.write_text("p :- missing, \\+p.\n")
+    assert ground(parse_program(cycle.read_text())).derived == ()
+    assert main(["check", str(cycle)]) == 2
+    out = capsys.readouterr().out
+    assert "stratified: no\n" in out
+    assert "negative cycle p -> p" in out
+
+
+def test_clauses_that_cannot_fire_no_longer_reach_the_depth_limit(capsys, tmp_path):
+    # p :- p, q cannot fire, since q needs r(b) and only r(a) can hold; the
+    # grounding drops it, so p has no clause and fails instead of recursing
+    # until the depth limit.
+    program = tmp_path / "never.lpad"
+    program.write_text("p :- p, q.\nq :- r(b).\nr(a):0.5.\n")
+    assert main(["prob", str(program), "p"]) == 0
+    assert capsys.readouterr().out == "0.000000000\n"
+
+
+def test_ground_goals_resolve_through_the_head_index():
+    g = ground(deep(3))
+    reach = parse_query("reach(n1)")[0].atom
+    assert [str(c) for c in g.derived_for(reach)] == ["reach(n1) :- link(n1,n2), reach(n2)."]
+    assert len(g.derived_for(parse_query("reach(X)")[0].atom)) == 4
+    goal = parse_query("goal(n3)")[0].atom
+    assert [(inst.cid, i) for inst, i in g.prob_heads_for(goal)] == [("c1", 1)]
+    assert g.prob_heads_for(parse_query("goal(n0)")[0].atom) == []
+
+
+def _relevant_by_passes(g, q):
+    """relevant_subset by its definition: repeat passes over every instance
+
+    and clause until no relevant atom is added."""
+    from lpadexpl.syntax import is_ground_atom, mgu
+
+    heads = [(inst, inst.head_atom(i)) for inst in g.instances for i in range(1, inst.n_explicit + 1)]
+    relevant = set()
+    for lit in q:
+        if is_ground_atom(lit.atom):
+            relevant.add(lit.atom)
+        else:
+            relevant |= {a for _, a in heads if mgu(lit.atom, a) is not None}
+            relevant |= {c.head for c in g.derived if mgu(lit.atom, c.head) is not None}
+    kept = []
+    while True:
+        new = [inst for inst, a in heads if a in relevant and inst not in kept]
+        new += [c for c in g.derived if c.head in relevant and c not in kept]
+        if not new:
+            return kept
+        for c in new:
+            kept.append(c)
+            relevant |= {lit.atom for lit in c.body}
+
+
+def test_relevant_subset_is_the_closure_in_order():
+    cases = [(ground(deep(30)), parse_query("reach(n0)")), (ground(deep(30)), parse_query("reach(X)"))]
+    reverse = "reach(X) :- goal(X).\nreach(X) :- link(X,Y), reach(Y).\ngoal(n0):0.7.\n"
+    reverse += "".join(f"link(n{i + 1},n{i}).\n" for i in range(30))
+    cases.append((ground(parse_program(reverse)), parse_query("reach(n30)")))
+    for seed in range(200):
+        text, query = genprog.generate(seed)
+        cases.append((ground(parse_program(text)), parse_query(query)))
+    for g, q in cases:
+        rs = relevant_subset(g, q)
+        kept = _relevant_by_passes(g, q)
+        assert list(rs.instances) == [inst for inst in g.instances if inst in kept]
+        assert list(rs.derived) == [c for c in g.derived if c in kept]
