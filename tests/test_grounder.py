@@ -4,7 +4,7 @@ from lpadexpl.cli import main
 from lpadexpl.errors import ProgramError, StratificationError
 from lpadexpl.grounder import ground, relevant_subset, stratify, theta_key
 from lpadexpl.semantics import success_prob
-from lpadexpl.syntax import Variable, Constant, parse_program, parse_query
+from lpadexpl.syntax import Variable, Constant, is_ground_atom, mgu, parse_program, parse_query
 
 from conftest import FIXTURES, fixture_text, load_restriction
 import genprog
@@ -259,8 +259,6 @@ def _relevant_by_passes(g, q):
     """relevant_subset by its definition: repeat passes over every instance
 
     and clause until no relevant atom is added."""
-    from lpadexpl.syntax import is_ground_atom, mgu
-
     heads = [(inst, inst.head_atom(i)) for inst in g.instances for i in range(1, inst.n_explicit + 1)]
     relevant = set()
     for lit in q:
