@@ -29,6 +29,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import EnumerationLimitError, LpadError
 from .grounder import GroundProbClause, GroundProgram, ThetaKey
@@ -225,14 +226,6 @@ def is_consistent(kappa) -> bool:
         if prev != ac.index:
             return False
     return True
-
-
-def composite_key(kappa: CompositeChoice) -> tuple:
-    return tuple(sorted(ac.sort_key() for ac in kappa))
-
-
-def sort_composites(ks) -> list[CompositeChoice]:
-    return sorted(ks, key=composite_key)
 
 
 def hits(sets) -> list[CompositeChoice]:
@@ -572,7 +565,24 @@ def render_composite(k: CompositeChoice, g: GroundProgram) -> str:
 
 
 def render_composite_set(ks, g: GroundProgram) -> str:
-    return "{" + ",".join(render_composite(k, g) for k in sort_composites(ks)) + "}"
+    """``render_composite`` of each set, the sets ordered by their sorted
+
+    atomic choices' sort keys; each set is sorted once, and each distinct
+    atomic choice is keyed and rendered once."""
+    seen: dict[AtomicChoice, tuple[tuple, str]] = {}
+    rows = []
+    for k in ks:
+        entries = []
+        for ac in k:
+            entry = seen.get(ac)
+            if entry is None:
+                entry = seen[ac] = (ac.sort_key(), render_atomic(ac, g))
+            entries.append(entry)
+        entries.sort(key=itemgetter(0))
+        rows.append(entries)
+    rows.sort(key=lambda entries: [key for key, _ in entries])
+    sets = ("{" + ",".join([text for _, text in entries]) + "}" for entries in rows)
+    return "{" + ",".join(sets) + "}"
 
 
 #: The most ``~`` and ``(`` a choice expression may nest.

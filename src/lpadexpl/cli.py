@@ -14,6 +14,7 @@ All output is deterministic: identical inputs yield byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -196,6 +197,22 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low: int):
+    """An argparse ``type`` for integers of at least ``low``."""
+
+    def parse(text: str) -> int:
+        error = argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        try:
+            value = int(text)
+        except ValueError:
+            raise error from None
+        if value < low:
+            raise error
+        return value
+
+    return parse
+
+
 def _add_grounding_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--constants",
@@ -231,10 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output form (default: text)",
     )
-    p.add_argument("--top", type=int, metavar="K", help="print only the K most probable proofs")
+    p.add_argument(
+        "--top", type=_int_at_least(1), metavar="K", help="print only the K most probable proofs"
+    )
     p.add_argument(
         "--fold-depth",
-        type=int,
+        type=_int_at_least(0),
         metavar="N",
         help="fold tree content below depth N (text and nl formats)",
     )
@@ -315,9 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser ``main`` uses, built on its first call and reused by every
+#: later call in the same process; parsing leaves the parser unchanged.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except LpadError as e:

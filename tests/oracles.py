@@ -23,9 +23,18 @@ from lpadexpl.choice_algebra import (
     disj,
     eval_expr,
     mentioned_instances,
+    render_composite,
 )
 from lpadexpl.grounder import GroundProgram
 from lpadexpl.syntax import Atom, Clause, Constant, Query, Variable, apply_atom, apply_query
+
+
+def composite_set_text(ks, g: GroundProgram) -> str:
+    """The text of a composite-choice set by definition: each set rendered by
+
+    ``render_composite``, the sets ordered by their sorted atomic choices' sort keys."""
+    ordered = sorted(ks, key=lambda k: tuple(sorted(ac.sort_key() for ac in k)))
+    return "{" + ",".join(render_composite(k, g) for k in ordered) + "}"
 
 
 def all_selections(g: GroundProgram):

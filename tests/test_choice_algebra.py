@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lpadexpl.choice_algebra import (
@@ -227,6 +229,21 @@ def test_composite_set_parsing_roundtrip(neg_ground):
     assert render_composite_set(ks, neg_ground) == text
     assert cs("{}", neg_ground) == frozenset()
     assert cs("{{}}", neg_ground) == frozenset({frozenset()})
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_composite_set_rendering_matches_its_definition(neg_ground_full, seed):
+    # Twelve clauses, so that natural order (c2 < c10) decides some ties.
+    twelve = ground(parse_program("".join(f"a{i}:0.5; b{i}:0.3.\n" for i in range(1, 13))))
+    rng = random.Random(seed)
+    for g in (neg_ground_full, twelve):
+        choices = [
+            AtomicChoice(inst.cid, inst.key, index)
+            for inst in g.instances
+            for index in range(1, inst.n_heads + 1)
+        ]
+        ks = {frozenset(rng.sample(choices, rng.randint(0, 6))) for _ in range(rng.randint(0, 40))}
+        assert render_composite_set(ks, g) == oracles.composite_set_text(ks, g)
 
 
 def test_duals_complement_property_on_fixture(neg_ground_min):

@@ -1,5 +1,6 @@
 """The command-line interface: outputs, formats, and exit codes."""
 
+import argparse
 import importlib
 import json
 import os
@@ -19,7 +20,7 @@ from lpadexpl.choice_algebra import (
     parse_composite_set_text,
     parse_expr_text,
 )
-from lpadexpl.cli import main
+from lpadexpl.cli import build_parser, main
 from lpadexpl.grounder import ground
 from lpadexpl.syntax import parse_program
 
@@ -275,6 +276,33 @@ def test_explain_top_one(capsys):
     assert (code, out) == (0, "proof 1\ncovid(p1)\n   pcr(p1)\np = 0.9\n")
 
 
+@pytest.mark.parametrize(
+    "option, value, low",
+    [("--top", "0", 1), ("--top", "-1", 1), ("--top", "two", 1), ("--fold-depth", "-1", 0),
+     ("--fold-depth", "1.5", 0)],
+)
+def test_explain_counts_out_of_range_are_usage_errors(capsys, option, value, low):
+    with pytest.raises(SystemExit) as exc:
+        main(["explain", NEG, "covid(p1)", "--restrict", RC2, option, value])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"lpadexpl explain: error: argument {option}: must be an integer >= {low}, "
+        f"got '{value}'\n"
+    )
+
+
+def test_explain_counts_at_their_lowest_values(capsys):
+    argv = ["explain", NEG, "covid(p1)", "--restrict", RC2]
+    _, every, _ = run(capsys, argv)
+    assert every.count("proof ") == 2
+    assert run(capsys, argv + ["--top", "2"]) == (0, every, "")
+    code, folded, _ = run(capsys, argv + ["--fold-depth", "0"])
+    assert (code, folded.count("proof ")) == (0, 2)
+    assert "covid(p1) ..." in folded
+
+
 def test_explain_nl_blocks(capsys):
     code, out, _ = run(
         capsys, ["explain", NEG, "covid(p1)", "--restrict", RC2, "--format", "nl"]
@@ -511,6 +539,59 @@ def test_usage_errors_exit_one(capsys):
         assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "usage:" in err
+
+
+def outcome(capsys, argv):
+    """(exit status, stdout, stderr) of one in-process call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_calls_do_not_depend_on_earlier_calls(capsys, tmp_path):
+    two = tmp_path / "two.lpad"
+    two.write_text("a:0.5.\nb:0.4.\n")
+    explain = ["explain", NEG, "covid(p1)", "--restrict", RC2]
+    calls = [
+        ["check", NEG],
+        explain + ["--top", "1", "--format", "nl", "--fold-depth", "1", "--alternatives"],
+        explain,
+        ["worlds", str(two), "--query", "a", "--query", "b"],
+        ["worlds", str(two)],
+        ["prob", NEG, "covid(p1)", "--restrict", RMIN, "--method", "oracle", "--relevant"],
+        explain + ["--top", "0"],
+        ["prob", NEG, "covid(p1)", "--restrict", RC2],
+        ["duals", POS, "{{(c1,[p1],1)}}", "--constants", "p1,p2"],
+        explain + ["--format", "json", "--limit", "1000"],
+        ["prob", NEG, "covid(p1)", "--method", "bogus"],
+        ["explain", POS, "covid(p1)", "--format", "graph"],
+        ["duals", POS, "(c1,[p1],1)"],
+    ]
+    forward = [outcome(capsys, argv) for argv in calls]
+    backward = [outcome(capsys, argv) for argv in reversed(calls)]
+    assert forward == backward[::-1]
+    assert [code for code, _, _ in forward] == [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0]
+    assert forward[2][1].count("proof ") == 2
+    assert forward[3][1] != forward[4][1]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    assert main(["check", NEG]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["check", NEG]) == 0
+    assert built == []
+    build_parser()
+    assert built  # the counter sees the parsers a build makes
 
 
 def test_syntax_error_exits_two(capsys, tmp_path):
