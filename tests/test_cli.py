@@ -278,8 +278,13 @@ def test_explain_top_one(capsys):
 
 @pytest.mark.parametrize(
     "option, value, low",
-    [("--top", "0", 1), ("--top", "-1", 1), ("--top", "two", 1), ("--fold-depth", "-1", 0),
-     ("--fold-depth", "1.5", 0)],
+    [
+        ("--top", "0", 1),
+        ("--top", "-1", 1),
+        ("--top", "two", 1),
+        ("--fold-depth", "-1", 0),
+        ("--fold-depth", "1.5", 0),
+    ],
 )
 def test_explain_counts_out_of_range_are_usage_errors(capsys, option, value, low):
     with pytest.raises(SystemExit) as exc:
@@ -293,14 +298,12 @@ def test_explain_counts_out_of_range_are_usage_errors(capsys, option, value, low
     )
 
 
-def test_explain_counts_at_their_lowest_values(capsys):
-    argv = ["explain", NEG, "covid(p1)", "--restrict", RC2]
-    _, every, _ = run(capsys, argv)
-    assert every.count("proof ") == 2
-    assert run(capsys, argv + ["--top", "2"]) == (0, every, "")
-    code, folded, _ = run(capsys, argv + ["--fold-depth", "0"])
-    assert (code, folded.count("proof ")) == (0, 2)
-    assert "covid(p1) ..." in folded
+def test_explain_fold_depth_zero_folds_below_the_root(capsys):
+    code, out, _ = run(
+        capsys, ["explain", NEG, "covid(p1)", "--restrict", RC2, "--fold-depth", "0"]
+    )
+    assert (code, out.count("proof ")) == (0, 2)
+    assert "covid(p1) ..." in out
 
 
 def test_explain_nl_blocks(capsys):
