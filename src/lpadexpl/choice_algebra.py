@@ -45,17 +45,18 @@ class ChoiceExpr:
 
     __slots__ = ()
 
+    def __str__(self) -> str:
+        return _render(self, str)
+
 
 @dataclass(frozen=True, slots=True)
 class _Bottom(ChoiceExpr):
-    def __str__(self) -> str:
-        return "bot"
+    """⊥: no world satisfies it."""
 
 
 @dataclass(frozen=True, slots=True)
 class _Top(ChoiceExpr):
-    def __str__(self) -> str:
-        return "top"
+    """⊤: every world satisfies it."""
 
 
 BOT = _Bottom()
@@ -90,26 +91,15 @@ class AtomicChoice(ChoiceExpr):
 class Not(ChoiceExpr):
     child: ChoiceExpr
 
-    def __str__(self) -> str:
-        return f"~{self.child}"
-
 
 @dataclass(frozen=True, slots=True)
 class And(ChoiceExpr):
     children: tuple[ChoiceExpr, ...]
 
-    def __str__(self) -> str:
-        return " & ".join(
-            f"({c})" if isinstance(c, Or) else str(c) for c in self.children
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Or(ChoiceExpr):
     children: tuple[ChoiceExpr, ...]
-
-    def __str__(self) -> str:
-        return " | ".join(str(c) for c in self.children)
 
 
 #: A composite choice.
@@ -132,45 +122,36 @@ def expr_key(e: ChoiceExpr) -> tuple:
     if isinstance(e, Not) and isinstance(e.child, AtomicChoice):
         return (1, e.child.sort_key(), 1, ())
     if isinstance(e, (_Bottom, _Top)):
-        return (0, _UNIT_RANK[type(e)], 0, ())
+        return (0, _KIND_RANK[type(e)], 0, ())
     if isinstance(e, Not):
         return (2, _KIND_RANK[Not], 0, (expr_key(e.child),))
     return (2, _KIND_RANK[type(e)], 0, tuple(expr_key(c) for c in e.children))
 
 
-_UNIT_RANK = {_Bottom: 0, _Top: 1}
+def _flatten(cls, unit: ChoiceExpr, children) -> ChoiceExpr:
+    """``conj`` (``cls`` And, ``unit`` ⊤) or ``disj`` (Or, ⊥)."""
+    flat: list[ChoiceExpr] = []
+    for c in children:
+        if isinstance(c, cls):
+            flat.extend(c.children)
+        else:
+            flat.append(c)
+    unique = sorted(set(flat), key=expr_key)
+    if not unique:
+        return unit
+    if len(unique) == 1:
+        return unique[0]
+    return cls(tuple(unique))
 
 
 def conj(children) -> ChoiceExpr:
     """∧ with flattening, canonical order, and structural idempotence."""
-    flat: list[ChoiceExpr] = []
-    for c in children:
-        if isinstance(c, And):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    unique = sorted(set(flat), key=expr_key)
-    if not unique:
-        return TOP
-    if len(unique) == 1:
-        return unique[0]
-    return And(tuple(unique))
+    return _flatten(And, TOP, children)
 
 
 def disj(children) -> ChoiceExpr:
     """∨ with flattening, canonical order, and structural idempotence."""
-    flat: list[ChoiceExpr] = []
-    for c in children:
-        if isinstance(c, Or):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    unique = sorted(set(flat), key=expr_key)
-    if not unique:
-        return BOT
-    if len(unique) == 1:
-        return unique[0]
-    return Or(tuple(unique))
+    return _flatten(Or, BOT, children)
 
 
 def node_count(e: ChoiceExpr) -> int:
@@ -382,67 +363,47 @@ def gamma(e: ChoiceExpr, g: GroundProgram) -> frozenset[CompositeChoice]:
 # ---------------------------------------------------------------------------
 
 
-def _nnf(e: ChoiceExpr) -> ChoiceExpr:
-    """Negation-normal form: ¬ pushed to the leaves, units resolved."""
+def _negated_instances(e: ChoiceExpr, negated: bool) -> frozenset[tuple[str, ThetaKey]]:
+    """Instances of the ¬α literals in the NNF of ``e`` (of ¬e when ``negated``)."""
     if isinstance(e, Not):
-        c = e.child
-        if isinstance(c, Not):
-            return _nnf(c.child)
-        if isinstance(c, _Top):
-            return BOT
-        if isinstance(c, _Bottom):
-            return TOP
-        if isinstance(c, And):
-            return disj(_nnf(Not(x)) for x in c.children)
-        if isinstance(c, Or):
-            return conj(_nnf(Not(x)) for x in c.children)
-        return e
-    if isinstance(e, And):
-        return conj(_nnf(c) for c in e.children)
-    if isinstance(e, Or):
-        return disj(_nnf(c) for c in e.children)
-    return e
-
-
-def _negated_instances(e: ChoiceExpr) -> frozenset[tuple[str, ThetaKey]]:
-    """The instances of the negated atomic choices in an NNF expression."""
-    if isinstance(e, Not):
-        return frozenset([(e.child.cid, e.child.key)])
+        return _negated_instances(e.child, not negated)
+    if isinstance(e, AtomicChoice):
+        return frozenset([(e.cid, e.key)]) if negated else frozenset()
     if isinstance(e, (And, Or)):
-        return frozenset().union(*(_negated_instances(c) for c in e.children))
+        return frozenset().union(*(_negated_instances(c, negated) for c in e.children))
     return frozenset()
 
 
-def _nnf_sets(e: ChoiceExpr, guarded) -> list[frozenset]:
-    """The conjuncts of an NNF expression as literal sets, absorbed as far
+def _literal_sets(e: ChoiceExpr, negated: bool, guarded) -> list[frozenset]:
+    """The conjuncts of ``e`` (of ¬e when ``negated``) as literal sets,
 
-    as ``_absorb`` allows before the final pass."""
-    if isinstance(e, _Bottom):
-        return []
-    if isinstance(e, _Top):
-        return list(_UNIT)
-    if isinstance(e, (AtomicChoice, Not)):  # NNF: ¬ wraps an atomic choice
-        return [frozenset([e])]
-    if isinstance(e, Or):
-        factor = [s for c in e.children for s in _nnf_sets(c, guarded)]
-        return _conjoin(_UNIT, factor, "dnf", guarded)
-    if isinstance(e, And):
+    absorbed as far as ``_absorb`` allows before the final pass.  ¬ flips
+    the polarity on the way down, so no negation-normal copy is built."""
+    if isinstance(e, Not):
+        return _literal_sets(e.child, not negated, guarded)
+    if isinstance(e, AtomicChoice):
+        return [frozenset([Not(e) if negated else e])]
+    if isinstance(e, (_Bottom, _Top)):
+        return list(_UNIT) if isinstance(e, _Top) != negated else []
+    if not isinstance(e, (And, Or)):
+        raise TypeError(f"not a choice expression: {e!r}")
+    if isinstance(e, And) != negated:  # a conjunction under this polarity
         acc = list(_UNIT)
         for c in e.children:
-            acc = _conjoin(acc, _nnf_sets(c, guarded), "dnf", guarded)
+            acc = _conjoin(acc, _literal_sets(c, negated, guarded), "dnf", guarded)
         return acc
-    raise TypeError(f"not a choice expression: {e!r}")
+    factor = [s for c in e.children for s in _literal_sets(c, negated, guarded)]
+    return _conjoin(_UNIT, factor, "dnf", guarded)
 
 
 def dnf_sets(e: ChoiceExpr) -> list[frozenset]:
     """The conjuncts of ``dnf(e)`` as literal sets, shortest first.
 
-    Pushes negation to the leaves, then conjoins the leaves with the kernel
+    One walk pushes negation to the leaves and conjoins them with the kernel
     (consistency pruning, redundant negations dropped, absorption after each
-    step) and absorbs once more at the end.  ``[]`` is ⊥ and ``[∅]`` is ⊤.
+    step), then absorbs once more.  ``[]`` is ⊥ and ``[∅]`` is ⊤.
     """
-    nnf = _nnf(e)
-    return _absorb(_nnf_sets(nnf, _negated_instances(nnf)), frozenset())
+    return _absorb(_literal_sets(e, False, _negated_instances(e, False)), frozenset())
 
 
 def dnf(e: ChoiceExpr) -> ChoiceExpr:
@@ -538,24 +499,27 @@ def render_expr(e: ChoiceExpr, g: GroundProgram) -> str:
     """Debug syntax: ``(c2,[p1,p2],1) & ~(c3,[p1],1) | top`` (& binds
 
     tighter than |; ~ tightest)."""
+    return _render(e, lambda ac: render_atomic(ac, g))
+
+
+def _render(e: ChoiceExpr, atomic) -> str:
+    """``render_expr``'s syntax, with ``atomic`` writing each atomic choice."""
     if isinstance(e, _Bottom):
         return "bot"
     if isinstance(e, _Top):
         return "top"
     if isinstance(e, AtomicChoice):
-        return render_atomic(e, g)
+        return atomic(e)
     if isinstance(e, Not):
-        inner = render_expr(e.child, g)
-        if isinstance(e.child, (And, Or)):
-            return f"~({inner})"
-        return f"~{inner}"
+        inner = _render(e.child, atomic)
+        return f"~({inner})" if isinstance(e.child, (And, Or)) else f"~{inner}"
     if isinstance(e, And):
         return " & ".join(
-            f"({render_expr(c, g)})" if isinstance(c, Or) else render_expr(c, g)
+            f"({_render(c, atomic)})" if isinstance(c, Or) else _render(c, atomic)
             for c in e.children
         )
     if isinstance(e, Or):
-        return " | ".join(render_expr(c, g) for c in e.children)
+        return " | ".join(_render(c, atomic) for c in e.children)
     raise TypeError(f"not a choice expression: {e!r}")
 
 

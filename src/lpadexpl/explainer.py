@@ -238,7 +238,7 @@ def _wrap_query(q: Query, g: GroundProgram) -> tuple[Query, GroundProgram]:
     # Program((main,)) has no facts of its own.
     possible = (*g.prob_head_atoms, *g.derived_heads)
     mains = ground(Program(derived_clauses=(main,)), list(g.constants), None, possible).derived
-    g2 = GroundProgram(g.instances, g.derived + mains, g.constants, source, g.restriction)
+    g2 = GroundProgram(g.instances, g.derived + mains, g.constants, source)
     return (Literal(True, main.head),), g2
 
 
@@ -301,10 +301,6 @@ def _rlit_phrase(r: RLit, annotations: tuple[Annotation, ...]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _lit_text(lit: Literal) -> str:
-    return str(lit)
-
-
 def _alts_suffix(r: RLit, alternatives: bool) -> str:
     if alternatives and r.negated and r.alternatives:
         return " {" + ", ".join(r.alternatives) + "}"
@@ -327,7 +323,7 @@ def render_text(
         visible = node.visible_children()
         hidden = bool(visible) or node.expr is not None
         folded = depth_limit is not None and depth >= depth_limit and hidden
-        lines.append(INDENT * depth + _lit_text(node.literal) + (" ..." if folded else ""))
+        lines.append(INDENT * depth + str(node.literal) + (" ..." if folded else ""))
         if folded:
             continue
         if node.expr is not None:
@@ -411,7 +407,7 @@ def render_graph(trees: list[AndTree] | AndTree, alternatives: bool = False) -> 
         while stack:
             parent, pid, node = stack.pop()
             nid = len(decls)
-            label = BOX if node.literal is None else _lit_text(node.literal)
+            label = BOX if node.literal is None else str(node.literal)
             decls.append(f'  n{nid} [label="{escape(label)}"];')
             if parent is not None:
                 if node.literal is None and parent.expr is not None:
@@ -427,7 +423,7 @@ def to_record(tree: AndTree, alternatives: bool = False) -> dict:
     """A JSON-ready nested record of one proof tree."""
 
     def node_record(node: AndTree) -> dict:
-        record: dict = {"literal": BOX if node.literal is None else _lit_text(node.literal)}
+        record: dict = {"literal": BOX if node.literal is None else str(node.literal)}
         if node.has_expr:
             record["expression"] = _expr_record(node.expr, alternatives)
         record["children"] = []

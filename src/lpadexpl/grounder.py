@@ -89,9 +89,6 @@ class GroundProbClause:
     def values_str(self) -> str:
         return "[" + ",".join(self.var_values) + "]"
 
-    def theta(self) -> Substitution:
-        return {Variable(v): Constant(c) for v, c in self.key}
-
 
 class GroundProgram:
     """A ground program: probabilistic instances plus the ground derived
@@ -104,13 +101,11 @@ class GroundProgram:
         derived: tuple[Clause, ...],
         constants: tuple[str, ...],
         source: Program,
-        restriction: dict[str, list[dict[str, str]]] | None = None,
     ):
         self.instances = instances
         self.derived = derived
         self.constants = constants
         self.source = source
-        self.restriction = restriction
         self._by_key = {(inst.cid, inst.key): inst for inst in instances}
 
     def instance(self, cid: str, key: ThetaKey) -> GroundProbClause:
@@ -241,7 +236,7 @@ def ground(
 
     heads = [inst.head_atom(i) for inst in instances for i in range(1, inst.n_explicit + 1)]
     derived = _ground_derived(p.derived_clauses, heads + list(possible), pool)
-    return GroundProgram(tuple(instances), derived, tuple(pool), p, restriction)
+    return GroundProgram(tuple(instances), derived, tuple(pool), p)
 
 
 def _no_constants(variables) -> ProgramError:
@@ -451,7 +446,6 @@ def relevant_subset(g: GroundProgram, q: Query) -> GroundProgram:
         tuple(c for c in g.derived if id(c) in kept),
         g.constants,
         g.source,
-        g.restriction,
     )
 
 

@@ -43,7 +43,7 @@ from .choice_algebra import (
     gamma,
 )
 from .errors import DepthLimitError, ProgramError
-from .grounder import GroundProgram
+from .grounder import GroundProgram, theta_key
 from .syntax import (
     Atom,
     Literal,
@@ -147,10 +147,6 @@ def _sigma_dict(edge: EdgeLabel) -> Substitution:
     return {Variable(v): Constant(c) for v, c in edge.sigma}
 
 
-def _sigma_key(s: Substitution) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted((v.name, t.name) for v, t in s.items()))
-
-
 @dataclass(frozen=True, slots=True)
 class Answer:
     """A computed answer: the query instance proved by one success leaf."""
@@ -218,7 +214,7 @@ class _TreeBuilder:
             if sigma is None:
                 continue
             child_query = clause.body + (apply_query(sigma, rest) if sigma else rest)
-            edge = EdgeLabel("derived", _sigma_key(sigma))
+            edge = EdgeLabel("derived", theta_key(sigma))
             node.children.append((edge, SlpdnfNode(child_query, node.expr)))
 
     def _step_prob(self, node: SlpdnfNode, lit: Literal) -> None:
@@ -232,7 +228,7 @@ class _TreeBuilder:
             if expr == BOT:
                 continue
             child_query = inst.body + (apply_query(sigma, rest) if sigma else rest)
-            edge = EdgeLabel("prob", _sigma_key(sigma), choice=ac)
+            edge = EdgeLabel("prob", theta_key(sigma), choice=ac)
             node.children.append((edge, SlpdnfNode(child_query, expr)))
 
     def _step_negative(self, node: SlpdnfNode, lit: Literal) -> None:

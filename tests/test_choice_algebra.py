@@ -46,6 +46,16 @@ def test_atomic_choice_rendering(neg_ground):
     assert str(a) == "(c2,{X/p1,Y/p2},1)"
 
 
+def test_expression_str_parenthesises_like_render_expr(neg_ground):
+    a = ac(neg_ground, "c1", ["p1"], 1)
+    b = ac(neg_ground, "c4", ["p1"], 1)
+    assert str(Not(conj([a, b]))) == "~((c1,{X/p1},1) & (c4,{X/p1},1))"
+    assert str(conj([Not(a), b])) == "~(c1,{X/p1},1) & (c4,{X/p1},1)"
+    assert str(conj([a, Not(disj([a, b]))])) == (
+        "(c1,{X/p1},1) & ~((c1,{X/p1},1) | (c4,{X/p1},1))"
+    )
+
+
 def test_complement_of_atomic_choice(neg_ground):
     a = ac(neg_ground, "c6", ("p1",), 1)
     comp = complement_atomic(a, neg_ground)

@@ -395,6 +395,15 @@ def test_explain_alternatives(capsys):
     assert "¬ffp2(p1) {surgical(p1), cloth(p1), none}" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "nl", "graph", "json"])
+@pytest.mark.parametrize("program", [POS, NEG])
+def test_explain_relevant_output_equals_plain_explain(capsys, program, fmt):
+    plain = run(capsys, ["explain", program, "covid(p1)", "--format", fmt])
+    relevant = run(capsys, ["explain", program, "covid(p1)", "--format", fmt, "--relevant"])
+    assert plain[0] == 0 and plain[1]
+    assert relevant == plain
+
+
 def test_explain_output_is_deterministic(capsys):
     argv = ["explain", NEG, "covid(p1)", "--restrict", RC2, "--format", "nl"]
     _, first, _ = run(capsys, argv)
@@ -618,6 +627,12 @@ def test_non_range_restricted_program_rejected_outside_check(capsys, tmp_path):
     code, _, err = run(capsys, ["prob", str(bad), "q(a)"])
     assert code == 2
     assert "not range-restricted" in err
+
+
+def test_empty_constants_list_exits_two(capsys):
+    code, _, err = run(capsys, ["prob", POS, "covid(p1)", "--constants", ""])
+    assert code == 2
+    assert err == "error: empty --constants list\n"
 
 
 def test_bad_restriction_exits_two(capsys, tmp_path):

@@ -283,6 +283,8 @@ def test_relevant_subset_is_the_closure_in_order():
     reverse = "reach(X) :- goal(X).\nreach(X) :- link(X,Y), reach(Y).\ngoal(n0):0.7.\n"
     reverse += "".join(f"link(n{i + 1},n{i}).\n" for i in range(30))
     cases.append((ground(parse_program(reverse)), parse_query("reach(n30)")))
+    pairs = ground(parse_program("r(a,c):0.3.\nr(d,b):0.6.\nq(X,Y) :- r(X,Y).\n"))
+    cases.append((pairs, parse_query("r(X,b)")))  # a non-ground probabilistic literal
     for seed in range(200):
         text, query = genprog.generate(seed)
         cases.append((ground(parse_program(text)), parse_query(query)))

@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from lpadexpl.choice_algebra import gamma, render_expr
 from lpadexpl.errors import DepthLimitError, ProgramError
 from lpadexpl.grounder import ground
+from lpadexpl.semantics import success_prob
 from lpadexpl.slpdnf import (
     FAILED,
     FLOUNDERED,
@@ -14,6 +17,8 @@ from lpadexpl.slpdnf import (
     success_expressions,
 )
 from lpadexpl.syntax import Literal, parse_program, parse_query
+
+import oracles
 
 
 def walk(node):
@@ -114,6 +119,16 @@ def test_nonground_negative_literal_flounders():
     tree = build_tree(parse_query("\\+r(X)"), g)
     assert any(n.marking == FLOUNDERED for n in walk(tree.root))
     assert tree.success_expressions() == []
+
+
+def test_nonground_goal_skips_heads_that_do_not_unify():
+    # q(a,c) and r(a,c) do not unify with the goals q(X,b) and r(Y,b)
+    g = ground(parse_program("r(a,c):0.3.\nr(d,b):0.6.\nr(e,b):0.5.\nq(X,Y) :- r(X,Y).\n"))
+    instances = [parse_query(f"q({x},b), r({y},b)") for x in "de" for y in "de"]
+    worlds = {s for q in instances for s in oracles.satisfying_selections(q, g)}
+    expected = math.fsum(oracles.selection_prob(s, g) for s in worlds)
+    assert expected == pytest.approx(0.8)
+    assert success_prob(parse_query("q(X,b), r(Y,b)"), g) == pytest.approx(expected, abs=1e-9)
 
 
 def test_unknown_predicate_in_query_rejected(pos_ground):

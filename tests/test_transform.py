@@ -143,6 +143,9 @@ def test_prob_via_transform_agrees_with_event_prob(neg_ground_min):
         ac(g, "c3", ["p1"], 4),
         Not(conj([ac(g, "c1", ["p1"], 1), ac(g, "c4", ["p1"], 1)])),
         disj([ac(g, "c6", ["p1"], 2), conj([ac(g, "c5", ["p1"], 1), Not(ac(g, "c3", ["p1"], 2))])]),
+        # a negated none head desugars through an auxiliary clause
+        Not(ac(g, "c3", ["p1"], 4)),
+        Not(ac(g, "c4", ["p1"], 2)),
     ]
     for e in cases:
         assert prob_via_transform(e, g) == pytest.approx(
