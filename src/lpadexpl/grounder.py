@@ -171,9 +171,6 @@ class GroundProgram:
             return self.derived_heads.get(atom, [])
         return self.derived_index.get(atom.pred, [])
 
-    def is_prob_pred(self, pred: tuple[str, int]) -> bool:
-        return pred in self.prob_head_index or pred in self.source.prob_predicates()
-
     @cached_property
     def strata(self) -> dict[tuple[str, int], int]:
         """Predicate → stratum map; raises StratificationError on failure."""

@@ -31,10 +31,10 @@ from .choice_algebra import (
     disj,
     dnf_sets,
 )
-from .errors import EnumerationLimitError
+from .errors import EnumerationLimitError, ProgramError
 from .grounder import GroundProgram, ThetaKey
 from .slpdnf import DEFAULT_DEPTH_LIMIT, Derivation, success_expressions
-from .syntax import Atom, Clause, NONE_PREDICATE, Query
+from .syntax import Atom, Clause, NONE_PREDICATE, Query, is_ground_query, query_str
 
 #: A selection as a value: one atomic choice per instance.
 Selection = frozenset[AtomicChoice]
@@ -131,6 +131,14 @@ def model_check(w: World, q: Query) -> bool:
     """Truth of a ground query in a world (independent of the engine)."""
     model = w.model()
     return all((lit.atom in model) == lit.positive for lit in q)
+
+
+def _require_ground(q: Query, stage: str) -> None:
+    """``model_check`` looks atoms up in the model, so a query with
+
+    variables would read as false in every world."""
+    if not is_ground_query(q):
+        raise ProgramError(f"{stage}: query {query_str(q)} is not ground")
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +245,12 @@ def success_prob(
     limit: int | None = None,
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
 ) -> float:
-    """The probability that a ground query holds.
+    """The probability that a query holds.
 
     ``engine`` (default) evaluates the disjunction of the resolution tree's
     success-leaf expressions; ``oracle`` enumerates every selection and sums
-    the satisfying worlds' probabilities.  The two agree to within 1e-9.
+    the satisfying worlds' probabilities, and raises ProgramError on a query
+    that is not ground.  The two agree to within 1e-9.
     """
     limit = DEFAULT_ASSIGNMENT_LIMIT if limit is None else limit
     if method == "engine":
@@ -250,6 +259,7 @@ def success_prob(
             return 0.0
         return event_prob(disj(exprs), g, limit)
     if method == "oracle":
+        _require_ground(q, "oracle")
         message = "oracle: {count} selections exceed the enumeration limit {limit} (--limit)"
         weighted = _weighted_selections(g, limit, message)
         return math.fsum(p for s, p in weighted if model_check(world_of(s, g), q))
@@ -263,8 +273,10 @@ def worlds_table(
 ):
     """Rows of (selection, probability, query truth values), in selection
 
-    order, for the CLI's world listing."""
+    order, for the CLI's world listing; the queries must be ground."""
     queries = queries or []
+    for q in queries:
+        _require_ground(q, "worlds")
     message = "worlds: {count} worlds exceed the limit {limit} (--limit)"
     for selection, p in _weighted_selections(g, limit, message):
         w = world_of(selection, g)

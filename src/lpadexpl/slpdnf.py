@@ -88,15 +88,11 @@ class SlpdnfNode:
     expr: ChoiceExpr
     marking: str = UNMARKED
     children: list[tuple[EdgeLabel, "SlpdnfNode"]] = field(default_factory=list)
-    #: For a node that resolved a negative literal: the subsidiary tree used.
-    subsidiary: "SlpdnfTree | None" = None
 
 
 @dataclass(slots=True)
 class SlpdnfTree:
     root: SlpdnfNode
-    #: The ground atom this tree proves (None for the main tree).
-    atom: Atom | None
     #: Subsidiary trees created while building this one, keyed by atom.
     subs: dict[Atom, "SlpdnfTree"] = field(default_factory=dict)
 
@@ -165,17 +161,13 @@ class _TreeBuilder:
     def build(self, q: Query) -> SlpdnfTree:
         self._check_known_predicates(q)
         root = SlpdnfNode(q, TOP)
-        tree = SlpdnfTree(root, None, self.subs)
+        tree = SlpdnfTree(root, self.subs)
         self._expand(tree)
         return tree
 
     def _check_known_predicates(self, q: Query) -> None:
-        known = (
-            set(self.g.prob_head_index)
-            | set(self.g.derived_index)
-            | self.g.source.prob_predicates()
-            | self.g.source.derived_predicates()
-        )
+        # The grounding indexes a subset of the source's predicates.
+        known = self.g.source.prob_predicates() | self.g.source.derived_predicates()
         for lit in q:
             if lit.atom.pred not in known:
                 name, arity = lit.atom.pred
@@ -196,7 +188,9 @@ class _TreeBuilder:
                 )
             lit = node.query[0]
             if lit.positive:
-                if self.g.is_prob_pred(lit.atom.pred):
+                # A probabilistic predicate without ground instances has no
+                # derived clauses either: both steps leave a failed leaf.
+                if lit.atom.pred in self.g.prob_head_index:
                     self._step_prob(node, lit)
                 else:
                     self._step_derived(node, lit)
@@ -237,10 +231,9 @@ class _TreeBuilder:
             return
         sub = self.subs.get(lit.atom)
         if sub is None:
-            sub = SlpdnfTree(SlpdnfNode((lit.negate(),), TOP), lit.atom, self.subs)
+            sub = SlpdnfTree(SlpdnfNode((lit.negate(),), TOP), self.subs)
             self._expand(sub)
             self.subs[lit.atom] = sub
-        node.subsidiary = sub
         not_provable = self._satisfiable(dnf(Not(disj(sub.success_expressions()))))
         expr = self._satisfiable(dnf(conj([node.expr, not_provable])))
         if expr == BOT:

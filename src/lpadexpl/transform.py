@@ -7,21 +7,21 @@ list of θ's values in clause-variable order.  Only explicit heads get a
 ``ch`` atom; the implicit ``none`` mass stays implicit, exactly as in the
 source clause.
 
-``trc`` maps a choice expression to a goal over those ``ch`` atoms:
-⊤ ↦ true, ⊥ ↦ false, atomic choices to ``ch`` literals (a none-indexed
-choice, having no ``ch`` atom, becomes the conjunction of the negated
-explicit ``ch`` atoms of its instance), ¬ ↦ negation, ∧ ↦ conjunction,
-∨ ↦ disjunction.  ``desugar`` flattens such a goal to a plain query plus
-auxiliary derived clauses (one fresh predicate per disjunction, compound
-negation, or unit), so the expression's probability can be recomputed by
-running the ordinary machinery on the transformed program —
-``prob_via_transform`` does exactly that, on the expression's ``dnf``, and
-agrees with ``event_prob``.
+``trc`` maps a choice expression to a plain query over those ``ch`` atoms
+plus auxiliary derived clauses: ⊤ ↦ the empty query, an atomic choice ↦ its
+``ch`` literal (a none-indexed choice, having no ``ch`` atom, becomes the
+negated explicit ``ch`` atoms of its instance), ∧ ↦ the concatenated
+queries, ¬ of an explicit-head choice ↦ the negated ``ch`` literal.  Each ⊥,
+∨ and other ¬ gets one fresh ``aux`` predicate: ⊥ has no clauses, ∨ one
+clause per disjunct, ¬ one clause whose head the query negates.  So the
+expression's probability can be recomputed by running the ordinary
+machinery on the transformed program — ``prob_via_transform`` does exactly
+that, on the expression's ``dnf``, and agrees with ``event_prob``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import count
 
 from .choice_algebra import BOT, TOP, And, AtomicChoice, ChoiceExpr, Not, Or, dnf
 from .grounder import GroundProbClause, GroundProgram, ground
@@ -72,143 +72,56 @@ def trp(g: GroundProgram) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# trc: choice expression -> goal over ch atoms
+# trc: choice expression -> query over ch atoms
 # ---------------------------------------------------------------------------
 
 
-class Goal:
-    """A query with disjunction: literals closed under not/and/or plus units."""
+def trc(e: ChoiceExpr, g: GroundProgram) -> tuple[tuple[Clause, ...], Query]:
+    """Auxiliary derived clauses plus the plain query over ``ch`` atoms that
 
-    __slots__ = ()
+    holds exactly in the worlds of ``e``."""
+    clauses: list[Clause] = []
+    names = count(1)
 
+    def fresh() -> Atom:
+        return Atom(f"{AUX_PREFIX}{next(names)}")
 
-@dataclass(frozen=True, slots=True)
-class GTrue(Goal):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class GFalse(Goal):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class GLit(Goal):
-    literal: Literal
-
-
-@dataclass(frozen=True, slots=True)
-class GNot(Goal):
-    child: Goal
-
-
-@dataclass(frozen=True, slots=True)
-class GAnd(Goal):
-    children: tuple[Goal, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class GOr(Goal):
-    children: tuple[Goal, ...]
-
-
-def trc(e: ChoiceExpr, g: GroundProgram) -> Goal:
-    if e == TOP:
-        return GTrue()
-    if e == BOT:
-        return GFalse()
-    if isinstance(e, AtomicChoice):
-        inst = g.instance(e.cid, e.key)
-        if e.index <= inst.n_explicit:
-            return GLit(Literal(True, _ch_atom(inst, e.index)))
-        # The implicit none head has no ch atom: it holds exactly when no
-        # explicit head was chosen.
-        negs = tuple(
-            GLit(Literal(False, _ch_atom(inst, i)))
-            for i in range(1, inst.n_explicit + 1)
-        )
-        return negs[0] if len(negs) == 1 else GAnd(negs)
-    if isinstance(e, Not):
-        return GNot(trc(e.child, g))
-    if isinstance(e, And):
-        return GAnd(tuple(trc(c, g) for c in e.children))
-    if isinstance(e, Or):
-        return GOr(tuple(trc(c, g) for c in e.children))
-    raise TypeError(f"not a choice expression: {e!r}")
-
-
-def render_goal(goal: Goal) -> str:
-    """Concrete text: ``,`` for and, ``;`` for or, ``\\+`` for not,
-
-    parenthesizing nested disjunctions and compound negations."""
-    if isinstance(goal, GTrue):
-        return "true"
-    if isinstance(goal, GFalse):
-        return "false"
-    if isinstance(goal, GLit):
-        return goal.literal.to_source()
-    if isinstance(goal, GNot):
-        inner = render_goal(goal.child)
-        if isinstance(goal.child, GLit) and goal.child.literal.positive:
-            return f"\\+{inner}"
-        return f"\\+({inner})"
-    if isinstance(goal, GAnd):
-        return ",".join(
-            f"({render_goal(c)})" if isinstance(c, GOr) else render_goal(c)
-            for c in goal.children
-        )
-    if isinstance(goal, GOr):
-        return "; ".join(render_goal(c) for c in goal.children)
-    raise TypeError(f"not a goal: {goal!r}")
-
-
-# ---------------------------------------------------------------------------
-# Desugaring goals to plain queries
-# ---------------------------------------------------------------------------
-
-
-class _Desugarer:
-    def __init__(self):
-        self.clauses: list[Clause] = []
-        self.counter = 0
-
-    def fresh(self) -> Atom:
-        self.counter += 1
-        return Atom(f"{AUX_PREFIX}{self.counter}")
-
-    def to_query(self, goal: Goal) -> Query:
-        if isinstance(goal, GTrue):
+    def query(e: ChoiceExpr) -> Query:
+        if e == TOP:
             return ()
-        if isinstance(goal, GFalse):
+        if e == BOT:
             # A fresh predicate with no clauses fails finitely.
-            return (Literal(True, self.fresh()),)
-        if isinstance(goal, GLit):
-            return (goal.literal,)
-        if isinstance(goal, GAnd):
-            out: list[Literal] = []
-            for c in goal.children:
-                out.extend(self.to_query(c))
-            return tuple(out)
-        if isinstance(goal, GOr):
-            head = self.fresh()
-            for c in goal.children:
-                self.clauses.append(Clause(head, self.to_query(c)))
+            return (Literal(True, fresh()),)
+        if isinstance(e, AtomicChoice):
+            inst = g.instance(e.cid, e.key)
+            if e.index <= inst.n_explicit:
+                return (Literal(True, _ch_atom(inst, e.index)),)
+            # The implicit none head has no ch atom: it holds exactly when no
+            # explicit head was chosen.
+            return tuple(
+                Literal(False, _ch_atom(inst, i)) for i in range(1, inst.n_explicit + 1)
+            )
+        if isinstance(e, And):
+            return tuple(lit for c in e.children for lit in query(c))
+        if isinstance(e, Or):
+            head = fresh()
+            for c in e.children:
+                clauses.append(Clause(head, query(c)))
             return (Literal(True, head),)
-        if isinstance(goal, GNot):
-            child = goal.child
-            if isinstance(child, GLit) and child.literal.positive:
-                return (child.literal.negate(),)
-            head = self.fresh()
-            self.clauses.append(Clause(head, self.to_query(child)))
+        if isinstance(e, Not):
+            child = e.child
+            if (
+                isinstance(child, AtomicChoice)
+                and child.index <= g.instance(child.cid, child.key).n_explicit
+            ):
+                return (query(child)[0].negate(),)
+            head = fresh()
+            clauses.append(Clause(head, query(child)))
             return (Literal(False, head),)
-        raise TypeError(f"not a goal: {goal!r}")
+        raise TypeError(f"not a choice expression: {e!r}")
 
-
-def desugar(goal: Goal) -> tuple[tuple[Clause, ...], Query]:
-    """Auxiliary derived clauses plus the equivalent plain query."""
-    d = _Desugarer()
-    q = d.to_query(goal)
-    return tuple(d.clauses), q
+    q = query(e)  # fills clauses
+    return tuple(clauses), q
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +146,7 @@ def prob_via_transform(
     if e == BOT:
         return 0.0
     program = trp(g)
-    aux, query = desugar(trc(e, g))
+    aux, query = trc(e, g)
     combined = Program(program.prob_clauses, aux, ())
     return success_prob(query, ground(combined), method="engine", limit=limit)
 
-
-def print_transform(g: GroundProgram) -> str:
-    """The choice-fact program as source text (debugging / inspection)."""
-    from .syntax import print_program
-
-    return print_program(trp(g))

@@ -153,6 +153,44 @@ def test_limit_errors_name_their_stage(capsys):
     assert (code, err) == (2, "error: worlds: 17414258688 worlds exceed the limit 3 (--limit)\n")
 
 
+def test_oracle_rejects_a_non_ground_query(capsys, tmp_path):
+    # The oracle checks atoms in each world's model, so a variable would
+    # read as false everywhere: it refuses instead of printing 0.
+    program = tmp_path / "r.lpad"
+    program.write_text("r(a,c):0.3. r(d,b):0.6. r(e,b):0.5. q(X,Y) :- r(X,Y).\n")
+    path = str(program)
+    for query in ("q(X,b)", "\\+q(X,b)"):
+        code, out, err = run(capsys, ["prob", path, query, "--method", "oracle"])
+        assert (code, out, err) == (2, "", f"error: oracle: query {query} is not ground\n")
+    code, out, err = run(capsys, ["worlds", path, "--query", "q(X,b)"])
+    assert (code, out, err) == (2, "", "error: worlds: query q(X,b) is not ground\n")
+    for method in ("engine", "transform"):
+        assert run(capsys, ["prob", path, "q(X,b)", "--method", method])[:2] == (
+            0,
+            "0.800000000\n",
+        ), method
+    for method in ("engine", "oracle"):
+        assert run(capsys, ["prob", path, "q(d,b)", "--method", method])[:2] == (
+            0,
+            "0.600000000\n",
+        ), method
+    code, out, _ = run(capsys, ["worlds", path, "--query", "q(d,b)"])
+    assert code == 0 and out.count("[q(d,b)=T]") == 4
+
+
+def test_probabilistic_predicates_without_ground_instances(capsys, tmp_path):
+    # Restricting both clauses of covid_pos to no instances leaves covid and
+    # flu with no ground heads: their goals fail, but they stay known.
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"c1": [], "c2": []}')
+    restrict = ["--restrict", str(empty)]
+    assert run(capsys, ["prob", POS, "covid(p1)"] + restrict)[:2] == (0, "0.000000000\n")
+    assert run(capsys, ["explain", POS, "covid(p1)"] + restrict)[:2] == (0, "no proofs\n")
+    assert run(capsys, ["prob", POS, "\\+flu(p1)"] + restrict)[:2] == (0, "1.000000000\n")
+    code, _, err = run(capsys, ["prob", POS, "nosuch(p1)"] + restrict)
+    assert (code, err) == (2, "error: unknown predicate nosuch/1 in query\n")
+
+
 def test_no_world_negates_every_head(capsys, tmp_path):
     # a and b are the only heads of one instance, so no world has neither.
     two = tmp_path / "two.lpad"

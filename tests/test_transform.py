@@ -1,4 +1,4 @@
-"""Reduction to choice facts: trp, trc, desugaring, and the probability route."""
+"""Reduction to choice facts: trp, trc, and the probability route."""
 
 import pytest
 
@@ -13,20 +13,13 @@ from lpadexpl.choice_algebra import (
     dnf,
     render_expr,
 )
-from lpadexpl.semantics import event_prob
-from lpadexpl.slpdnf import build_tree
-from lpadexpl.syntax import parse_query
-from lpadexpl.transform import (
-    GAnd,
-    GLit,
-    GOr,
-    desugar,
-    print_transform,
-    prob_via_transform,
-    render_goal,
-    trc,
-    trp,
-)
+from lpadexpl.grounder import ground
+from lpadexpl.semantics import event_prob, success_prob
+from lpadexpl.slpdnf import build_tree, success_expressions
+from lpadexpl.syntax import parse_program, parse_query, print_program, query_str
+from lpadexpl.transform import prob_via_transform, trc, trp
+
+import genprog
 
 
 def ac(g, cid, values, index):
@@ -39,8 +32,14 @@ def negation_path_expr(g):
     return dnf(exprs[1])
 
 
-def test_print_transform_one_choice_fact_per_instance(neg_ground_min):
-    assert print_transform(neg_ground_min) == (
+def translation(e, g):
+    """``trc``'s output as (query text, [aux clause text])."""
+    aux, query = trc(e, g)
+    return query_str(query), [str(c) for c in aux]
+
+
+def test_trp_prints_one_choice_fact_per_instance(neg_ground_min):
+    assert print_program(trp(neg_ground_min)) == (
         "ch(c1,[p1],1):0.9.\n"
         "ch(c1,[p2],1):0.9.\n"
         "ch(c2,[p1,p2],1):0.4; ch(c2,[p1,p2],2):0.3.\n"
@@ -61,62 +60,68 @@ def test_trp_preserves_head_probabilities(neg_ground_min):
     assert all(not c.body for c in program.prob_clauses)
 
 
-def test_trc_units_render_as_true_and_false(neg_ground_min):
-    assert render_goal(trc(TOP, neg_ground_min)) == "true"
-    assert render_goal(trc(BOT, neg_ground_min)) == "false"
+def test_trc_units(neg_ground_min):
+    assert translation(TOP, neg_ground_min) == ("", [])
+    # a fresh predicate with no clauses fails finitely
+    assert translation(BOT, neg_ground_min) == ("aux1", [])
 
 
 def test_trc_explicit_head_becomes_one_ch_literal(neg_ground_min):
-    goal = trc(ac(neg_ground_min, "c5", ["p1"], 1), neg_ground_min)
-    assert isinstance(goal, GLit)
-    assert render_goal(goal) == "ch(c5,[p1],1)"
+    e = ac(neg_ground_min, "c5", ["p1"], 1)
+    assert translation(e, neg_ground_min) == ("ch(c5,[p1],1)", [])
 
 
 def test_trc_none_head_negates_all_explicit_ch_atoms(neg_ground_min):
-    goal = trc(ac(neg_ground_min, "c3", ["p1"], 4), neg_ground_min)
-    assert isinstance(goal, GAnd)
-    assert (
-        render_goal(goal) == "\\+ch(c3,[p1],1),\\+ch(c3,[p1],2),\\+ch(c3,[p1],3)"
+    e = ac(neg_ground_min, "c3", ["p1"], 4)
+    assert translation(e, neg_ground_min) == (
+        "\\+ch(c3,[p1],1), \\+ch(c3,[p1],2), \\+ch(c3,[p1],3)",
+        [],
     )
-    # with a single explicit head the conjunction collapses to one literal
-    single = trc(ac(neg_ground_min, "c4", ["p1"], 2), neg_ground_min)
-    assert render_goal(single) == "\\+ch(c4,[p1],1)"
+    # with a single explicit head the query is one literal
+    single = ac(neg_ground_min, "c4", ["p1"], 2)
+    assert translation(single, neg_ground_min) == ("\\+ch(c4,[p1],1)", [])
 
 
-def test_trc_of_the_negation_path_explanation(neg_ground_min):
+def test_trc_compound_negation_gets_an_aux_clause(neg_ground_min):
+    e = Not(conj([ac(neg_ground_min, "c1", ["p1"], 1), ac(neg_ground_min, "c4", ["p1"], 1)]))
+    assert translation(e, neg_ground_min) == (
+        "\\+aux1",
+        ["aux1 :- ch(c1,[p1],1), ch(c4,[p1],1)."],
+    )
+
+
+def test_trc_disjunction_makes_one_aux_predicate(neg_ground_min):
     e = negation_path_expr(neg_ground_min)
     assert render_expr(e, neg_ground_min) == (
         "(c1,[p2],1) & (c2,[p1,p2],1) & ~(c3,[p1],1) & ~(c4,[p1],1)"
         " | (c1,[p2],1) & (c2,[p1,p2],1) & ~(c3,[p1],1) & (c5,[p1],1) & ~(c6,[p1],1)"
     )
-    assert render_goal(trc(e, neg_ground_min)) == (
-        "ch(c1,[p2],1),ch(c2,[p1,p2],1),\\+ch(c3,[p1],1),\\+ch(c4,[p1],1)"
-        "; ch(c1,[p2],1),ch(c2,[p1,p2],1),\\+ch(c3,[p1],1),ch(c5,[p1],1),\\+ch(c6,[p1],1)"
+    assert translation(e, neg_ground_min) == (
+        "aux1",
+        [
+            "aux1 :- ch(c1,[p2],1), ch(c2,[p1,p2],1), \\+ch(c3,[p1],1), \\+ch(c4,[p1],1).",
+            "aux1 :- ch(c1,[p2],1), ch(c2,[p1,p2],1), \\+ch(c3,[p1],1), ch(c5,[p1],1),"
+            " \\+ch(c6,[p1],1).",
+        ],
     )
 
 
-def test_trc_compound_negation_parenthesized(neg_ground_min):
-    e = Not(conj([ac(neg_ground_min, "c1", ["p1"], 1), ac(neg_ground_min, "c4", ["p1"], 1)]))
-    assert render_goal(trc(e, neg_ground_min)) == "\\+(ch(c1,[p1],1),ch(c4,[p1],1))"
-
-
-def test_desugar_disjunction_makes_one_aux_predicate(neg_ground_min):
-    goal = trc(negation_path_expr(neg_ground_min), neg_ground_min)
-    assert isinstance(goal, GOr)
-    aux, query = desugar(goal)
-    assert len(aux) == 2
-    assert {str(c.head) for c in aux} == {"aux1"}
-    assert [str(lit) for lit in query] == ["aux1"]
-    assert len(aux[0].body) == 4 and len(aux[1].body) == 5
-
-
-def test_desugar_literal_and_conjunction_pass_through(neg_ground_min):
-    lit_goal = trc(ac(neg_ground_min, "c5", ["p1"], 1), neg_ground_min)
-    aux, query = desugar(lit_goal)
-    assert aux == () and [str(l) for l in query] == ["ch(c5,[p1],1)"]
-    and_goal = trc(ac(neg_ground_min, "c3", ["p1"], 4), neg_ground_min)
-    aux, query = desugar(and_goal)
-    assert aux == () and len(query) == 3
+def test_trc_nested_aux_clauses_precede_their_callers(neg_ground_min):
+    # an aux predicate is named before its body is translated, so an outer
+    # one gets the lower number while the inner clauses are emitted first
+    g = neg_ground_min
+    inner = disj([ac(g, "c5", ["p1"], 1), ac(g, "c6", ["p1"], 2)])
+    e = disj([Not(inner), ac(g, "c3", ["p1"], 2)])
+    assert translation(e, g) == (
+        "aux1",
+        [
+            "aux1 :- ch(c3,[p1],2).",
+            "aux3 :- ch(c5,[p1],1).",
+            "aux3 :- ch(c6,[p1],2).",
+            "aux2 :- aux3.",
+            "aux1 :- \\+aux2.",
+        ],
+    )
 
 
 def test_prob_via_transform_units(neg_ground_min):
@@ -143,7 +148,7 @@ def test_prob_via_transform_agrees_with_event_prob(neg_ground_min):
         ac(g, "c3", ["p1"], 4),
         Not(conj([ac(g, "c1", ["p1"], 1), ac(g, "c4", ["p1"], 1)])),
         disj([ac(g, "c6", ["p1"], 2), conj([ac(g, "c5", ["p1"], 1), Not(ac(g, "c3", ["p1"], 2))])]),
-        # a negated none head desugars through an auxiliary clause
+        # a negated none head is translated through an auxiliary clause
         Not(ac(g, "c3", ["p1"], 4)),
         Not(ac(g, "c4", ["p1"], 2)),
     ]
@@ -151,3 +156,19 @@ def test_prob_via_transform_agrees_with_event_prob(neg_ground_min):
         assert prob_via_transform(e, g) == pytest.approx(
             event_prob(e, g), abs=1e-9
         )
+
+
+@pytest.mark.parametrize("full_heads", [False, True])
+def test_three_routes_agree_on_random_programs(full_heads):
+    """On genprog seeds 0-499: the engine, the choice-fact transform of the
+
+    success expressions and the world oracle give the same probability."""
+    for seed in range(500):
+        text, query_text = genprog.generate(seed, full_heads=full_heads)
+        g = ground(parse_program(text))
+        q = parse_query(query_text)
+        engine = success_prob(q, g)
+        transformed = prob_via_transform(disj(success_expressions(q, g)), g)
+        oracle = success_prob(q, g, method="oracle")
+        assert transformed == pytest.approx(engine, abs=1e-9), seed
+        assert oracle == pytest.approx(engine, abs=1e-9), seed
