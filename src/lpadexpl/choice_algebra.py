@@ -11,10 +11,10 @@ meaning ``gamma(C)`` is a set of composite choices whose worlds are the
 worlds satisfying ``C``; negation goes through ``duals`` (minimal hitting
 sets of the complemented composite choices).  Up to world equivalence the
 expressions form a Boolean algebra, which is what makes ``dnf``, the one
-normaliser, sound; ``dnf_sets`` gives its conjuncts as literal sets, which
-``semantics.event_prob`` expands.  ``assignments_over`` is the one
-enumerator of head assignments: ``equiv`` decides truth and ``semantics``
-enumerates worlds over it, within a bound on the number of assignments.
+normaliser, sound.  ``Diagram`` compiles any expression to a canonical
+decision diagram: ``equiv`` compares two expressions' nodes and
+``semantics.event_prob`` sums one's probability over it, within a bound on
+the number of nodes.
 
 Everything here is deterministic: ∧/∨ keep their children as canonically
 sorted, duplicate-free tuples (so associativity, commutativity, and
@@ -32,11 +32,11 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import EnumerationLimitError, LpadError
-from .grounder import GroundProbClause, GroundProgram, ThetaKey
+from .grounder import GroundProgram, ThetaKey
 from .syntax import NONE_PREDICATE, _Parser, _tokenize
 
 #: The default bound on the head assignments one enumeration may visit, and
-#: on the conjuncts ``semantics.event_prob``'s decision diagram may hold.
+#: on the nodes ``semantics.event_prob``'s decision diagram may hold.
 DEFAULT_ASSIGNMENT_LIMIT = 1_000_000
 
 
@@ -154,29 +154,25 @@ def disj(children) -> ChoiceExpr:
     return _flatten(Or, BOT, children)
 
 
+def _subexpressions(e: ChoiceExpr):
+    """Every node of the expression, with an explicit stack."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        if isinstance(x, Not):
+            stack.append(x.child)
+        elif isinstance(x, (And, Or)):
+            stack.extend(x.children)
+
+
 def node_count(e: ChoiceExpr) -> int:
-    if isinstance(e, Not):
-        return 1 + node_count(e.child)
-    if isinstance(e, (And, Or)):
-        return 1 + sum(node_count(c) for c in e.children)
-    return 1
+    return sum(1 for _ in _subexpressions(e))
 
 
 def mentioned_instances(e: ChoiceExpr) -> set[tuple[str, ThetaKey]]:
     """The ground instances whose choices the expression mentions."""
-    out: set[tuple[str, ThetaKey]] = set()
-
-    def walk(x: ChoiceExpr) -> None:
-        if isinstance(x, AtomicChoice):
-            out.add((x.cid, x.key))
-        elif isinstance(x, Not):
-            walk(x.child)
-        elif isinstance(x, (And, Or)):
-            for c in x.children:
-                walk(c)
-
-    walk(e)
-    return out
+    return {(x.cid, x.key) for x in _subexpressions(e) if isinstance(x, AtomicChoice)}
 
 
 # ---------------------------------------------------------------------------
@@ -396,35 +392,26 @@ def _literal_sets(e: ChoiceExpr, negated: bool, guarded) -> list[frozenset]:
     return _conjoin(_UNIT, factor, "dnf", guarded)
 
 
-def dnf_sets(e: ChoiceExpr) -> list[frozenset]:
-    """The conjuncts of ``dnf(e)`` as literal sets, shortest first.
-
-    One walk pushes negation to the leaves and conjoins them with the kernel
-    (consistency pruning, redundant negations dropped, absorption after each
-    step), then absorbs once more.  ``[]`` is ⊥ and ``[∅]`` is ⊤.
-    """
-    return _absorb(_literal_sets(e, False, _negated_instances(e, False)), frozenset())
-
-
 def dnf(e: ChoiceExpr) -> ChoiceExpr:
     """Canonical disjunctive normal form: ⊥, ⊤, a literal, a conjunction of
 
     literals, or a disjunction of such conjunctions, in canonical child
-    order (the conjuncts of ``dnf_sets``).  Idempotent.
+    order.  Idempotent.  One walk pushes negation to the leaves and conjoins
+    them with the kernel (consistency pruning, redundant negations dropped,
+    absorption after each step), then absorbs once more.
     """
-    return disj(conj(c) for c in dnf_sets(e))
+    sets = _absorb(_literal_sets(e, False, _negated_instances(e, False)), frozenset())
+    return disj(conj(c) for c in sets)
+
+
+def _is_literal(x: ChoiceExpr) -> bool:
+    """α or ¬α for an atomic choice α."""
+    return isinstance(x, AtomicChoice) or isinstance(x, Not) and isinstance(x.child, AtomicChoice)
 
 
 def is_dnf(e: ChoiceExpr) -> bool:
-    def is_literal(x: ChoiceExpr) -> bool:
-        return isinstance(x, AtomicChoice) or (
-            isinstance(x, Not) and isinstance(x.child, AtomicChoice)
-        )
-
     def is_conjunct(x: ChoiceExpr) -> bool:
-        return is_literal(x) or (
-            isinstance(x, And) and all(is_literal(c) for c in x.children)
-        )
+        return _is_literal(x) or (isinstance(x, And) and all(map(_is_literal, x.children)))
 
     if isinstance(e, (_Bottom, _Top)):
         return True
@@ -434,7 +421,7 @@ def is_dnf(e: ChoiceExpr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and equivalence
+# Evaluation and the decision diagram
 # ---------------------------------------------------------------------------
 
 
@@ -455,34 +442,133 @@ def eval_expr(e: ChoiceExpr, assignment: dict[tuple[str, ThetaKey], int]) -> boo
     raise TypeError(f"not a choice expression: {e!r}")
 
 
-def assignments_over(insts: list[GroundProbClause], limit: int, message: str):
-    """Every head assignment of the given instances, the last varying fastest.
+#: The terminal nodes of every ``Diagram``: ⊥ and ⊤.
+FALSE, TRUE = 0, 1
 
-    Each assignment maps (clause id, θ) to a head index, keyed in ``insts``
-    order.  Past ``limit`` assignments, raises EnumerationLimitError with
-    ``message`` formatted by ``count`` and ``limit`` before yielding any.
+
+class Diagram:
+    """A reduced ordered multi-valued decision diagram over one ground program
+
+    (Bryant, IEEE TC 1986), as PITA builds for LPADs (Riguzzi & Swift, TPLP
+    2011).  Every node other than FALSE and TRUE tests one instance, in (clause
+    id, θ) order, and has one child per head.  A unique table shares equal
+    nodes, and a node whose children are all one child is that child, so
+    world-equivalent expressions compile to one node.  Past ``limit`` nodes
+    (by default, never), raises EnumerationLimitError naming
+    ``semantics.event_prob``'s ``--limit``, the one bounded use.
     """
-    count = math.prod(inst.n_heads for inst in insts)
-    if count > limit:
-        raise EnumerationLimitError(message.format(count=count, limit=limit))
-    keys = [(inst.cid, inst.key) for inst in insts]
-    ranges = [range(1, inst.n_heads + 1) for inst in insts]
-    return (dict(zip(keys, combo)) for combo in itertools.product(*ranges))
+
+    def __init__(self, g: GroundProgram, limit: float = math.inf):
+        self.g, self.limit = g, limit
+        self.nodes: list = [None, None]  # node -> (instance, children)
+        self.unique: dict[tuple, int] = {}
+        self.memo: dict[tuple[bool, int, int], int] = {}  # (conjoin, a, b), a < b
+
+    def _node(self, inst: tuple[str, ThetaKey], children: tuple[int, ...]) -> int:
+        if children.count(children[0]) == len(children):
+            return children[0]
+        node = self.unique.setdefault((inst, children), len(self.nodes))
+        if node == len(self.nodes):
+            if node - 1 > self.limit:
+                raise EnumerationLimitError(
+                    f"event_prob: {node - 1} nodes in the decision diagram exceed "
+                    f"the limit {self.limit} (--limit)"
+                )
+            self.nodes.append((inst, children))
+        return node
+
+    def compile(self, e: ChoiceExpr, negated: bool = False) -> int:
+        """The node of ``e`` (of ¬e when ``negated``): ¬ flips the polarity on
+
+        the way down, the literals of a conjunction become one ``chain``, and
+        ``apply`` combines the rest pairwise, in a balanced tree."""
+        if isinstance(e, Not):
+            return self.compile(e.child, not negated)
+        if isinstance(e, (_Bottom, _Top)):
+            return int(isinstance(e, _Top) != negated)
+        if isinstance(e, AtomicChoice):
+            return self.chain([e], negated)
+        conjoin = isinstance(e, And) != negated
+        literals = [c for c in e.children if conjoin and _is_literal(c)]
+        nodes = [self.compile(c, negated) for c in e.children if not (conjoin and _is_literal(c))]
+        if literals:
+            nodes.append(self.chain(literals, negated))
+        while len(nodes) > 1:
+            odd = nodes[len(nodes) // 2 * 2 :]
+            nodes = [self.apply(conjoin, a, b) for a, b in zip(nodes[::2], nodes[1::2])] + odd
+        return nodes[0] if nodes else int(conjoin)
+
+    def chain(self, literals, negated: bool) -> int:
+        """The conjunction of literals α and ¬α (each negated when ``negated``):
+
+        one chain through the heads each instance's literals allow, or FALSE,
+        making no node, once an instance has none left."""
+        allowed: dict[tuple[str, ThetaKey], set[int]] = {}
+        for lit in literals:
+            ac, positive = (lit.child, negated) if isinstance(lit, Not) else (lit, not negated)
+            inst = (ac.cid, ac.key)
+            heads = allowed.get(inst) or set(range(1, self.g.instance(*inst).n_heads + 1))
+            allowed[inst] = heads = heads & {ac.index} if positive else heads - {ac.index}
+            if not heads:
+                return FALSE
+        node = TRUE
+        for inst in sorted(allowed, reverse=True):
+            n, heads = self.g.instance(*inst).n_heads, allowed[inst]
+            node = self._node(inst, tuple(node if i in heads else FALSE for i in range(1, n + 1)))
+        return node
+
+    def apply(self, conjoin: bool, a: int, b: int) -> int:
+        """a ∧ b (a ∨ b unless ``conjoin``), memoised, with an explicit stack."""
+        unit = int(conjoin)  # TRUE for ∧, FALSE for ∨; the other terminal absorbs
+
+        def known(a: int, b: int) -> int | None:
+            if a == b or b == unit:
+                return a
+            if a == unit:
+                return b
+            if a < 2 or b < 2:
+                return 1 - unit
+            return self.memo.get((conjoin, min(a, b), max(a, b)))
+
+        stack = [(a, b)]
+        while stack:
+            x, y = stack.pop()
+            if known(x, y) is not None:
+                continue
+            (ix, kx), (iy, ky) = self.nodes[x], self.nodes[y]
+            inst = min(ix, iy)
+            kx, ky = (kx if ix == inst else [x] * len(ky)), (ky if iy == inst else [y] * len(kx))
+            children = [known(*pair) for pair in zip(kx, ky)]
+            if None in children:
+                stack += [(x, y)] + [pair for pair, c in zip(zip(kx, ky), children) if c is None]
+            else:
+                self.memo[(conjoin, min(x, y), max(x, y))] = self._node(inst, tuple(children))
+        return known(a, b)
+
+    def prob(self, root: int) -> float:
+        """The mass of a node's worlds: ``fsum(p_i · P(child_i))`` over its
+
+        instance's heads, memoised, with an explicit stack; FALSE is exactly
+        0.0 and TRUE exactly 1.0."""
+        memo = {FALSE: 0.0, TRUE: 1.0}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node in memo:
+                continue
+            inst, children = self.nodes[node]
+            if all(c in memo for c in children):
+                probs = self.g.instance(*inst).probs
+                memo[node] = math.fsum(p * memo[c] for p, c in zip(probs, children))
+            else:
+                stack += [node, *children]
+        return memo[root]
 
 
 def equiv(c1: ChoiceExpr, c2: ChoiceExpr, g: GroundProgram) -> bool:
-    """World equivalence, decided by enumerating head assignments over the
-
-    instances the two expressions mention (unmentioned instances cannot
-    distinguish them).  Raises past ``DEFAULT_ASSIGNMENT_LIMIT`` assignments.
-    """
-    keys = sorted(mentioned_instances(c1) | mentioned_instances(c2))
-    insts = [g.instance(cid, key) for cid, key in keys]
-    message = "equivalence check over {count} head assignments exceeds the limit {limit}"
-    return all(
-        eval_expr(c1, assignment) == eval_expr(c2, assignment)
-        for assignment in assignments_over(insts, DEFAULT_ASSIGNMENT_LIMIT, message)
-    )
+    """World equivalence: both expressions compile to one diagram node."""
+    diagram = Diagram(g)
+    return diagram.compile(c1) == diagram.compile(c2)
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=None,
-        help="most conjuncts held by the decision diagram of each proof's "
+        help="most nodes held by the decision diagram of each proof's "
         "probability (default: 1000000)",
     )
     _add_grounding_flags(p)
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="oracle: most selections enumerated; engine and transform: most "
-        "conjuncts held by the decision diagram (default: 1000000 for all)",
+        "nodes held by the decision diagram (default: 1000000 for all)",
     )
     p.add_argument(
         "--relevant",

@@ -8,29 +8,21 @@ deliberately independent of the resolution engine, so the two can be compared.
 
 ``success_prob`` offers both routes: ``oracle`` sums the probabilities of the
 worlds satisfying the query; ``engine`` evaluates the disjunction of the
-resolution tree's success-leaf expressions with ``event_prob``.  That is a
-Shannon expansion of the expression's DNF over the instances it mentions
-(independence marginalizes out the rest), memoised on the residual
-conjuncts: in effect an ordered multi-valued decision diagram, as PITA
-builds for LPADs (Riguzzi & Swift, TPLP 2011).  Its ``limit`` bounds the
-conjuncts the diagram holds; the enumerations bound selections.
+resolution tree's success-leaf expressions with ``event_prob``: one pass
+over the expression's reduced ordered multi-valued decision diagram, as
+PITA builds for LPADs (Riguzzi & Swift, TPLP 2011), which tests only the
+instances the expression mentions (independence marginalizes out the
+rest).  Its ``limit`` bounds the nodes the diagram holds; the enumerations
+bound selections.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
-from .choice_algebra import (
-    DEFAULT_ASSIGNMENT_LIMIT,
-    AtomicChoice,
-    ChoiceExpr,
-    Not,
-    assignments_over,
-    disj,
-    dnf_sets,
-)
+from .choice_algebra import DEFAULT_ASSIGNMENT_LIMIT, AtomicChoice, ChoiceExpr, Diagram, conj, disj
 from .errors import EnumerationLimitError, ProgramError
 from .grounder import GroundProgram, ThetaKey
 from .slpdnf import DEFAULT_DEPTH_LIMIT, Derivation, success_expressions
@@ -49,17 +41,17 @@ def enumerate_selections(
 
 
 def _weighted_selections(g: GroundProgram, limit: int, message: str):
-    """Yield every selection with its probability, in the order of
+    """Yield every selection with its probability, the last instance's head
 
-    ``enumerate_selections``; past ``limit`` selections, raise
-    EnumerationLimitError with ``message`` formatted by count and limit."""
+    varying fastest; past ``limit`` selections, raise EnumerationLimitError
+    with ``message`` formatted by count and limit before yielding any."""
     insts = g.instances
-    for assignment in assignments_over(insts, limit, message):
-        selection = frozenset(
-            AtomicChoice(cid, key, i) for (cid, key), i in assignment.items()
-        )
-        probs = (inst.prob(i) for inst, i in zip(insts, assignment.values()))
-        yield selection, math.prod(probs)
+    count = math.prod(inst.n_heads for inst in insts)
+    if count > limit:
+        raise EnumerationLimitError(message.format(count=count, limit=limit))
+    for heads in itertools.product(*(range(1, inst.n_heads + 1) for inst in insts)):
+        selection = frozenset(AtomicChoice(inst.cid, inst.key, i) for inst, i in zip(insts, heads))
+        yield selection, math.prod(inst.prob(i) for inst, i in zip(insts, heads))
 
 
 @dataclass(slots=True)
@@ -96,10 +88,7 @@ def world_of(selection: Selection, g: GroundProgram) -> World:
 
 
 def world_prob(selection: Selection, g: GroundProgram) -> float:
-    p = 1.0
-    for ac in selection:
-        p *= g.instance(ac.cid, ac.key).prob(ac.index)
-    return p
+    return event_prob(conj(selection), g)
 
 
 def _least_model(clauses: tuple[Clause, ...], strata: dict[tuple[str, int], int]) -> set[Atom]:
@@ -149,86 +138,13 @@ def _require_ground(q: Query, stage: str) -> None:
 def event_prob(
     e: ChoiceExpr, g: GroundProgram, limit: int = DEFAULT_ASSIGNMENT_LIMIT
 ) -> float:
-    """The probability mass of the worlds satisfying an expression.
+    """The probability mass of the worlds satisfying an expression: one pass
 
-    Shannon expansion of ``dnf_sets(e)`` over the instances its literals
-    mention, in (clause id, θ) order, memoised on the residual: the
-    conjuncts still to satisfy, as a frozenset of literal frozensets.  The
-    memo is in effect an ordered multi-valued decision diagram.  A node is
-    ``fsum(p_i · P(residual_i))`` over its instance's heads; ⊥ (no conjunct)
-    is exactly 0.0 and ⊤ (the empty conjunct) exactly 1.0.  Raises
-    EnumerationLimitError once the memo holds more than ``limit`` conjuncts.
-    """
-    sets = dnf_sets(e)
-    # Literals are numbered in (instance, head index, sign) order, so the
-    # smallest number in a conjunct is a literal of its first instance.
-    described = sorted({_describe(lit): lit for c in sets for lit in c}.items())
-    number = {lit: n for n, (_, lit) in enumerate(described)}
-    order = list(dict.fromkeys(inst for (inst, _, _), _ in described))
-    rank = {inst: r for r, inst in enumerate(order)}
-    probs = [g.instance(cid, key).probs for cid, key in order]
-    #: literal number -> (instance rank, head index, positive)
-    table = [(rank[inst], i, positive) for (inst, i, positive), _ in described]
-    root = frozenset(frozenset(number[lit] for lit in c) for c in sets)
-
-    # Every conjunct that can occur in a residual, split at its first
-    # instance v: (v, the heads of v its literals allow, the conjunct
-    # without v's literals).
-    splits: dict[frozenset, tuple[int, set[int], frozenset]] = {}
-    for c in root:
-        while c and c not in splits:
-            v = table[min(c)][0]
-            allowed = set(range(1, len(probs[v]) + 1))
-            rest = []
-            for n in c:
-                r, i, positive = table[n]
-                if r != v:
-                    rest.append(n)
-                elif positive:
-                    allowed &= {i}
-                else:
-                    allowed.discard(i)
-            splits[c] = (v, allowed, frozenset(rest))
-            c = splits[c][2]
-
-    top = frozenset([frozenset()])
-    memo: dict[frozenset, float] = {frozenset(): 0.0, top: 1.0}
-    held = 0
-    stack: list = [(root, None)]
-    while stack:
-        residual, branches = stack.pop()
-        if branches is not None:
-            memo[residual] = math.fsum(p * memo[child] for p, child in branches)
-            continue
-        if residual in memo:
-            continue
-        held += len(residual)
-        if held > limit:
-            raise EnumerationLimitError(
-                f"event_prob: {held} conjuncts in the decision diagram exceed "
-                f"the limit {limit} (--limit)"
-            )
-        parts = [splits[c] for c in residual]
-        v = min(map(itemgetter(0), parts))
-        # Conjuncts that do not mention v pass to every child unchanged.
-        kept = frozenset(c for c, part in zip(residual, parts) if part[0] != v)
-        rests: list[list[frozenset]] = [[] for _ in probs[v]]
-        for u, allowed, rest in parts:
-            if u == v:
-                for i in allowed:
-                    rests[i - 1].append(rest)
-        branches = [
-            (p, kept.union(r) if all(r) else top) for p, r in zip(probs[v], rests)
-        ]
-        stack.append((residual, branches))
-        stack.extend((child, None) for _, child in branches if child not in memo)
-    return memo[root]
-
-
-def _describe(lit: ChoiceExpr) -> tuple[tuple[str, ThetaKey], int, bool]:
-    """(instance, head index, positive) of a literal α or ¬α."""
-    atom = lit.child if isinstance(lit, Not) else lit
-    return (atom.cid, atom.key), atom.index, atom is lit
+    over its ``Diagram``, in which ⊥ is exactly 0.0 and ⊤ exactly 1.0.
+    Raises EnumerationLimitError once the diagram holds more than ``limit``
+    nodes."""
+    diagram = Diagram(g, limit)
+    return diagram.prob(diagram.compile(e))
 
 
 def derivation_prob(
@@ -254,10 +170,7 @@ def success_prob(
     """
     limit = DEFAULT_ASSIGNMENT_LIMIT if limit is None else limit
     if method == "engine":
-        exprs = success_expressions(q, g, depth_limit)
-        if not exprs:
-            return 0.0
-        return event_prob(disj(exprs), g, limit)
+        return event_prob(disj(success_expressions(q, g, depth_limit)), g, limit)
     if method == "oracle":
         _require_ground(q, "oracle")
         message = "oracle: {count} selections exceed the enumeration limit {limit} (--limit)"

@@ -14,8 +14,8 @@ is always selected:
 * a ground *negative* literal ¬a spawns (or reuses) a subsidiary tree for a,
   built to completion; the expression of the single child conjoins the
   negation of the disjunction of the subsidiary tree's success-leaf
-  expressions.  When that conjunction is inconsistent the node fails.  A
-  non-ground negative literal flounders.
+  expressions.  When that conjunction is inconsistent the node fails.
+  Selecting a non-ground negative literal raises ProgramError (floundering).
 
 An empty goal is a success leaf; a selected positive literal with no
 resolution step is a failed leaf.  The success-leaf expressions are exactly
@@ -64,7 +64,6 @@ DEFAULT_DEPTH_LIMIT = 10_000
 UNMARKED = "unmarked"
 SUCCESS = "success"
 FAILED = "failed"
-FLOUNDERED = "floundered"
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,7 +195,7 @@ class _TreeBuilder:
                     self._step_derived(node, lit)
             else:
                 self._step_negative(node, lit)
-            if not node.children and node.marking == UNMARKED:
+            if not node.children:
                 node.marking = FAILED
             for _, child in reversed(node.children):
                 stack.append((child, depth + 1))
@@ -227,8 +226,9 @@ class _TreeBuilder:
 
     def _step_negative(self, node: SlpdnfNode, lit: Literal) -> None:
         if not is_ground_atom(lit.atom):
-            node.marking = FLOUNDERED
-            return
+            raise ProgramError(
+                f"floundering: negative literal {query_str((lit,))} is not ground"
+            )
         sub = self.subs.get(lit.atom)
         if sub is None:
             sub = SlpdnfTree(SlpdnfNode((lit.negate(),), TOP), self.subs)

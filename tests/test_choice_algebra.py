@@ -6,6 +6,7 @@ from lpadexpl.choice_algebra import (
     BOT,
     TOP,
     AtomicChoice,
+    Diagram,
     Not,
     complement_atomic,
     conj,
@@ -25,10 +26,12 @@ from lpadexpl.choice_algebra import (
     render_composite_set,
     render_expr,
 )
-from lpadexpl.errors import EnumerationLimitError, LpadError
+from lpadexpl.errors import LpadError
 from lpadexpl.grounder import ground
-from lpadexpl.syntax import parse_program
+from lpadexpl.slpdnf import success_expressions
+from lpadexpl.syntax import parse_program, parse_query
 
+import genprog
 import oracles
 
 
@@ -201,19 +204,36 @@ def test_dnf_of_negated_units():
     assert dnf(Not(BOT)) == TOP
 
 
+def test_diagram_is_canonical_on_generated_programs():
+    """On genprog seeds 0-199, every success expression, their ∨ and its ¬
+
+    compile to the same node as their DNFs."""
+    for seed in range(200):
+        text, query_text = genprog.generate(seed)
+        g = ground(parse_program(text))
+        exprs = success_expressions(parse_query(query_text), g)
+        diagram = Diagram(g)
+        for e in exprs + [disj(exprs), Not(disj(exprs))]:
+            assert diagram.compile(e) == diagram.compile(dnf(e)), (seed, str(e))
+
+
 def test_equiv_tautology(neg_ground):
     a = ac(neg_ground, "c6", ("p1",), 1)
     assert equiv(disj([a, Not(a)]), TOP, neg_ground)
     assert not equiv(a, TOP, neg_ground)
 
 
-def test_equiv_is_bounded_by_head_assignments():
-    # 11 instances of four heads (three explicit and none): 4**11 assignments.
+def test_equiv_answers_past_the_head_assignment_frontier():
+    # 11 instances of four heads (three explicit and none): 4**11 assignments,
+    # more than an enumeration within 10**6 could visit.
     people = "".join(f"person(p{n}).\n" for n in range(1, 12))
     g = ground(parse_program("h(X):0.2; i(X):0.2; j(X):0.2 :- person(X).\n" + people))
-    e = disj(AtomicChoice(inst.cid, inst.key, 1) for inst in g.instances)
-    with pytest.raises(EnumerationLimitError, match="4194304 head assignments"):
-        equiv(e, e, g)
+    firsts = [AtomicChoice(inst.cid, inst.key, 1) for inst in g.instances]
+    e = disj(firsts)
+    assert equiv(e, e, g)
+    assert equiv(e, Not(conj(Not(a) for a in firsts)), g)
+    assert not equiv(e, disj(firsts[1:]), g)
+    assert equiv(conj([e, Not(firsts[0])]), conj([disj(firsts[1:]), Not(firsts[0])]), g)
 
 
 def test_eval_expr(neg_ground):

@@ -131,15 +131,16 @@ def test_prob_limit_zero_exits_two(capsys):
 
 def test_explain_limit(capsys):
     argv = ["explain", NEG, "covid(p1)", "--restrict", RC2]
-    code, out, err = run(capsys, argv + ["--limit", "0"])
+    code, out, err = run(capsys, argv + ["--limit", "12"])
     assert (code, out) == (2, "")
     assert err == (
-        "error: event_prob: 1 conjuncts in the decision diagram exceed the limit 0 (--limit)\n"
+        "error: event_prob: 13 nodes in the decision diagram exceed the limit 12 (--limit)\n"
     )
-    # The default is the one prob uses: the output without the flag is the
-    # output with it.
+    # The largest proof diagram has 13 nodes.  The default is the one prob
+    # uses: the output without the flag is the output with it.
     default = run(capsys, argv)
     assert default[0] == 0 and default[1].startswith("proof 1\n")
+    assert run(capsys, argv + ["--limit", "13"]) == default
     assert run(capsys, argv + ["--limit", "1000000"]) == default
 
 
@@ -176,6 +177,58 @@ def test_oracle_rejects_a_non_ground_query(capsys, tmp_path):
         ), method
     code, out, _ = run(capsys, ["worlds", path, "--query", "q(d,b)"])
     assert code == 0 and out.count("[q(d,b)=T]") == 4
+
+
+def test_a_floundering_query_exits_two(capsys, tmp_path):
+    # Selecting a negative literal that is not ground would flounder: the
+    # engine and the transform refuse it, as the oracle does, instead of
+    # reading "no proof" as probability 0.
+    program = tmp_path / "r.lpad"
+    program.write_text("r(a,c):0.3. r(d,b):0.6. r(e,b):0.5. q(X,Y) :- r(X,Y).\n")
+    for method in ("engine", "transform"):
+        code, out, err = run(capsys, ["prob", str(program), "\\+q(X,b)", "--method", method])
+        assert (code, out, err) == (
+            2,
+            "",
+            "error: floundering: negative literal \\+q(X,b) is not ground\n",
+        ), method
+
+
+def ladder(n: int) -> str:
+    """Two rungs per level, a and b; each of the four edges from level i to
+
+    level i+1 is an independent fact of probability 0.5, and a_n is the goal."""
+    lines = ["reach(X) :- goal(X).", "reach(X) :- edge(X,Y), reach(Y).", f"goal(a{n})."]
+    lines += [f"edge({s}{i},{t}{i + 1}):0.5." for i in range(n) for s in "ab" for t in "ab"]
+    return "\n".join(lines) + "\n"
+
+
+def ladder_reach_prob(n: int) -> float:
+    """P(reach(a0)) on ``ladder(n)``, by a Markov chain over the set of rungs
+
+    reachable from a0 at each level (independent of the engine)."""
+    edges = [(s, t) for s in "ab" for t in "ab"]
+    dist = {frozenset("a"): 1.0}
+    for _ in range(n):
+        step: dict[frozenset, float] = {}
+        for reached, p in dist.items():
+            # each of the 16 equally likely sets of edges out of this level
+            for present in range(16):
+                nxt = frozenset(
+                    t for k, (s, t) in enumerate(edges) if present >> k & 1 and s in reached
+                )
+                step[nxt] = step.get(nxt, 0.0) + p / 16
+        dist = step
+    return sum(p for reached, p in dist.items() if "a" in reached)
+
+
+def test_prob_on_a_ladder_of_4096_proofs(capsys, tmp_path):
+    # 48 probabilistic facts and 4,096 proofs of reach(a0).
+    program = tmp_path / "ladder12.lpad"
+    program.write_text(ladder(12))
+    code, out, err = run(capsys, ["prob", str(program), "reach(a0)"])
+    assert (code, out, err) == (0, "0.076766298\n", "")
+    assert f"{ladder_reach_prob(12):.9f}\n" == out
 
 
 def test_probabilistic_predicates_without_ground_instances(capsys, tmp_path):

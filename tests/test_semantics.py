@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lpadexpl.choice_algebra import BOT, TOP, AtomicChoice, Not, conj, disj
+from lpadexpl.choice_algebra import BOT, TOP, AtomicChoice, Not, conj, disj, equiv
 from lpadexpl.errors import EnumerationLimitError
 from lpadexpl.explainer import explain
 from lpadexpl.grounder import ground
@@ -85,10 +85,24 @@ def test_event_prob_of_atomic_and_negated(pos_ground):
 def test_event_prob_respects_assignment_limit(pos_ground):
     alpha = ac(pos_ground, "c1", ["p1"], 1)
     both = conj([alpha, ac(pos_ground, "c2", ["p1", "p2"], 1)])
-    with pytest.raises(EnumerationLimitError):
+    message = r"^event_prob: 2 nodes in the decision diagram exceed the limit 1 \(--limit\)$"
+    with pytest.raises(EnumerationLimitError, match=message):
         event_prob(both, pos_ground, limit=1)
-    # The diagram holds the root's conjunct and the one left after c1.
+    # The diagram is one chain: a node for c1 above a node for c2.
     assert event_prob(both, pos_ground, limit=2) == pytest.approx(0.36, abs=1e-12)
+
+
+def test_event_prob_of_thousands_of_independent_facts():
+    # A 3,000-node chain, and ∨s folded over 3,000 one-node diagrams: both
+    # far deeper than the interpreter's recursion limit.
+    g = ground(parse_program("".join(f"f{i}:0.9995.\n" for i in range(3000))))
+    facts = [AtomicChoice(inst.cid, inst.key, 1) for inst in g.instances]
+    all_hold = math.prod(inst.prob(1) for inst in g.instances)
+    assert event_prob(conj(facts), g) == pytest.approx(all_hold, rel=1e-9)
+    assert event_prob(disj(facts), g) == pytest.approx(1.0, abs=1e-12)
+    not_all = Not(conj(facts))
+    assert event_prob(not_all, g) == pytest.approx(1 - all_hold, rel=1e-9)
+    assert equiv(not_all, disj(Not(f) for f in facts), g)
 
 
 def test_event_prob_matches_enumeration_on_generated_programs():
