@@ -33,7 +33,7 @@ from operator import itemgetter
 
 from .errors import EnumerationLimitError, LpadError
 from .grounder import GroundProgram, ThetaKey
-from .syntax import NONE_PREDICATE, _Parser, _tokenize
+from .syntax import NONE_PREDICATE, _HashConsed, _Parser
 
 #: The default bound on the head assignments one enumeration may visit, and
 #: on the nodes ``semantics.event_prob``'s decision diagram may hold.
@@ -73,11 +73,16 @@ def _natural(text: str) -> tuple:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class AtomicChoice(ChoiceExpr):
-    cid: str
-    key: ThetaKey
-    index: int
+class AtomicChoice(ChoiceExpr, _HashConsed):
+    """The choice ``(cid, θ, index)``; hash-consed, so equal choices are one
+
+    object."""
+
+    __slots__ = _fields = ("cid", "key", "index")
+
+    def __new__(cls, cid: str, key: ThetaKey, index: int) -> "AtomicChoice":
+        k = (cid, key, index)
+        return cls._table.get(k) or cls._intern(k, cid, key, index)
 
     def sort_key(self) -> tuple:
         return (_natural(self.cid), self.key, self.index)
@@ -645,7 +650,7 @@ class _ExprParser(_Parser):
     from the program tokenizer's tokens."""
 
     def __init__(self, text: str, g: GroundProgram):
-        super().__init__(_tokenize(text))
+        super().__init__(text)
         self.g = g
 
     def atomic(self) -> AtomicChoice:

@@ -473,7 +473,9 @@ def stratify(g: GroundProgram) -> dict[tuple[str, int], int]:
                 edge = (lit.atom.pred, hp)
                 (pos_edges if lit.positive else neg_edges).add(edge)
 
-    for inst in g.instances:
+    # Every instance of a clause has its predicates, so one instance per
+    # clause id gives its edges; a clause without instances adds none.
+    for inst in {inst.cid: inst for inst in g.instances}.values():
         add_clause([a for a, _ in inst.heads], inst.body)
     for c in g.source.derived_clauses:
         add_clause([c.head], c.body)

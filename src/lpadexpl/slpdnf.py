@@ -155,6 +155,9 @@ class _TreeBuilder:
         self.g = g
         self.depth_limit = depth_limit
         self.subs: dict[Atom, SlpdnfTree] = {}
+        #: The normalised negation of each subsidiary tree's success
+        #: expressions, keyed like ``subs``.
+        self.not_provable: dict[Atom, ChoiceExpr] = {}
         g.strata  # raises StratificationError up front
 
     def build(self, q: Query) -> SlpdnfTree:
@@ -229,12 +232,13 @@ class _TreeBuilder:
             raise ProgramError(
                 f"floundering: negative literal {query_str((lit,))} is not ground"
             )
-        sub = self.subs.get(lit.atom)
-        if sub is None:
+        not_provable = self.not_provable.get(lit.atom)
+        if not_provable is None:
             sub = SlpdnfTree(SlpdnfNode((lit.negate(),), TOP), self.subs)
             self._expand(sub)
             self.subs[lit.atom] = sub
-        not_provable = self._satisfiable(dnf(Not(disj(sub.success_expressions()))))
+            not_provable = self._satisfiable(dnf(Not(disj(sub.success_expressions()))))
+            self.not_provable[lit.atom] = not_provable
         expr = self._satisfiable(dnf(conj([node.expr, not_provable])))
         if expr == BOT:
             return  # failed: the goal's worlds all prove the negated atom

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LpadSyntaxError, ProgramError
 
@@ -34,17 +35,66 @@ NONE_PREDICATE = "none"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Constant:
-    name: str
+class _HashConsed:
+    """A read-only value class with one shared object per value.
+
+    Each subclass keeps a table from its field values to the one object
+    holding them, and its constructor returns that object, so ``==`` and
+    ``hash`` are object identity and run in C (hash-consing: Goto 1974;
+    Filliâtre & Conchon, ML 2006).  ``_fields`` names the fields, which
+    ``repr`` shows as a dataclass would and pickling rebuilds through the
+    table; further slots hold values derived from them.  The tables are
+    never cleared: a value lives as long as the process.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _table: dict
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._table = {}
+
+    @classmethod
+    def _intern(cls, key, *values):
+        """The shared object for ``key``, made with its slots filled in order
+
+        by ``values`` unless the table holds one (``setdefault`` is one C
+        call, so two threads cannot both record an object for a key)."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(self, name, value)
+        return cls._table.setdefault(key, self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Constant(_HashConsed):
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str) -> "Constant":
+        return cls._table.get(name) or cls._intern(name, name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
-    name: str
+class Variable(_HashConsed):
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str) -> "Variable":
+        return cls._table.get(name) or cls._intern(name, name)
 
     def __str__(self) -> str:
         return self.name
@@ -53,14 +103,13 @@ class Variable:
 Term = Constant | Variable
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    predicate: str
-    args: tuple[Term, ...] = ()
+class Atom(_HashConsed):
+    __slots__ = ("predicate", "args", "pred")
+    _fields = ("predicate", "args")
 
-    @property
-    def pred(self) -> tuple[str, int]:
-        return (self.predicate, len(self.args))
+    def __new__(cls, predicate: str, args: tuple[Term, ...] = ()) -> "Atom":
+        key = (predicate, args)
+        return cls._table.get(key) or cls._intern(key, predicate, args, (predicate, len(args)))
 
     def __str__(self) -> str:
         if not self.args:
@@ -344,71 +393,77 @@ def _positive_body_vars(q: Query) -> set[Variable]:
 # Parsing
 # ---------------------------------------------------------------------------
 
+#: One match per token.  Whitespace and comments are skipped as the prefix
+#: of the token they precede; the last two branches match the end of the
+#: input and a character that starts no token.  The branches are tried in
+#: order, the most frequent first; only ``neck`` must precede ``punct``.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<read>%!read\w*)
-    | (?P<comment>%[^\n]*)
+    (?:\s+|%(?!!read)[^\n]*)*
+    (?:
+      (?P<ident>[a-z][A-Za-z0-9_]*)
     | (?P<neck>:-)
-    | (?P<negation>\\\+)
-    | (?P<number>\d+\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-    | (?P<bracket>\[[A-Za-z0-9_,]*\])
-    | (?P<ident>[a-z][A-Za-z0-9_]*)
-    | (?P<var>[A-Z_][A-Za-z0-9_]*)
-    | (?P<string>"(?:[^"\\\n]|\\.)*")
     | (?P<punct>[().,;:~&|{}])
+    | (?P<var>[A-Z_][A-Za-z0-9_]*)
+    | (?P<number>\d+\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
+    | (?P<negation>\\\+)
+    | (?P<bracket>\[[A-Za-z0-9_,]*\])
+    | (?P<string>"(?:[^"\\\n]|\\.)*")
+    | (?P<read>%!read\w*)
+    | (?P<eof>\Z)
+    | (?P<error>.)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
+    #: The offset of the token's first character in the source text.
+    start: int
+
+
+#: Makes a token from a (kind, text, start) tuple without the Python-level
+#: ``_Token.__new__``.
+_new_token = tuple.__new__
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``text``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise LpadSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
+    """The tokens of ``text``, ending with one ``eof`` token; a punctuation
+
+    token's kind is its text."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok_text = m.group()
-        if kind not in ("ws", "comment"):
-            col = m.start() - line_start + 1
-            if kind == "punct":
-                kind = tok_text
-            tokens.append(_Token(kind, tok_text, line, col))
-        newlines = tok_text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.start() + tok_text.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+        tok_text = m[kind]
+        start = m.start(kind)
+        if kind == "error":
+            raise LpadSyntaxError(f"unexpected character {tok_text!r}", *_position(text, start))
+        tokens.append(_new_token(_Token, (tok_text if kind == "punct" else kind, tok_text, start)))
+        if kind == "eof":
+            break
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.i = 0
-
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
+        self.cur = self.tokens[0]
 
     def advance(self) -> _Token:
         t = self.cur
         self.i += 1
+        self.cur = self.tokens[self.i]
         return t
 
     def expect(self, kind: str) -> _Token:
@@ -416,8 +471,14 @@ class _Parser:
             self.fail(f"expected {kind!r}, found {self.cur.text or 'end of input'!r}")
         return self.advance()
 
-    def fail(self, message: str):
-        raise LpadSyntaxError(message, self.cur.line, self.cur.column)
+    def fail(self, message: str, tok: _Token | None = None):
+        """Raise a syntax error at ``tok``, by default the current token."""
+        start = (self.cur if tok is None else tok).start
+        raise LpadSyntaxError(message, *_position(self.text, start))
+
+    def same_line(self, a: _Token, b: _Token) -> bool:
+        """Whether token ``b`` starts on the line of the earlier token ``a``."""
+        return self.text.find("\n", a.start, b.start) < 0
 
     # -- grammar ------------------------------------------------------------
 
@@ -440,11 +501,12 @@ class _Parser:
         if keyword.text == "%!read":
             pattern = self.parse_literal()
             if self.cur.text == "as" and self.tokens[self.i + 1].kind == ":":
-                self.i += 2
+                self.advance()
+                self.advance()
                 template = self.cur
-                if template.kind == "string" and template.line == keyword.line:
+                if template.kind == "string" and self.same_line(keyword, template):
                     self.advance()
-                    if self.cur.kind == "eof" or self.cur.line != keyword.line:
+                    if self.cur.kind == "eof" or not self.same_line(keyword, self.cur):
                         text = template.text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
                         return Annotation(pattern, text)
         self.fail('malformed %!read directive (expected, on one line: %!read <literal> as: "...")')
@@ -461,7 +523,13 @@ class _Parser:
                 heads.append((a, self.parse_prob()))
             body = self.parse_optional_body()
             cid = f"c{len(prob) + 1}"
-            prob.append(_make_prob_clause(cid, heads, body, first_tok))
+            total = sum(p for _, p in heads)
+            if total > 1 + PROB_SUM_TOLERANCE:
+                self.fail(f"head probabilities of clause {cid} sum to {total!r} > 1", first_tok)
+            n_explicit = len(heads)
+            if 1 - total > PROB_SUM_TOLERANCE:
+                heads.append((Atom(NONE_PREDICATE), 1 - total))
+            prob.append(ProbClause(cid, tuple(heads), body, n_explicit))
         elif self.cur.kind == ";":
             self.fail("disjunctive heads require probability annotations")
         else:
@@ -473,6 +541,7 @@ class _Parser:
         return self.parse_prob()
 
     def parse_prob(self) -> float:
+        """A probability: the number syntax has no sign, so it is never negative."""
         tok = self.expect("number")
         return float(tok.text)
 
@@ -521,30 +590,6 @@ class _Parser:
         raise AssertionError("unreachable")
 
 
-def _make_prob_clause(
-    cid: str,
-    heads: list[tuple[Atom, float]],
-    body: Query,
-    tok: _Token,
-) -> ProbClause:
-    total = sum(p for _, p in heads)
-    if any(p < 0 for _, p in heads):
-        raise LpadSyntaxError(
-            f"negative probability in clause {cid}", tok.line, tok.column
-        )
-    if total > 1 + PROB_SUM_TOLERANCE:
-        raise LpadSyntaxError(
-            f"head probabilities of clause {cid} sum to {total!r} > 1",
-            tok.line,
-            tok.column,
-        )
-    n_explicit = len(heads)
-    all_heads = list(heads)
-    if 1 - total > PROB_SUM_TOLERANCE:
-        all_heads.append((Atom(NONE_PREDICATE), 1 - total))
-    return ProbClause(cid, tuple(all_heads), body, n_explicit)
-
-
 def _validate(p: Program) -> None:
     for c in p.prob_clauses:
         for a, _ in c.explicit_heads:
@@ -582,12 +627,12 @@ def parse_program(text: str) -> Program:
     :class:`ProgramError` on structural problems (reserved predicate,
     probability sums, mixed predicate kinds).
     """
-    return _Parser(_tokenize(text)).parse_program()
+    return _Parser(text).parse_program()
 
 
 def parse_query(text: str) -> Query:
     """Parse a comma-separated literal conjunction (optional trailing dot)."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     lits = [p.parse_literal()]
     while p.cur.kind == ",":
         p.advance()

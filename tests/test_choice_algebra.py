@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -47,6 +48,16 @@ def cs(text, g):
 def test_atomic_choice_rendering(neg_ground):
     a = ac(neg_ground, "c2", ("p1", "p2"), 1)
     assert str(a) == "(c2,{X/p1,Y/p2},1)"
+
+
+def test_atomic_choices_are_hash_consed(neg_ground):
+    (parsed,) = next(iter(cs("{{(c1,[p1],2)}}", neg_ground)))
+    (complement,) = complement_atomic(ac(neg_ground, "c1", ["p1"], 1), neg_ground)
+    assert parsed is complement
+    assert repr(parsed) == "AtomicChoice(cid='c1', key=(('X', 'p1'),), index=2)"
+    with pytest.raises(AttributeError):
+        parsed.index = 1
+    assert pickle.loads(pickle.dumps(parsed)) is parsed
 
 
 def test_expression_str_parenthesises_like_render_expr(neg_ground):

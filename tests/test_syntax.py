@@ -1,5 +1,8 @@
+import pickle
+
 import pytest
 
+from lpadexpl.choice_algebra import parse_composite_set_text, parse_expr_text
 from lpadexpl.errors import LpadSyntaxError, ProgramError
 from lpadexpl.syntax import (
     Atom,
@@ -85,6 +88,45 @@ def test_syntax_error_reports_position():
     assert "line" in str(e.value) and "column" in str(e.value)
 
 
+def _parse_with(kind: str, text: str, g):
+    if kind == "program":
+        return parse_program(text)
+    if kind == "query":
+        return parse_query(text)
+    if kind == "expr":
+        return parse_expr_text(text, g)
+    return parse_composite_set_text(text, g)
+
+
+@pytest.mark.parametrize(
+    "kind, text, position, message",
+    [
+        ("program", "% a comment line\np(a) :- q(a) $ r.\n", (2, 14),
+         "unexpected character '$'"),
+        ("program", "p :- q(\n", (2, 1), "expected a term, found 'end of input'"),
+        ("program", "p :- q(", (1, 8), "expected a term, found 'end of input'"),
+        ("program", "p(a).\r\nq(b).\r\n  r(c) @.\r\n", (3, 8), "unexpected character '@'"),
+        ("program", "p(a).\r\nq(b) :- \r\n  r(c) r.\r\n", (3, 8), "expected '.', found 'r'"),
+        ("program", '%!read young(A)\n as: "A is young"\nyoung(a):0.2.\n', (2, 6),
+         'malformed %!read directive (expected, on one line: %!read <literal> as: "...")'),
+        ("program", "a:0.5.\nb:0.2.\nc: -0.1.\n", (3, 4), "unexpected character '-'"),
+        ("program", "a:0.5.\nb:0.2.\n  c:0.7; d:0.6.\n", (3, 3),
+         "head probabilities of clause c3 sum to 1.2999999999999998 > 1"),
+        ("query", "covid(p1),\n", (2, 1), "expected a predicate name, found 'end of input'"),
+        ("expr", "(c1,[p1],1) &\n (c1,[p1],7)", (2, 11),
+         "head index 7 out of range for c1 (instance has 2 heads)"),
+        ("expr", "(c1,[p1],1) #", (1, 13), "unexpected character '#'"),
+        ("set", "{{(c1,[p1],1)},{(c1,[p1],x)}}", (1, 26), "expected a head index, found 'x'"),
+        ("set", "{{(c1,[p1],1)}}\n}", (2, 1), "trailing text in composite-choice set: '}'"),
+    ],
+)
+def test_syntax_error_positions(kind, text, position, message, neg_ground_full):
+    with pytest.raises(LpadSyntaxError) as e:
+        _parse_with(kind, text, neg_ground_full)
+    assert (e.value.line, e.value.column) == position
+    assert str(e.value) == f"line {position[0]}, column {position[1]}: {message}"
+
+
 def test_roundtrip_through_printer():
     p = parse_program(fixture_text("covid_neg.lpad"))
     again = parse_program(print_program(p))
@@ -154,3 +196,16 @@ def test_literal_rendering():
     assert str(lit) == "¬flu(p2)"
     assert lit.to_source() == "\\+flu(p2)"
     assert lit.negate().positive
+
+
+def test_terms_and_atoms_are_hash_consed():
+    assert Constant("a") is Constant("a")
+    assert Constant("a") != Variable("a")
+    atom = Atom("p", (Constant("a"),))
+    assert parse_query("p(a)")[0].atom is atom
+    assert Atom("none") is Atom("none", ())
+    assert repr(atom) == "Atom(predicate='p', args=(Constant(name='a'),))"
+    for value in (Constant("a"), Variable("X"), atom):
+        with pytest.raises(AttributeError):
+            value.name = "b"
+        assert pickle.loads(pickle.dumps(value)) is value
