@@ -12,9 +12,10 @@ worlds satisfying ``C``; negation goes through ``duals`` (minimal hitting
 sets of the complemented composite choices).  Up to world equivalence the
 expressions form a Boolean algebra, which is what makes ``dnf``, the one
 normaliser, sound.  ``Diagram`` compiles any expression to a canonical
-decision diagram: ``equiv`` compares two expressions' nodes and
+decision diagram: ``equiv`` compares two expressions' nodes,
 ``semantics.event_prob`` sums one's probability over it, within a bound on
-the number of nodes.
+the number of nodes, and ``slpdnf.query_diagram`` builds a query's diagram
+from one diagram per ground atom.
 
 Everything here is deterministic: ∧/∨ keep their children as canonically
 sorted, duplicate-free tuples (so associativity, commutativity, and
@@ -36,7 +37,8 @@ from .grounder import GroundProgram, ThetaKey
 from .syntax import NONE_PREDICATE, _HashConsed, _Parser
 
 #: The default bound on the head assignments one enumeration may visit, and
-#: on the nodes ``semantics.event_prob``'s decision diagram may hold.
+#: on the nodes a decision diagram of ``semantics.event_prob`` or
+#: ``success_prob`` may make.
 DEFAULT_ASSIGNMENT_LIMIT = 1_000_000
 
 
@@ -459,8 +461,8 @@ class Diagram:
     id, θ) order, and has one child per head.  A unique table shares equal
     nodes, and a node whose children are all one child is that child, so
     world-equivalent expressions compile to one node.  Past ``limit`` nodes
-    (by default, never), raises EnumerationLimitError naming
-    ``semantics.event_prob``'s ``--limit``, the one bounded use.
+    (by default, never), raises EnumerationLimitError naming the ``--limit``
+    of ``semantics.event_prob`` and ``success_prob``, the bounded uses.
     """
 
     def __init__(self, g: GroundProgram, limit: float = math.inf):
@@ -468,6 +470,7 @@ class Diagram:
         self.nodes: list = [None, None]  # node -> (instance, children)
         self.unique: dict[tuple, int] = {}
         self.memo: dict[tuple[bool, int, int], int] = {}  # (conjoin, a, b), a < b
+        self.negations: dict[int, int] = {FALSE: TRUE, TRUE: FALSE}
 
     def _node(self, inst: tuple[str, ThetaKey], children: tuple[int, ...]) -> int:
         if children.count(children[0]) == len(children):
@@ -549,6 +552,24 @@ class Diagram:
             else:
                 self.memo[(conjoin, min(x, y), max(x, y))] = self._node(inst, tuple(children))
         return known(a, b)
+
+    def negate(self, root: int) -> int:
+        """¬root: the same diagram with its terminals swapped, memoised both
+
+        ways, with an explicit stack."""
+        memo = self.negations
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node in memo:
+                continue
+            inst, children = self.nodes[node]
+            if all(c in memo for c in children):
+                memo[node] = negated = self._node(inst, tuple(memo[c] for c in children))
+                memo[negated] = node
+            else:
+                stack += [node, *children]
+        return memo[root]
 
     def prob(self, root: int) -> float:
         """The mass of a node's worlds: ``fsum(p_i · P(child_i))`` over its

@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="oracle: most selections enumerated; engine and transform: most "
-        "nodes held by the decision diagram (default: 1000000 for all)",
+        "nodes the tabled decision diagram makes, for every atom and step "
+        "(default: 1000000 for all)",
     )
     p.add_argument(
         "--relevant",

@@ -7,13 +7,17 @@ annotations.  Queries are checked in a world bottom-up, stratum by stratum —
 deliberately independent of the resolution engine, so the two can be compared.
 
 ``success_prob`` offers both routes: ``oracle`` sums the probabilities of the
-worlds satisfying the query; ``engine`` evaluates the disjunction of the
-resolution tree's success-leaf expressions with ``event_prob``: one pass
-over the expression's reduced ordered multi-valued decision diagram, as
-PITA builds for LPADs (Riguzzi & Swift, TPLP 2011), which tests only the
-instances the expression mentions (independence marginalizes out the
-rest).  Its ``limit`` bounds the nodes the diagram holds; the enumerations
-bound selections.
+worlds satisfying the query; ``engine`` sums, in one pass, the query's
+reduced ordered multi-valued decision diagram, which tests only the
+instances the query's proofs mention (independence marginalizes out the
+rest).  ``slpdnf.query_diagram`` builds that diagram from one tabled diagram
+per ground atom, as PITA does for LPADs (Riguzzi & Swift, TPLP 2011),
+without the resolution tree or any DNF.  On a positive cycle or a branch
+that may pass the depth limit the walk gives up, and ``event_prob`` compiles
+the disjunction of the tree's success-leaf expressions instead, which
+answers or raises as the tree does.  ``limit`` bounds the nodes the diagram
+makes, the walk's intermediate ones included; the enumerations bound
+selections.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from .choice_algebra import DEFAULT_ASSIGNMENT_LIMIT, AtomicChoice, ChoiceExpr, Diagram, conj, disj
 from .errors import EnumerationLimitError, ProgramError
 from .grounder import GroundProgram, ThetaKey
-from .slpdnf import DEFAULT_DEPTH_LIMIT, Derivation, success_expressions
+from .slpdnf import DEFAULT_DEPTH_LIMIT, Derivation, query_diagram, success_expressions
 from .syntax import Atom, Clause, NONE_PREDICATE, Query, is_ground_query, query_str
 
 #: A selection as a value: one atomic choice per instance.
@@ -163,14 +167,19 @@ def success_prob(
 ) -> float:
     """The probability that a query holds.
 
-    ``engine`` (default) evaluates the disjunction of the resolution tree's
-    success-leaf expressions; ``oracle`` enumerates every selection and sums
+    ``engine`` (default) sums the query's tabled decision diagram, and the
+    disjunction of the resolution tree's success-leaf expressions where the
+    walk gives up; ``oracle`` enumerates every selection and sums
     the satisfying worlds' probabilities, and raises ProgramError on a query
     that is not ground.  The two agree to within 1e-9.
     """
     limit = DEFAULT_ASSIGNMENT_LIMIT if limit is None else limit
     if method == "engine":
-        return event_prob(disj(success_expressions(q, g, depth_limit)), g, limit)
+        diagram = Diagram(g, limit)
+        root = query_diagram(q, g, diagram, depth_limit)
+        if root is None:  # a positive cycle or a deep branch: the tree decides
+            return event_prob(disj(success_expressions(q, g, depth_limit)), g, limit)
+        return diagram.prob(root)
     if method == "oracle":
         _require_ground(q, "oracle")
         message = "oracle: {count} selections exceed the enumeration limit {limit} (--limit)"

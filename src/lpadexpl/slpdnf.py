@@ -21,6 +21,10 @@ An empty goal is a success leaf; a selected positive literal with no
 resolution step is a failed leaf.  The success-leaf expressions are exactly
 the explanations of the query: a world satisfies the query iff it extends a
 composite choice in ``expl``.
+
+``query_diagram`` follows the same selection rule without building the tree:
+it tables one decision diagram per ground atom and returns the node of the
+disjunction of the success-leaf expressions.
 """
 
 from __future__ import annotations
@@ -30,11 +34,14 @@ from dataclasses import dataclass, field
 
 from .choice_algebra import (
     BOT,
+    FALSE,
     TOP,
+    TRUE,
     And,
     AtomicChoice,
     ChoiceExpr,
     CompositeChoice,
+    Diagram,
     Not,
     Or,
     conj,
@@ -150,6 +157,19 @@ class Answer:
     expr: ChoiceExpr
 
 
+def _check_known_predicates(q: Query, g: GroundProgram) -> None:
+    # The grounding indexes a subset of the source's predicates.
+    known = g.source.prob_predicates() | g.source.derived_predicates()
+    for lit in q:
+        if lit.atom.pred not in known:
+            name, arity = lit.atom.pred
+            raise ProgramError(f"unknown predicate {name}/{arity} in query")
+
+
+def _floundering(lit: Literal) -> ProgramError:
+    return ProgramError(f"floundering: negative literal {query_str((lit,))} is not ground")
+
+
 class _TreeBuilder:
     def __init__(self, g: GroundProgram, depth_limit: int):
         self.g = g
@@ -161,19 +181,11 @@ class _TreeBuilder:
         g.strata  # raises StratificationError up front
 
     def build(self, q: Query) -> SlpdnfTree:
-        self._check_known_predicates(q)
+        _check_known_predicates(q, self.g)
         root = SlpdnfNode(q, TOP)
         tree = SlpdnfTree(root, self.subs)
         self._expand(tree)
         return tree
-
-    def _check_known_predicates(self, q: Query) -> None:
-        # The grounding indexes a subset of the source's predicates.
-        known = self.g.source.prob_predicates() | self.g.source.derived_predicates()
-        for lit in q:
-            if lit.atom.pred not in known:
-                name, arity = lit.atom.pred
-                raise ProgramError(f"unknown predicate {name}/{arity} in query")
 
     def _expand(self, tree: SlpdnfTree) -> None:
         # Depth-first; depth = resolution steps from this tree's root.
@@ -229,9 +241,7 @@ class _TreeBuilder:
 
     def _step_negative(self, node: SlpdnfNode, lit: Literal) -> None:
         if not is_ground_atom(lit.atom):
-            raise ProgramError(
-                f"floundering: negative literal {query_str((lit,))} is not ground"
-            )
+            raise _floundering(lit)
         not_provable = self.not_provable.get(lit.atom)
         if not_provable is None:
             sub = SlpdnfTree(SlpdnfNode((lit.negate(),), TOP), self.subs)
@@ -273,6 +283,133 @@ def build_tree(
     :class:`DepthLimitError` when a branch exceeds ``depth_limit`` steps.
     """
     return _TreeBuilder(g, depth_limit).build(q)
+
+
+class _Unfinished(Exception):
+    """The tabled walk met a positive cycle or a derivation that may pass the
+
+    depth limit; the tree decides those."""
+
+
+class _TabledWalk:
+    """``query_diagram``'s state.  Each atom's diagram is one generator, which
+
+    yields the atoms it needs that are not yet tabled; ``run`` keeps the
+    generators on an explicit stack and sends each one the entry it asked
+    for.  A class rather than closures, so that no reference cycle keeps a
+    finished walk's diagram alive until the garbage collector runs."""
+
+    def __init__(self, g: GroundProgram, diagram: Diagram, depth_limit: int):
+        self.g, self.diagram, self.depth_limit = g, diagram, depth_limit
+        self.table: dict[Atom, tuple[int, int]] = {}  # atom -> (node, bound on branch steps)
+        self.open_atoms: set[Atom] = set()
+
+    def run(self, q: Query) -> int | None:
+        stack = [self.goal(q, TRUE, 0)]
+        value = None
+        try:
+            while True:
+                try:
+                    atom = stack[-1].send(value)
+                except StopIteration as done:
+                    stack.pop()
+                    if not stack:
+                        return done.value[0]
+                    value = done.value
+                    continue
+                if atom in self.open_atoms or len(self.open_atoms) >= self.depth_limit:
+                    return None
+                self.open_atoms.add(atom)
+                stack.append(self.atom(atom))
+                value = None
+        except _Unfinished:
+            return None
+
+    def atom(self, atom: Atom):
+        g, diagram = self.g, self.diagram
+        if atom.pred in g.prob_head_index:
+            alternatives = [
+                (diagram.chain([AtomicChoice(inst.cid, inst.key, i)], False), inst.body)
+                for inst, i in g.prob_heads_for(atom)
+            ]
+        else:
+            alternatives = [(TRUE, clause.body) for clause in g.derived_for(atom)]
+        node, most = FALSE, 0
+        for start, body in alternatives:
+            acc, steps = yield from self.goal(body, start, 0)
+            node, most = diagram.apply(False, node, acc), max(most, steps)
+        if most >= self.depth_limit:
+            raise _Unfinished
+        self.open_atoms.remove(atom)
+        self.table[atom] = entry = (node, most + 1)
+        return entry
+
+    def goal(self, goal: Query, acc: int, depth: int):
+        """(node, steps): the goal's ∧ onto ``acc``, and a bound on the
+
+        steps of its branches; ``depth`` steps precede it on its branch."""
+        g, diagram, table = self.g, self.diagram, self.table
+        if depth > self.depth_limit:
+            raise _Unfinished
+        steps = 0
+        for k, lit in enumerate(goal):
+            if acc == FALSE:
+                break
+            if not is_ground_atom(lit.atom):
+                if not lit.positive:
+                    raise _floundering(lit)
+                heads = (
+                    [inst.head_atom(i) for inst, i in g.prob_heads_for(lit.atom)]
+                    if lit.atom.pred in g.prob_head_index
+                    else [clause.head for clause in g.derived_for(lit.atom)]
+                )
+                node, most = FALSE, 0
+                for head in dict.fromkeys(heads):
+                    sigma = mgu(lit.atom, head)
+                    if sigma is None:
+                        continue
+                    sub, sub_steps = table.get(head) or (yield head)
+                    rest, rest_steps = yield from self.goal(
+                        apply_query(sigma, goal[k + 1 :]),
+                        diagram.apply(True, acc, sub),
+                        depth + steps + sub_steps,
+                    )
+                    node = diagram.apply(False, node, rest)
+                    most = max(most, sub_steps + rest_steps)
+                return node, steps + most
+            sub, sub_steps = table.get(lit.atom) or (yield lit.atom)
+            if lit.positive:
+                steps += sub_steps
+            else:
+                steps, sub = steps + 1, diagram.negate(sub)
+            if depth + steps > self.depth_limit:
+                raise _Unfinished
+            acc = diagram.apply(True, acc, sub)
+        return acc, steps
+
+
+def query_diagram(
+    q: Query, g: GroundProgram, diagram: Diagram, depth_limit: int = DEFAULT_DEPTH_LIMIT
+) -> int | None:
+    """The node, in ``diagram``, of the disjunction of ``q``'s success-leaf
+
+    expressions, built without the tree: D(a), the diagram of a ground atom,
+    is tabled, as in PITA (Riguzzi & Swift, TPLP 2011).  D(a) is the ∨ over
+    a's clauses of the clause's choice (for an explicit head) ∧ its body, and
+    D(¬a) is ¬D(a).  A goal conjoins its literals left to right and, as the
+    tree prunes at ⊥, selects none after its conjunction is FALSE; a
+    non-ground query literal takes the ∨, over the ground heads it unifies
+    with, of D(head) ∧ the rest of the goal under the unifier, and a
+    non-ground negated one flounders as in the tree.  Canonicity makes the
+    node the tree's own.
+
+    Returns None when the walk re-enters an atom it is still building, or
+    when a tree branch might pass ``depth_limit`` steps (each atom bounds the
+    steps of its branches); the tree then gives the answer or the error.
+    """
+    g.strata  # raises StratificationError up front
+    _check_known_predicates(q, g)
+    return _TabledWalk(g, diagram, depth_limit).run(q)
 
 
 def derivations(tree: SlpdnfTree) -> list[Derivation]:

@@ -228,6 +228,20 @@ def test_diagram_is_canonical_on_generated_programs():
             assert diagram.compile(e) == diagram.compile(dnf(e)), (seed, str(e))
 
 
+def test_diagram_negation_swaps_the_terminals():
+    """On genprog seeds 0-199, ``negate`` gives the node of the negated
+
+    expression, and negating twice gives the node back."""
+    for seed in range(200):
+        text, query_text = genprog.generate(seed)
+        g = ground(parse_program(text))
+        e = disj(success_expressions(parse_query(query_text), g))
+        diagram = Diagram(g)
+        node = diagram.compile(e)
+        assert diagram.negate(node) == diagram.compile(Not(e)), seed
+        assert diagram.negate(diagram.negate(node)) == node, seed
+
+
 def test_equiv_tautology(neg_ground):
     a = ac(neg_ground, "c6", ("p1",), 1)
     assert equiv(disj([a, Not(a)]), TOP, neg_ground)

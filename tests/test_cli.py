@@ -284,10 +284,39 @@ def test_prob_past_the_enumeration_frontier(capsys, tmp_path):
     code, out, _ = run(capsys, ["prob", files[0], "covid(p1)"] + files[1:])
     assert (code, out) == (0, "0.000002813\n")
     code, out, err = run(
-        capsys, ["prob", files[0], "covid(p1)"] + files[1:] + ["--limit", "1000"]
+        capsys, ["prob", files[0], "covid(p1)"] + files[1:] + ["--limit", "100"]
     )
     assert (code, out) == (2, "")
-    assert "exceed the limit 1000 (--limit)" in err
+    assert "exceed the limit 100 (--limit)" in err
+
+
+def test_prob_of_chain_ten_within_ten_thousand_nodes(capsys, tmp_path):
+    # The tabled walk needs fewer nodes than compiling the tree's success
+    # expressions, which passes 10,000.
+    files = covid_chain(tmp_path, 10)
+    code, out, _ = run(
+        capsys, ["prob", files[0], "covid(p1)"] + files[1:] + ["--limit", "10000"]
+    )
+    assert (code, out) == (0, "0.000000075\n")
+
+
+def test_prob_through_a_guarded_cycle(capsys, tmp_path):
+    # The walk re-enters p while building it; the tree prunes the cycle at
+    # the inconsistent choice c(2) after c(1), and answers.
+    cycle = tmp_path / "cycle.lpad"
+    cycle.write_text("c(1):0.5; c(2):0.5.\np :- c(1), q.\nq :- c(2), p.\nq :- c(1).\n")
+    for method in ("engine", "oracle", "transform"):
+        code, out, _ = run(capsys, ["prob", str(cycle), "p", "--method", method])
+        assert (code, out) == (0, "0.500000000\n"), method
+
+
+def test_prob_of_an_unguarded_cycle_exits_two(capsys, tmp_path):
+    loop = tmp_path / "loop.lpad"
+    loop.write_text("loop(X) :- loop(X).\nloop(a).\n")
+    for method in ("engine", "transform"):
+        code, out, err = run(capsys, ["prob", str(loop), "loop(a)", "--method", method])
+        assert (code, out) == (2, ""), method
+        assert err == "error: derivation exceeded 10000 steps at goal: loop(a)\n"
 
 
 def long_derived_chain(tmp_path):

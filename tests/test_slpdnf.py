@@ -1,8 +1,10 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
-from lpadexpl.choice_algebra import gamma, render_expr
+from lpadexpl.choice_algebra import Diagram, disj, gamma, render_expr
 from lpadexpl.errors import DepthLimitError, ProgramError
 from lpadexpl.grounder import ground
 from lpadexpl.semantics import success_prob
@@ -13,10 +15,12 @@ from lpadexpl.slpdnf import (
     build_tree,
     derivations,
     expl,
+    query_diagram,
     success_expressions,
 )
 from lpadexpl.syntax import Literal, parse_program, parse_query
 
+import genprog
 import oracles
 
 
@@ -158,3 +162,95 @@ def test_derivation_substitution(pos_ground):
 def test_expl_requires_ground_query(pos_ground):
     with pytest.raises(ProgramError):
         expl(parse_query("covid(X)"), pos_ground)
+
+
+# ---------------------------------------------------------------------------
+# The tabled walk against the tree
+# ---------------------------------------------------------------------------
+
+
+def _load_families():
+    """The benchmark's program families (``perfbench/families.py``)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("families", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_table_is_tree(q, g, label):
+    """One diagram holds the walk's node and the node compiled from the
+
+    tree's success expressions; canonicity makes them one node."""
+    diagram = Diagram(g)
+    node = query_diagram(q, g, diagram)
+    assert node is not None, label
+    assert node == diagram.compile(disj(success_expressions(q, g))), label
+
+
+def fixture_queries(g):
+    """Every ground atom with a clause, and its negation, and each predicate
+
+    of those atoms with fresh variables."""
+    atoms = list(g.derived_heads) + list(g.prob_head_atoms)
+    texts = {str(a) for a in atoms} | {f"\\+{a}" for a in atoms}
+    for name, arity in {a.pred for a in atoms}:
+        args = ",".join(f"V{i}" for i in range(arity))
+        texts.add(f"{name}({args})" if arity else name)
+    return sorted(texts)
+
+
+def test_the_table_is_the_tree_on_the_fixtures(pos_ground, neg_ground, neg_ground_full, neg_ground_min):
+    for g in (pos_ground, neg_ground, neg_ground_full, neg_ground_min):
+        for text in fixture_queries(g):
+            assert_table_is_tree(parse_query(text), g, text)
+    g = neg_ground
+    for text in ["covid(X), \\+protected(X)", "contact(X,Y), covid(Y), \\+covid(X)", "covid(p1), covid(p2)"]:
+        assert_table_is_tree(parse_query(text), g, text)
+
+
+def test_the_table_is_the_tree_on_the_families():
+    families = _load_families()
+    cases = [(families.deep(n), "reach(n0)") for n in (5, 50)]
+    for n in range(2, 7):
+        cases += [(families.positive_star(n), "covid(p1)")]
+        for family in (families.chain, families.star):
+            cases += [(family(n), "covid(p1)"), (family(n), "\\+covid(p1)")]
+    for (text, restriction), query in cases:
+        g = ground(parse_program(text), restriction=restriction)
+        assert_table_is_tree(parse_query(query), g, (text.count("\n"), query))
+
+
+@pytest.mark.parametrize("full_heads", [False, True])
+def test_the_table_is_the_tree_on_random_programs(full_heads):
+    for seed in range(500):
+        text, query_text = genprog.generate(seed, full_heads=full_heads)
+        assert_table_is_tree(parse_query(query_text), ground(parse_program(text)), seed)
+
+
+def test_the_walk_leaves_cycles_and_deep_branches_to_the_tree():
+    cycle = ground(parse_program("c(1):0.5; c(2):0.5.\np :- c(1), q.\nq :- c(2), p.\nq :- c(1).\n"))
+    assert query_diagram(parse_query("p"), cycle, Diagram(cycle)) is None
+    assert success_prob(parse_query("p"), cycle) == 0.5
+    chain = ground(parse_program("".join(f"s{i} :- s{i + 1}.\n" for i in range(60)) + "s60:0.7.\n"))
+    # s0's branch selects 61 nonempty goals: s0 .. s60.
+    assert query_diagram(parse_query("s0"), chain, Diagram(chain), depth_limit=60) is None
+    assert query_diagram(parse_query("s0"), chain, Diagram(chain), depth_limit=61) is not None
+    with pytest.raises(DepthLimitError):
+        success_prob(parse_query("s0"), chain, depth_limit=60)
+    assert success_prob(parse_query("s0"), chain, depth_limit=61) == 0.7
+    # A flat body is deep too: p's branch selects p, then f0 .. f59.
+    facts = [f"f{i}" for i in range(60)]
+    wide = ground(parse_program(f"p :- {', '.join(facts)}.\n" + "".join(f"{f}:0.5.\n" for f in facts)))
+    assert query_diagram(parse_query("p"), wide, Diagram(wide), depth_limit=60) is None
+    assert query_diagram(parse_query("p"), wide, Diagram(wide), depth_limit=61) is not None
+    with pytest.raises(DepthLimitError):
+        success_prob(parse_query("p"), wide, depth_limit=60)
+
+
+def test_the_walk_flounders_and_rejects_unknown_predicates_as_the_tree_does():
+    g = ground(parse_program("r(a):0.5.\np(a).\n"))
+    with pytest.raises(ProgramError, match=r"^floundering: negative literal \\\+r\(X\) is not ground$"):
+        query_diagram(parse_query("p(Y), \\+r(X)"), g, Diagram(g))
+    with pytest.raises(ProgramError, match=r"^unknown predicate mystery/1 in query$"):
+        query_diagram(parse_query("mystery(a)"), g, Diagram(g))
