@@ -457,32 +457,35 @@ class Diagram:
     """A reduced ordered multi-valued decision diagram over one ground program
 
     (Bryant, IEEE TC 1986), as PITA builds for LPADs (Riguzzi & Swift, TPLP
-    2011).  Every node other than FALSE and TRUE tests one instance, in (clause
-    id, θ) order, and has one child per head.  A unique table shares equal
-    nodes, and a node whose children are all one child is that child, so
-    world-equivalent expressions compile to one node.  Past ``limit`` nodes
+    2011).  Every node other than FALSE and TRUE tests one instance, in
+    ``expr_key``'s (clause id, θ) order, and has one child per head.  A
+    unique table shares equal nodes, and a node whose children are all one
+    child is that child, so world-equivalent expressions compile to one node.  Past ``limit`` nodes
     (by default, never), raises EnumerationLimitError naming the ``--limit``
     of ``semantics.event_prob`` and ``success_prob``, the bounded uses.
     """
 
     def __init__(self, g: GroundProgram, limit: float = math.inf):
-        self.g, self.limit = g, limit
-        self.nodes: list = [None, None]  # node -> (instance, children)
+        self.limit = limit
+        #: The instances in order; a node tests an instance by its rank here.
+        self.order = sorted(g.instances, key=lambda inst: (_natural(inst.cid), inst.key))
+        self.rank = {(inst.cid, inst.key): r for r, inst in enumerate(self.order)}
+        self.nodes: list = [None, None]  # node -> (rank, children)
         self.unique: dict[tuple, int] = {}
         self.memo: dict[tuple[bool, int, int], int] = {}  # (conjoin, a, b), a < b
         self.negations: dict[int, int] = {FALSE: TRUE, TRUE: FALSE}
 
-    def _node(self, inst: tuple[str, ThetaKey], children: tuple[int, ...]) -> int:
+    def _node(self, rank: int, children: tuple[int, ...]) -> int:
         if children.count(children[0]) == len(children):
             return children[0]
-        node = self.unique.setdefault((inst, children), len(self.nodes))
+        node = self.unique.setdefault((rank, children), len(self.nodes))
         if node == len(self.nodes):
             if node - 1 > self.limit:
                 raise EnumerationLimitError(
                     f"event_prob: {node - 1} nodes in the decision diagram exceed "
                     f"the limit {self.limit} (--limit)"
                 )
-            self.nodes.append((inst, children))
+            self.nodes.append((rank, children))
         return node
 
     def compile(self, e: ChoiceExpr, negated: bool = False) -> int:
@@ -511,18 +514,18 @@ class Diagram:
 
         one chain through the heads each instance's literals allow, or FALSE,
         making no node, once an instance has none left."""
-        allowed: dict[tuple[str, ThetaKey], set[int]] = {}
+        allowed: dict[int, set[int]] = {}
         for lit in literals:
             ac, positive = (lit.child, negated) if isinstance(lit, Not) else (lit, not negated)
-            inst = (ac.cid, ac.key)
-            heads = allowed.get(inst) or set(range(1, self.g.instance(*inst).n_heads + 1))
-            allowed[inst] = heads = heads & {ac.index} if positive else heads - {ac.index}
+            rank = self.rank[(ac.cid, ac.key)]
+            heads = allowed.get(rank) or set(range(1, self.order[rank].n_heads + 1))
+            allowed[rank] = heads = heads & {ac.index} if positive else heads - {ac.index}
             if not heads:
                 return FALSE
         node = TRUE
-        for inst in sorted(allowed, reverse=True):
-            n, heads = self.g.instance(*inst).n_heads, allowed[inst]
-            node = self._node(inst, tuple(node if i in heads else FALSE for i in range(1, n + 1)))
+        for rank in sorted(allowed, reverse=True):
+            n, heads = self.order[rank].n_heads, allowed[rank]
+            node = self._node(rank, tuple(node if i in heads else FALSE for i in range(1, n + 1)))
         return node
 
     def apply(self, conjoin: bool, a: int, b: int) -> int:
@@ -543,14 +546,14 @@ class Diagram:
             x, y = stack.pop()
             if known(x, y) is not None:
                 continue
-            (ix, kx), (iy, ky) = self.nodes[x], self.nodes[y]
-            inst = min(ix, iy)
-            kx, ky = (kx if ix == inst else [x] * len(ky)), (ky if iy == inst else [y] * len(kx))
+            (rx, kx), (ry, ky) = self.nodes[x], self.nodes[y]
+            rank = min(rx, ry)
+            kx, ky = (kx if rx == rank else [x] * len(ky)), (ky if ry == rank else [y] * len(kx))
             children = [known(*pair) for pair in zip(kx, ky)]
             if None in children:
                 stack += [(x, y)] + [pair for pair, c in zip(zip(kx, ky), children) if c is None]
             else:
-                self.memo[(conjoin, min(x, y), max(x, y))] = self._node(inst, tuple(children))
+                self.memo[(conjoin, min(x, y), max(x, y))] = self._node(rank, tuple(children))
         return known(a, b)
 
     def negate(self, root: int) -> int:
@@ -563,9 +566,9 @@ class Diagram:
             node = stack.pop()
             if node in memo:
                 continue
-            inst, children = self.nodes[node]
+            rank, children = self.nodes[node]
             if all(c in memo for c in children):
-                memo[node] = negated = self._node(inst, tuple(memo[c] for c in children))
+                memo[node] = negated = self._node(rank, tuple(memo[c] for c in children))
                 memo[negated] = node
             else:
                 stack += [node, *children]
@@ -582,9 +585,9 @@ class Diagram:
             node = stack.pop()
             if node in memo:
                 continue
-            inst, children = self.nodes[node]
+            rank, children = self.nodes[node]
             if all(c in memo for c in children):
-                probs = self.g.instance(*inst).probs
+                probs = self.order[rank].probs
                 memo[node] = math.fsum(p * memo[c] for p, c in zip(probs, children))
             else:
                 stack += [node, *children]

@@ -199,7 +199,7 @@ def and_tree(d: Derivation, g: GroundProgram) -> AndTree:
     for k, edge in enumerate(d.edges):
         node = pending.pop(0)
         child_query = queries[k + 1]
-        if edge.kind in ("derived", "prob"):
+        if edge.kind == "pos":
             body_len = len(child_query) - (len(queries[k]) - 1)
             children = [AndTree(child_query[i]) for i in range(body_len)]
             node.children = children
@@ -236,7 +236,7 @@ def _wrap_query(q: Query, g: GroundProgram) -> tuple[Query, GroundProgram]:
     )
     # Every atom that can be true in g seeds main's grounding, since
     # Program((main,)) has no facts of its own.
-    possible = (*g.prob_head_atoms, *g.derived_heads)
+    possible = tuple(g.by_head)
     mains = ground(Program(derived_clauses=(main,)), list(g.constants), None, possible).derived
     g2 = GroundProgram(g.instances, g.derived + mains, g.constants, source)
     return (Literal(True, main.head),), g2

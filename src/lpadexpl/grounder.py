@@ -90,6 +90,12 @@ class GroundProbClause:
         return "[" + ",".join(self.var_values) + "]"
 
 
+#: One clause a goal can resolve with: its head, its body, the instance or
+#: derived clause it comes from, and the 1-based index of the instance's
+#: explicit head (0 for a derived clause).
+Resolvent = tuple[Atom, Query, GroundProbClause | Clause, int]
+
+
 class GroundProgram:
     """A ground program: probabilistic instances plus the ground derived
 
@@ -123,53 +129,38 @@ class GroundProgram:
         )
 
     @cached_property
-    def prob_head_index(self) -> dict[tuple[str, int], list[tuple[GroundProbClause, int]]]:
-        """Explicit heads grouped by predicate: (instance, 1-based index)."""
-        index: dict[tuple[str, int], list[tuple[GroundProbClause, int]]] = {}
+    def by_head(self) -> dict[Atom, list[Resolvent]]:
+        """``resolvents`` of each ground head atom."""
+        index: dict[Atom, list[Resolvent]] = {}
+        for entry in self._resolvents():
+            index.setdefault(entry[0], []).append(entry)
+        return index
+
+    @cached_property
+    def _by_predicate(self) -> dict[tuple[str, int], list[Resolvent]]:
+        """``resolvents`` of each predicate."""
+        index: dict[tuple[str, int], list[Resolvent]] = {}
+        for entry in self._resolvents():
+            index.setdefault(entry[0].pred, []).append(entry)
+        return index
+
+    def _resolvents(self):
         for inst in self.instances:
             for i in range(1, inst.n_explicit + 1):
-                index.setdefault(inst.head_atom(i).pred, []).append((inst, i))
-        return index
-
-    @cached_property
-    def derived_index(self) -> dict[tuple[str, int], list[Clause]]:
-        index: dict[tuple[str, int], list[Clause]] = {}
+                yield inst.head_atom(i), inst.body, inst, i
         for c in self.derived:
-            index.setdefault(c.head.pred, []).append(c)
-        return index
+            yield c.head, c.body, c, 0
 
-    @cached_property
-    def prob_head_atoms(self) -> dict[Atom, list[tuple[GroundProbClause, int]]]:
-        """Explicit heads grouped by their ground atom."""
-        index: dict[Atom, list[tuple[GroundProbClause, int]]] = {}
-        for inst in self.instances:
-            for i in range(1, inst.n_explicit + 1):
-                index.setdefault(inst.head_atom(i), []).append((inst, i))
-        return index
+    def resolvents(self, atom: Atom) -> list[Resolvent]:
+        """What a goal ``atom`` can resolve with: the clauses whose head equals
 
-    @cached_property
-    def derived_heads(self) -> dict[Atom, list[Clause]]:
-        """Derived clauses grouped by their ground head atom."""
-        index: dict[Atom, list[Clause]] = {}
-        for c in self.derived:
-            index.setdefault(c.head, []).append(c)
-        return index
-
-    def prob_heads_for(self, atom: Atom) -> list[tuple[GroundProbClause, int]]:
-        """The explicit heads that may unify with ``atom``: those equal to it
-
-        when it is ground, else every head of its predicate."""
+        it when it is ground, else every clause of its predicate.  Explicit
+        heads of instances come in instance order, each instance's heads
+        ascending, then derived clauses in their order; a predicate heads
+        clauses of one kind only."""
         if is_ground_atom(atom):
-            return self.prob_head_atoms.get(atom, [])
-        return self.prob_head_index.get(atom.pred, [])
-
-    def derived_for(self, atom: Atom) -> list[Clause]:
-        """The derived clauses whose head may unify with ``atom``, picked as
-
-        ``prob_heads_for`` picks heads."""
-        if is_ground_atom(atom):
-            return self.derived_heads.get(atom, [])
-        return self.derived_index.get(atom.pred, [])
+            return self.by_head.get(atom, [])
+        return self._by_predicate.get(atom.pred, [])
 
     @cached_property
     def strata(self) -> dict[tuple[str, int], int]:
@@ -406,8 +397,8 @@ def relevant_subset(g: GroundProgram, q: Query) -> GroundProgram:
     head — any explicit head, for probabilistic instances — is a relevant
     atom, and a relevant clause makes all its body atoms relevant (through
     negation too).  Resolution of ``q`` only ever touches relevant clauses,
-    so inference over the subset builds the same tree.  A worklist over the
-    ground-head indexes visits each relevant atom once.
+    so inference over the subset builds the same tree.  A worklist over
+    ``g.resolvents`` visits each relevant atom once.
     """
     relevant: set[Atom] = set()
     agenda: list[Atom] = []
@@ -418,24 +409,16 @@ def relevant_subset(g: GroundProgram, q: Query) -> GroundProgram:
             agenda.append(atom)
 
     for lit in q:
-        if is_ground_atom(lit.atom):
-            mark(lit.atom)
-            continue
-        for inst, i in g.prob_heads_for(lit.atom):
-            if mgu(lit.atom, inst.head_atom(i)) is not None:
-                mark(inst.head_atom(i))
-        for c in g.derived_for(lit.atom):
-            if mgu(lit.atom, c.head) is not None:
-                mark(c.head)
+        for head, *_ in g.resolvents(lit.atom):
+            if mgu(lit.atom, head) is not None:
+                mark(head)
 
     kept: set[int] = set()  # ids of the kept instances and clauses
     while agenda:
-        atom = agenda.pop()
-        defining = [inst for inst, _ in g.prob_head_atoms.get(atom, ())]
-        for c in defining + g.derived_heads.get(atom, []):
-            if id(c) not in kept:
-                kept.add(id(c))
-                for lit in c.body:
+        for _, body, source, _ in g.resolvents(agenda.pop()):
+            if id(source) not in kept:
+                kept.add(id(source))
+                for lit in body:
                     mark(lit.atom)
 
     return GroundProgram(

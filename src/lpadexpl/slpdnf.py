@@ -6,11 +6,10 @@ A tree node pairs a goal (query) with a choice expression constraining the
 worlds in which the branch applies; the root carries ⊤.  The leftmost literal
 is always selected:
 
-* a *derived* atom resolves against every matching derived clause; the
-  expression is unchanged;
-* a *probabilistic* atom resolves against every matching explicit head of
-  every ground instance; the child conjoins the atomic choice onto the
-  expression (in DNF) and is pruned when that is inconsistent;
+* a positive atom resolves against each of its ``resolvents`` that it
+  unifies with: a derived clause leaves the expression unchanged, and an
+  explicit head of a ground instance conjoins its atomic choice onto the
+  expression (in DNF), the child being pruned when that is inconsistent;
 * a ground *negative* literal ¬a spawns (or reuses) a subsidiary tree for a,
   built to completion; the expression of the single child conjoins the
   negation of the disjunction of the subsidiary tree's success-leaf
@@ -77,14 +76,12 @@ FAILED = "failed"
 class EdgeLabel:
     """What one resolution step did.
 
-    ``kind`` is "derived", "prob", or "neg"; ``sigma`` the unifier applied to
-    the rest of the goal; ``choice`` the atomic choice of a "prob" step;
-    ``expr`` the conjoined expression of a "neg" step.
+    ``kind`` is "pos" or "neg"; ``sigma`` the unifier applied to the rest of
+    the goal; ``expr`` the conjoined expression of a "neg" step.
     """
 
     kind: str
     sigma: tuple[tuple[str, str], ...]
-    choice: AtomicChoice | None = None
     expr: ChoiceExpr | None = None
 
 
@@ -202,12 +199,7 @@ class _TreeBuilder:
                 )
             lit = node.query[0]
             if lit.positive:
-                # A probabilistic predicate without ground instances has no
-                # derived clauses either: both steps leave a failed leaf.
-                if lit.atom.pred in self.g.prob_head_index:
-                    self._step_prob(node, lit)
-                else:
-                    self._step_derived(node, lit)
+                self._step_positive(node, lit)
             else:
                 self._step_negative(node, lit)
             if not node.children:
@@ -215,28 +207,19 @@ class _TreeBuilder:
             for _, child in reversed(node.children):
                 stack.append((child, depth + 1))
 
-    def _step_derived(self, node: SlpdnfNode, lit: Literal) -> None:
+    def _step_positive(self, node: SlpdnfNode, lit: Literal) -> None:
         rest = node.query[1:]
-        for clause in self.g.derived_for(lit.atom):
-            sigma = mgu(lit.atom, clause.head)
+        for head, body, source, i in self.g.resolvents(lit.atom):
+            sigma = mgu(lit.atom, head)
             if sigma is None:
                 continue
-            child_query = clause.body + (apply_query(sigma, rest) if sigma else rest)
-            edge = EdgeLabel("derived", theta_key(sigma))
-            node.children.append((edge, SlpdnfNode(child_query, node.expr)))
-
-    def _step_prob(self, node: SlpdnfNode, lit: Literal) -> None:
-        rest = node.query[1:]
-        for inst, i in self.g.prob_heads_for(lit.atom):
-            sigma = mgu(lit.atom, inst.head_atom(i))
-            if sigma is None:
-                continue
-            ac = AtomicChoice(inst.cid, inst.key, i)
-            expr = dnf(conj([node.expr, ac]))
-            if expr == BOT:
-                continue
-            child_query = inst.body + (apply_query(sigma, rest) if sigma else rest)
-            edge = EdgeLabel("prob", theta_key(sigma), choice=ac)
+            expr = node.expr
+            if i:  # an explicit head: conjoin its atomic choice
+                expr = dnf(conj([expr, AtomicChoice(source.cid, source.key, i)]))
+                if expr == BOT:
+                    continue
+            child_query = body + (apply_query(sigma, rest) if sigma else rest)
+            edge = EdgeLabel("pos", theta_key(sigma))
             node.children.append((edge, SlpdnfNode(child_query, expr)))
 
     def _step_negative(self, node: SlpdnfNode, lit: Literal) -> None:
@@ -244,7 +227,7 @@ class _TreeBuilder:
             raise _floundering(lit)
         not_provable = self.not_provable.get(lit.atom)
         if not_provable is None:
-            sub = SlpdnfTree(SlpdnfNode((lit.negate(),), TOP), self.subs)
+            sub = SlpdnfTree(SlpdnfNode((lit.negate(),), TOP))
             self._expand(sub)
             self.subs[lit.atom] = sub
             not_provable = self._satisfiable(dnf(Not(disj(sub.success_expressions()))))
@@ -260,7 +243,7 @@ class _TreeBuilder:
 
         ``dnf`` drops the other unsatisfiable conjuncts, so what is left is ⊥
         exactly when no world satisfies it.  Only negations can leave an
-        instance no head, so ``_step_prob`` needs no such pass."""
+        instance no head, so ``_step_positive`` needs no such pass."""
         conjuncts = e.children if isinstance(e, Or) else (e,)
         kept = []
         for c in conjuncts:
@@ -326,16 +309,10 @@ class _TabledWalk:
             return None
 
     def atom(self, atom: Atom):
-        g, diagram = self.g, self.diagram
-        if atom.pred in g.prob_head_index:
-            alternatives = [
-                (diagram.chain([AtomicChoice(inst.cid, inst.key, i)], False), inst.body)
-                for inst, i in g.prob_heads_for(atom)
-            ]
-        else:
-            alternatives = [(TRUE, clause.body) for clause in g.derived_for(atom)]
+        diagram = self.diagram
         node, most = FALSE, 0
-        for start, body in alternatives:
+        for _, body, source, i in self.g.resolvents(atom):
+            start = diagram.chain([AtomicChoice(source.cid, source.key, i)], False) if i else TRUE
             acc, steps = yield from self.goal(body, start, 0)
             node, most = diagram.apply(False, node, acc), max(most, steps)
         if most >= self.depth_limit:
@@ -358,13 +335,8 @@ class _TabledWalk:
             if not is_ground_atom(lit.atom):
                 if not lit.positive:
                     raise _floundering(lit)
-                heads = (
-                    [inst.head_atom(i) for inst, i in g.prob_heads_for(lit.atom)]
-                    if lit.atom.pred in g.prob_head_index
-                    else [clause.head for clause in g.derived_for(lit.atom)]
-                )
                 node, most = FALSE, 0
-                for head in dict.fromkeys(heads):
+                for head in dict.fromkeys(head for head, *_ in g.resolvents(lit.atom)):
                     sigma = mgu(lit.atom, head)
                     if sigma is None:
                         continue

@@ -231,6 +231,36 @@ def test_prob_on_a_ladder_of_4096_proofs(capsys, tmp_path):
     assert f"{ladder_reach_prob(12):.9f}\n" == out
 
 
+def test_prob_on_a_ladder_of_40_levels_within_a_small_limit(capsys, tmp_path):
+    # The diagram tests instances in natural clause-id order (c2 before c10),
+    # so it stays small: ladder 40's walk makes 617 nodes.
+    program = tmp_path / "ladder40.lpad"
+    program.write_text(ladder(40))
+    code, out, err = run(capsys, ["prob", str(program), "reach(a0)", "--limit", "1000"])
+    assert (code, out, err) == (0, "0.000563500\n", "")
+    assert f"{ladder_reach_prob(40):.9f}\n" == out
+
+
+def test_a_non_ground_goal_resolves_instance_by_instance(capsys, tmp_path):
+    # a(u) and a(v) each head an instance of c1, of c2 and of c3; the proofs
+    # come instance by instance, each instance's heads ascending.
+    program = tmp_path / "order.lpad"
+    program.write_text(
+        "a(X):0.5; b(X):0.5 :- q(X).\na(X):0.5 :- q(X).\na(v):0.5; a(u):0.5.\nq(u).\nq(v).\n"
+    )
+    code, out, err = run(capsys, ["explain", str(program), "a(X)"])
+    proofs = [block.splitlines() for block in out.split("\n\n")]
+    assert (code, err) == (0, "")
+    assert proofs == [
+        ["proof 1", "a(u)", "   q(u)", "p = 0.5"],
+        ["proof 2", "a(v)", "   q(v)", "p = 0.5"],
+        ["proof 3", "a(u)", "   q(u)", "p = 0.5"],
+        ["proof 4", "a(v)", "   q(v)", "p = 0.5"],
+        ["proof 5", "a(v)", "p = 0.5"],
+        ["proof 6", "a(u)", "p = 0.5"],
+    ]
+
+
 def test_probabilistic_predicates_without_ground_instances(capsys, tmp_path):
     # Restricting both clauses of covid_pos to no instances leaves covid and
     # flu with no ground heads: their goals fail, but they stay known.

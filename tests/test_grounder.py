@@ -248,11 +248,30 @@ def test_clauses_that_cannot_fire_no_longer_reach_the_depth_limit(capsys, tmp_pa
 def test_ground_goals_resolve_through_the_head_index():
     g = ground(deep(3))
     reach = parse_query("reach(n1)")[0].atom
-    assert [str(c) for c in g.derived_for(reach)] == ["reach(n1) :- link(n1,n2), reach(n2)."]
-    assert len(g.derived_for(parse_query("reach(X)")[0].atom)) == 4
+    clauses = [str(c) for _, _, c, _ in g.resolvents(reach)]
+    assert clauses == ["reach(n1) :- link(n1,n2), reach(n2)."]
+    assert len(g.resolvents(parse_query("reach(X)")[0].atom)) == 4
     goal = parse_query("goal(n3)")[0].atom
-    assert [(inst.cid, i) for inst, i in g.prob_heads_for(goal)] == [("c1", 1)]
-    assert g.prob_heads_for(parse_query("goal(n0)")[0].atom) == []
+    assert [(inst.cid, i) for _, _, inst, i in g.resolvents(goal)] == [("c1", 1)]
+    assert g.resolvents(parse_query("goal(n0)")[0].atom) == []
+
+
+def test_resolvents_come_instance_by_instance():
+    g = ground(parse_program(
+        "a(X):0.5; b(X):0.5 :- q(X).\na(X):0.5 :- q(X).\na(v):0.5; a(u):0.5.\nq(u).\nq(v).\n"
+    ))
+
+    def entries(text):
+        atom = parse_query(text)[0].atom
+        return [(str(head), source.cid, i) for head, _, source, i in g.resolvents(atom)]
+
+    assert entries("a(X)") == [
+        ("a(u)", "c1", 1), ("a(v)", "c1", 1), ("a(u)", "c2", 1), ("a(v)", "c2", 1),
+        ("a(v)", "c3", 1), ("a(u)", "c3", 2),
+    ]
+    assert entries("a(u)") == [("a(u)", "c1", 1), ("a(u)", "c2", 1), ("a(u)", "c3", 2)]
+    q = parse_query("q(X)")[0].atom
+    assert [(str(head), i) for head, _, _, i in g.resolvents(q)] == [("q(u)", 0), ("q(v)", 0)]
 
 
 def _relevant_by_passes(g, q):

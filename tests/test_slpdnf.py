@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import math
 from pathlib import Path
@@ -84,7 +85,7 @@ def test_subsidiary_trees_are_cached_per_atom(neg_ground):
 
 def test_probabilistic_branching_order(pos_ground):
     tree = build_tree(parse_query("covid(p1)"), pos_ground)
-    labels = [edge.choice for edge, _ in tree.root.children]
+    labels = [child.expr for _, child in tree.root.children]
     assert [str(a) for a in labels] == [
         "(c1,{X/p1},1)",
         "(c2,{X/p1,Y/p1},1)",
@@ -178,6 +179,22 @@ def _load_families():
     return module
 
 
+def test_build_tree_leaves_no_cyclic_garbage():
+    # Only the returned tree holds the subsidiary trees: a subsidiary tree
+    # that held them too would make a cycle for the collector to find.
+    text, restriction = _load_families().star(4)
+    g = ground(parse_program(text), restriction=restriction)
+    q = parse_query("\\+covid(p1)")
+    gc.collect()
+    gc.disable()
+    try:
+        tree = build_tree(q, g)
+        del tree
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def assert_table_is_tree(q, g, label):
     """One diagram holds the walk's node and the node compiled from the
 
@@ -192,7 +209,7 @@ def fixture_queries(g):
     """Every ground atom with a clause, and its negation, and each predicate
 
     of those atoms with fresh variables."""
-    atoms = list(g.derived_heads) + list(g.prob_head_atoms)
+    atoms = list(g.by_head)
     texts = {str(a) for a in atoms} | {f"\\+{a}" for a in atoms}
     for name, arity in {a.pred for a in atoms}:
         args = ",".join(f"V{i}" for i in range(arity))
