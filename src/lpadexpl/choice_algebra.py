@@ -30,7 +30,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import EnumerationLimitError, LpadError
 from .grounder import GroundProgram, ThetaKey
@@ -78,13 +77,14 @@ def _natural(text: str) -> tuple:
 class AtomicChoice(ChoiceExpr, _HashConsed):
     """The choice ``(cid, θ, index)``; hash-consed, so equal choices are one
 
-    object."""
+    object.  ``inst`` is its instance's ``(cid, θ)``, made once."""
 
-    __slots__ = _fields = ("cid", "key", "index")
+    __slots__ = ("cid", "key", "index", "inst")
+    _fields = ("cid", "key", "index")
 
     def __new__(cls, cid: str, key: ThetaKey, index: int) -> "AtomicChoice":
         k = (cid, key, index)
-        return cls._table.get(k) or cls._intern(k, cid, key, index)
+        return cls._table.get(k) or cls._intern(k, cid, key, index, (cid, key))
 
     def sort_key(self) -> tuple:
         return (_natural(self.cid), self.key, self.index)
@@ -179,7 +179,7 @@ def node_count(e: ChoiceExpr) -> int:
 
 def mentioned_instances(e: ChoiceExpr) -> set[tuple[str, ThetaKey]]:
     """The ground instances whose choices the expression mentions."""
-    return {(x.cid, x.key) for x in _subexpressions(e) if isinstance(x, AtomicChoice)}
+    return {x.inst for x in _subexpressions(e) if isinstance(x, AtomicChoice)}
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +204,7 @@ def complement_atomic(ac: AtomicChoice, g: GroundProgram) -> CompositeChoice:
 
 def is_consistent(kappa) -> bool:
     """No two atomic choices pick different heads of the same instance."""
-    chosen: dict[tuple[str, ThetaKey], int] = {}
-    for ac in kappa:
-        prev = chosen.setdefault((ac.cid, ac.key), ac.index)
-        if prev != ac.index:
-            return False
-    return True
+    return _chosen(kappa) is not None
 
 
 def hits(sets) -> list[CompositeChoice]:
@@ -245,26 +240,37 @@ CONJOIN_LIMIT = 250_000
 _UNIT = (frozenset(),)
 
 
-def _join(a: frozenset, b: frozenset, guarded) -> frozenset | None:
+def _chosen(s: frozenset) -> dict[tuple[str, ThetaKey], int] | None:
+    """The head each instance's atomic choices in ``s`` pick, or None when
+
+    two of them pick different heads of one instance."""
+    chosen: dict[tuple[str, ThetaKey], int] = {}
+    for lit in s:
+        if isinstance(lit, AtomicChoice) and chosen.setdefault(lit.inst, lit.index) != lit.index:
+            return None
+    return chosen
+
+
+def _join(a: frozenset, chosen_a, b: frozenset, chosen_b, guarded) -> frozenset | None:
     """a ∧ b as one literal set, or None when it is inconsistent.
 
-    Literals are atomic choices and their negations.  Two heads of one
-    instance, or α with ¬α, are inconsistent; a chosen head α makes ¬α' of
-    the same instance redundant, and it is dropped.  Negations occur only
+    Literals are atomic choices and their negations; ``chosen_a`` and
+    ``chosen_b`` are the ``_chosen`` heads of the two sets.  Two heads of
+    one instance, or α with ¬α, are inconsistent; a chosen head α makes ¬α'
+    of the same instance redundant, and it is dropped.  Negations occur only
     when ``guarded`` (the negated instances) is non-empty.
     """
+    for inst, index in chosen_b.items():
+        if chosen_a.get(inst, index) != index:
+            return None
     u = a | b
-    chosen: dict[tuple[str, ThetaKey], int] = {}
-    for lit in u:
-        if isinstance(lit, AtomicChoice):
-            if chosen.setdefault((lit.cid, lit.key), lit.index) != lit.index:
-                return None
     if not guarded:
         return u
     redundant = []
     for lit in u:
         if isinstance(lit, Not):
-            index = chosen.get((lit.child.cid, lit.child.key))
+            inst = lit.child.inst
+            index = chosen_a.get(inst) or chosen_b.get(inst)
             if index == lit.child.index:
                 return None
             if index is not None:
@@ -289,7 +295,7 @@ def _absorb(sets, guarded) -> list[frozenset]:
             if not any(
                 k < s
                 and not any(
-                    isinstance(lit, AtomicChoice) and (lit.cid, lit.key) in guarded
+                    isinstance(lit, AtomicChoice) and lit.inst in guarded
                     for lit in s - k
                 )
                 for k in kept
@@ -305,9 +311,13 @@ def _conjoin(acc, factor, op: str, guarded=frozenset()) -> list[frozenset]:
     Raises EnumerationLimitError once the joins pass ``CONJOIN_LIMIT``.
     """
     joined: set[frozenset] = set()
+    factor = [(b, chosen) for b in factor if (chosen := _chosen(b)) is not None]
     for a in acc:
-        for b in factor:
-            u = _join(a, b, guarded)
+        chosen_a = _chosen(a)
+        if chosen_a is None:
+            continue
+        for b, chosen_b in factor:
+            u = _join(a, chosen_a, b, chosen_b, guarded)
             if u is not None:
                 joined.add(u)
         if len(joined) > CONJOIN_LIMIT:
@@ -327,10 +337,13 @@ def duals(ks, g: GroundProgram) -> frozenset[CompositeChoice]:
     """The minimal composite choices covering exactly the selections *not*
 
     covered by ``ks``: minimal hitting sets of the elementwise complements,
-    built one complement at a time.
+    built one complement at a time.  An inconsistent set covers no world
+    and is skipped.
     """
     result = _UNIT
     for k in ks:
+        if not is_consistent(k):
+            continue
         complement = {c for ac in k for c in complement_atomic(ac, g)}
         result = _conjoin(result, [frozenset([c]) for c in complement], "duals")
     return frozenset(result)
@@ -371,7 +384,7 @@ def _negated_instances(e: ChoiceExpr, negated: bool) -> frozenset[tuple[str, The
     if isinstance(e, Not):
         return _negated_instances(e.child, not negated)
     if isinstance(e, AtomicChoice):
-        return frozenset([(e.cid, e.key)]) if negated else frozenset()
+        return frozenset([e.inst]) if negated else frozenset()
     if isinstance(e, (And, Or)):
         return frozenset().union(*(_negated_instances(c, negated) for c in e.children))
     return frozenset()
@@ -411,6 +424,29 @@ def dnf(e: ChoiceExpr) -> ChoiceExpr:
     return disj(conj(c) for c in sets)
 
 
+def conjoin_dnf(e: ChoiceExpr, f: ChoiceExpr) -> ChoiceExpr:
+    """``dnf(conj([e, f]))`` of two DNFs in one kernel step: their conjuncts,
+
+    read as literal sets, are joined pairwise under both inputs' negated
+    instances, then absorbed once more."""
+    e_sets, f_sets = _conjunct_sets(e), _conjunct_sets(f)
+    guarded = frozenset(
+        lit.child.inst for s in (*e_sets, *f_sets) for lit in s if isinstance(lit, Not)
+    )
+    sets = _absorb(_conjoin(e_sets, f_sets, "dnf", guarded), frozenset())
+    return disj(conj(c) for c in sets)
+
+
+def _conjunct_sets(e: ChoiceExpr) -> list[frozenset]:
+    """The conjuncts of a DNF as literal sets."""
+    if isinstance(e, (_Bottom, _Top)):
+        return list(_UNIT) if isinstance(e, _Top) else []
+    return [
+        frozenset(c.children) if isinstance(c, And) else frozenset([c])
+        for c in (e.children if isinstance(e, Or) else (e,))
+    ]
+
+
 def _is_literal(x: ChoiceExpr) -> bool:
     """α or ¬α for an atomic choice α."""
     return isinstance(x, AtomicChoice) or isinstance(x, Not) and isinstance(x.child, AtomicChoice)
@@ -439,7 +475,7 @@ def eval_expr(e: ChoiceExpr, assignment: dict[tuple[str, ThetaKey], int]) -> boo
     if isinstance(e, _Top):
         return True
     if isinstance(e, AtomicChoice):
-        return assignment[(e.cid, e.key)] == e.index
+        return assignment[e.inst] == e.index
     if isinstance(e, Not):
         return not eval_expr(e.child, assignment)
     if isinstance(e, And):
@@ -517,7 +553,7 @@ class Diagram:
         allowed: dict[int, set[int]] = {}
         for lit in literals:
             ac, positive = (lit.child, negated) if isinstance(lit, Not) else (lit, not negated)
-            rank = self.rank[(ac.cid, ac.key)]
+            rank = self.rank[ac.inst]
             heads = allowed.get(rank) or set(range(1, self.order[rank].n_heads + 1))
             allowed[rank] = heads = heads & {ac.index} if positive else heads - {ac.index}
             if not heads:
@@ -646,22 +682,14 @@ def render_composite(k: CompositeChoice, g: GroundProgram) -> str:
 def render_composite_set(ks, g: GroundProgram) -> str:
     """``render_composite`` of each set, the sets ordered by their sorted
 
-    atomic choices' sort keys; each set is sorted once, and each distinct
-    atomic choice is keyed and rendered once."""
-    seen: dict[AtomicChoice, tuple[tuple, str]] = {}
-    rows = []
-    for k in ks:
-        entries = []
-        for ac in k:
-            entry = seen.get(ac)
-            if entry is None:
-                entry = seen[ac] = (ac.sort_key(), render_atomic(ac, g))
-            entries.append(entry)
-        entries.sort(key=itemgetter(0))
-        rows.append(entries)
-    rows.sort(key=lambda entries: [key for key, _ in entries])
-    sets = ("{" + ",".join([text for _, text in entries]) + "}" for entries in rows)
-    return "{" + ",".join(sets) + "}"
+    atomic choices' sort keys.  The distinct atomic choices are ranked by
+    sort key and rendered once; the sets are then sorted as rank lists."""
+    ks = list(ks)
+    distinct = sorted({ac for k in ks for ac in k}, key=AtomicChoice.sort_key)
+    rank = {ac: r for r, ac in enumerate(distinct)}
+    texts = [render_atomic(ac, g) for ac in distinct]
+    rows = sorted(sorted(map(rank.__getitem__, k)) for k in ks)
+    return "{" + ",".join("{" + ",".join([texts[r] for r in row]) + "}" for row in rows) + "}"
 
 
 #: The most ``~`` and ``(`` a choice expression may nest.

@@ -36,7 +36,6 @@ from .semantics import DEFAULT_ASSIGNMENT_LIMIT, derivation_prob
 from .slpdnf import (
     DEFAULT_DEPTH_LIMIT,
     Derivation,
-    SlpdnfNode,
     build_tree,
     derivations,
 )
@@ -48,8 +47,8 @@ from .syntax import (
     Program,
     Query,
     Substitution,
-    apply_query,
-    is_ground_query,
+    apply_literal,
+    is_ground_atom,
     mgu,
     query_str,
     query_vars,
@@ -167,43 +166,36 @@ class AndTree:
         return [c for c in self.children if c.literal is not None]
 
 
-def backpropagate(d: Derivation) -> Derivation:
-    """A copy of the derivation with every goal grounded by the composed
-
-    answer substitution."""
-    sigma = d.substitution()
-    nodes = []
-    for n in d.nodes:
-        q = apply_query(sigma, n.query)
-        nodes.append(SlpdnfNode(q, n.expr, n.marking))
-    if any(not is_ground_query(n.query) for n in nodes):
-        raise ProgramError(
-            "internal error: derivation does not ground its goals"
-        )
-    return Derivation(tuple(nodes), d.edges)
-
-
 def and_tree(d: Derivation, g: GroundProgram) -> AndTree:
-    """Replay a grounded derivation into a proof tree.
+    """Replay a derivation into a proof tree of ground literals.
 
-    The derivation must start from a single-literal goal (``explain`` wraps
-    other queries first).
+    The composed answer substitution grounds the root literal and the body
+    literals each step adds, each once.  The derivation must start from a
+    single-literal goal (``explain`` wraps other queries first).
     """
     queries = [n.query for n in d.nodes]
     if len(queries[0]) != 1:
         raise ProgramError(
             f"proof trees need an atomic goal, got {query_str(queries[0])}"
         )
-    root = AndTree(queries[0][0])
-    pending: list[AndTree] = [root]
+    sigma = d.substitution()
+
+    def grounded(lit: Literal) -> AndTree:
+        lit = apply_literal(sigma, lit) if sigma else lit
+        if not is_ground_atom(lit.atom):
+            raise ProgramError("internal error: derivation does not ground its goals")
+        return AndTree(lit)
+
+    root = grounded(queries[0][0])
+    pending: list[AndTree] = [root]  # the open literals, leftmost last
     for k, edge in enumerate(d.edges):
-        node = pending.pop(0)
+        node = pending.pop()
         child_query = queries[k + 1]
         if edge.kind == "pos":
             body_len = len(child_query) - (len(queries[k]) - 1)
-            children = [AndTree(child_query[i]) for i in range(body_len)]
+            children = [grounded(child_query[i]) for i in range(body_len)]
             node.children = children
-            pending = children + pending
+            pending += reversed(children)
         else:  # negative literal: closing child plus readable expression
             node.children = [AndTree(None)]
             node.expr = chq(edge.expr, g, node.literal.atom)
@@ -257,7 +249,7 @@ def explain(
         q, g = _wrap_query(q, g)
     tree = build_tree(q, g, depth_limit)
     items = [
-        Explanation(and_tree(backpropagate(d), g), derivation_prob(d, g, limit), d)
+        Explanation(and_tree(d, g), derivation_prob(d, g, limit), d)
         for d in derivations(tree)
     ]
     return sorted(items, key=lambda e: e.prob, reverse=True)

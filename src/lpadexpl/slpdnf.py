@@ -43,7 +43,7 @@ from .choice_algebra import (
     Diagram,
     Not,
     Or,
-    conj,
+    conjoin_dnf,
     disj,
     dnf,
     gamma,
@@ -52,9 +52,11 @@ from .errors import DepthLimitError, ProgramError
 from .grounder import GroundProgram, theta_key
 from .syntax import (
     Atom,
+    Constant,
     Literal,
     Query,
     Substitution,
+    Variable,
     apply_query,
     compose,
     is_ground_atom,
@@ -136,14 +138,9 @@ class Derivation:
         """The composed unifier of all steps."""
         sigma: Substitution = {}
         for edge in self.edges:
-            sigma = compose(sigma, _sigma_dict(edge))
+            if edge.sigma:
+                sigma = compose(sigma, {Variable(v): Constant(c) for v, c in edge.sigma})
         return sigma
-
-
-def _sigma_dict(edge: EdgeLabel) -> Substitution:
-    from .syntax import Constant, Variable
-
-    return {Variable(v): Constant(c) for v, c in edge.sigma}
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,7 +212,7 @@ class _TreeBuilder:
                 continue
             expr = node.expr
             if i:  # an explicit head: conjoin its atomic choice
-                expr = dnf(conj([expr, AtomicChoice(source.cid, source.key, i)]))
+                expr = conjoin_dnf(expr, AtomicChoice(source.cid, source.key, i))
                 if expr == BOT:
                     continue
             child_query = body + (apply_query(sigma, rest) if sigma else rest)
@@ -232,7 +229,7 @@ class _TreeBuilder:
             self.subs[lit.atom] = sub
             not_provable = self._satisfiable(dnf(Not(disj(sub.success_expressions()))))
             self.not_provable[lit.atom] = not_provable
-        expr = self._satisfiable(dnf(conj([node.expr, not_provable])))
+        expr = self._satisfiable(conjoin_dnf(node.expr, not_provable))
         if expr == BOT:
             return  # failed: the goal's worlds all prove the negated atom
         edge = EdgeLabel("neg", (), expr=not_provable)
@@ -248,7 +245,7 @@ class _TreeBuilder:
         kept = []
         for c in conjuncts:
             negated = Counter(
-                (lit.child.cid, lit.child.key)
+                lit.child.inst
                 for lit in (c.children if isinstance(c, And) else (c,))
                 if isinstance(lit, Not)
             )

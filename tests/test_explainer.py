@@ -5,14 +5,13 @@ import random
 
 import pytest
 
-from lpadexpl.choice_algebra import AtomicChoice, Not, conj, mentioned_instances
+from lpadexpl.choice_algebra import TOP, AtomicChoice, Not, conj, mentioned_instances
 from lpadexpl.errors import ProgramError
 from lpadexpl.explainer import (
     RAnd,
     RLit,
     ROr,
     and_tree,
-    backpropagate,
     chq,
     _wrap_query,
     explain,
@@ -24,7 +23,7 @@ from lpadexpl.explainer import (
     to_record,
 )
 from lpadexpl.grounder import ground, relevant_subset
-from lpadexpl.slpdnf import build_tree, derivations
+from lpadexpl.slpdnf import Derivation, SlpdnfNode, build_tree, derivations
 from lpadexpl.syntax import is_ground_query, parse_program, parse_query
 
 from conftest import golden_text
@@ -178,7 +177,7 @@ def test_fully_pruned_reason_is_trivially_true():
 
 def test_and_tree_shapes(pos_ground):
     tree = build_tree(parse_query("covid(p1)"), pos_ground)
-    ds = [backpropagate(d) for d in derivations(tree)]
+    ds = derivations(tree)
     direct = and_tree(ds[0], pos_ground)
     assert str(direct.literal) == "covid(p1)"
     assert [str(c.literal) for c in direct.children] == ["pcr(p1)"]
@@ -194,17 +193,28 @@ def test_and_tree_shapes(pos_ground):
     assert [str(c.literal) for c in indirect.children[1].children] == ["pcr(p2)"]
 
 
-def test_backpropagate_grounds_every_goal(pos_ground):
+def test_and_tree_grounds_every_literal(pos_ground):
     tree = build_tree(parse_query("covid(X)"), pos_ground)
     for d in derivations(tree):
         assert any(not is_ground_query(n.query) for n in d.nodes)
-        grounded = backpropagate(d)
-        assert all(is_ground_query(n.query) for n in grounded.nodes)
+        stack, literals = [and_tree(d, pos_ground)], []
+        while stack:
+            node = stack.pop()
+            literals += [node.literal] if node.literal is not None else []
+            stack += node.children
+        assert literals and all(is_ground_query((lit,)) for lit in literals)
+    assert str(and_tree(derivations(tree)[0], pos_ground).literal) == "covid(p1)"
+
+
+def test_and_tree_rejects_a_derivation_that_leaves_a_variable(pos_ground):
+    d = Derivation((SlpdnfNode(parse_query("covid(X)"), TOP),), ())
+    with pytest.raises(ProgramError, match="does not ground its goals"):
+        and_tree(d, pos_ground)
 
 
 def test_and_tree_rejects_conjunctive_roots(pos_ground):
     tree = build_tree(parse_query("pcr(p1), pcr(p2)"), pos_ground)
-    d = backpropagate(derivations(tree)[0])
+    d = derivations(tree)[0]
     with pytest.raises(ProgramError):
         and_tree(d, pos_ground)
 

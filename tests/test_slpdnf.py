@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from lpadexpl.choice_algebra import Diagram, disj, gamma, render_expr
+from lpadexpl import slpdnf
+from lpadexpl.choice_algebra import Diagram, conj, conjoin_dnf, disj, dnf, gamma, render_expr
 from lpadexpl.errors import DepthLimitError, ProgramError
 from lpadexpl.grounder import ground
 from lpadexpl.semantics import success_prob
@@ -271,3 +272,33 @@ def test_the_walk_flounders_and_rejects_unknown_predicates_as_the_tree_does():
         query_diagram(parse_query("p(Y), \\+r(X)"), g, Diagram(g))
     with pytest.raises(ProgramError, match=r"^unknown predicate mystery/1 in query$"):
         query_diagram(parse_query("mystery(a)"), g, Diagram(g))
+
+
+def test_every_conjoin_of_the_tree_is_the_dnf_of_the_conjunction(monkeypatch):
+    # Both steps conjoin two DNFs with conjoin_dnf; each call must give what
+    # normalising the whole conjunction gives.
+    calls, mismatches = [], []
+
+    def checked(e, f):
+        out = conjoin_dnf(e, f)
+        calls.append((e, f))
+        if out != dnf(conj([e, f])):
+            mismatches.append((e, f, out))
+        return out
+
+    monkeypatch.setattr(slpdnf, "conjoin_dnf", checked)
+    families = _load_families()
+    programs = [family(n) for family, n in [
+        (families.chain, 4), (families.chain, 6), (families.star, 5), (families.positive_star, 5)
+    ]]
+    for text, restriction in programs:
+        g = ground(parse_program(text), restriction=restriction)
+        for query in ("covid(p1)", "\\+covid(p1)"):
+            build_tree(parse_query(query), g)
+    family_calls = len(calls)
+    for full_heads in (False, True):
+        for seed in range(500):
+            text, query_text = genprog.generate(seed, full_heads=full_heads)
+            build_tree(parse_query(query_text), ground(parse_program(text)))
+    assert family_calls > 100 and len(calls) > family_calls
+    assert mismatches == []
