@@ -14,8 +14,8 @@ expressions form a Boolean algebra, which is what makes ``dnf``, the one
 normaliser, sound.  ``Diagram`` compiles any expression to a canonical
 decision diagram: ``equiv`` compares two expressions' nodes,
 ``semantics.event_prob`` sums one's probability over it, within a bound on
-the number of nodes, and ``slpdnf.query_diagram`` builds a query's diagram
-from one diagram per ground atom.
+the number of nodes, and ``slpdnf.query_diagram`` and ``build_tree`` build
+a query's diagram, the first from one diagram per ground atom.
 
 Everything here is deterministic: ∧/∨ keep their children as canonically
 sorted, duplicate-free tuples (so associativity, commutativity, and
@@ -36,8 +36,8 @@ from .grounder import GroundProgram, ThetaKey
 from .syntax import NONE_PREDICATE, _HashConsed, _Parser
 
 #: The default bound on the head assignments one enumeration may visit, and
-#: on the nodes a decision diagram of ``semantics.event_prob`` or
-#: ``success_prob`` may make.
+#: on the nodes a decision diagram of ``semantics.event_prob``,
+#: ``success_prob`` or ``explain`` may make.
 DEFAULT_ASSIGNMENT_LIMIT = 1_000_000
 
 
@@ -497,12 +497,13 @@ class Diagram:
     ``expr_key``'s (clause id, θ) order, and has one child per head.  A
     unique table shares equal nodes, and a node whose children are all one
     child is that child, so world-equivalent expressions compile to one node.  Past ``limit`` nodes
-    (by default, never), raises EnumerationLimitError naming the ``--limit``
-    of ``semantics.event_prob`` and ``success_prob``, the bounded uses.
+    (by default, never), raises EnumerationLimitError naming ``stage`` and the
+    ``--limit``: ``walk`` for ``slpdnf.query_diagram``'s diagram, ``tree`` for
+    ``slpdnf.build_tree``'s, and ``event_prob`` for ``semantics.event_prob``'s.
     """
 
-    def __init__(self, g: GroundProgram, limit: float = math.inf):
-        self.limit = limit
+    def __init__(self, g: GroundProgram, limit: float = math.inf, stage: str = "diagram"):
+        self.limit, self.stage = limit, stage
         #: The instances in order; a node tests an instance by its rank here.
         self.order = sorted(g.instances, key=lambda inst: (_natural(inst.cid), inst.key))
         self.rank = {(inst.cid, inst.key): r for r, inst in enumerate(self.order)}
@@ -510,6 +511,7 @@ class Diagram:
         self.unique: dict[tuple, int] = {}
         self.memo: dict[tuple[bool, int, int], int] = {}  # (conjoin, a, b), a < b
         self.negations: dict[int, int] = {FALSE: TRUE, TRUE: FALSE}
+        self.probs: dict[int, float] = {FALSE: 0.0, TRUE: 1.0}
 
     def _node(self, rank: int, children: tuple[int, ...]) -> int:
         if children.count(children[0]) == len(children):
@@ -518,7 +520,7 @@ class Diagram:
         if node == len(self.nodes):
             if node - 1 > self.limit:
                 raise EnumerationLimitError(
-                    f"event_prob: {node - 1} nodes in the decision diagram exceed "
+                    f"{self.stage}: {node - 1} nodes in the decision diagram exceed "
                     f"the limit {self.limit} (--limit)"
                 )
             self.nodes.append((rank, children))
@@ -528,7 +530,7 @@ class Diagram:
         """The node of ``e`` (of ¬e when ``negated``): ¬ flips the polarity on
 
         the way down, the literals of a conjunction become one ``chain``, and
-        ``apply`` combines the rest pairwise, in a balanced tree."""
+        ``apply_all`` combines the rest."""
         if isinstance(e, Not):
             return self.compile(e.child, not negated)
         if isinstance(e, (_Bottom, _Top)):
@@ -540,10 +542,7 @@ class Diagram:
         nodes = [self.compile(c, negated) for c in e.children if not (conjoin and _is_literal(c))]
         if literals:
             nodes.append(self.chain(literals, negated))
-        while len(nodes) > 1:
-            odd = nodes[len(nodes) // 2 * 2 :]
-            nodes = [self.apply(conjoin, a, b) for a, b in zip(nodes[::2], nodes[1::2])] + odd
-        return nodes[0] if nodes else int(conjoin)
+        return self.apply_all(conjoin, nodes)
 
     def chain(self, literals, negated: bool) -> int:
         """The conjunction of literals α and ¬α (each negated when ``negated``):
@@ -592,6 +591,13 @@ class Diagram:
                 self.memo[(conjoin, min(x, y), max(x, y))] = self._node(rank, tuple(children))
         return known(a, b)
 
+    def apply_all(self, conjoin: bool, nodes: list[int]) -> int:
+        """The ∧ (∨ unless ``conjoin``) of ``nodes``, pairwise in a balanced tree."""
+        while len(nodes) > 1:
+            odd = nodes[len(nodes) // 2 * 2 :]
+            nodes = [self.apply(conjoin, a, b) for a, b in zip(nodes[::2], nodes[1::2])] + odd
+        return nodes[0] if nodes else int(conjoin)
+
     def negate(self, root: int) -> int:
         """¬root: the same diagram with its terminals swapped, memoised both
 
@@ -613,9 +619,9 @@ class Diagram:
     def prob(self, root: int) -> float:
         """The mass of a node's worlds: ``fsum(p_i · P(child_i))`` over its
 
-        instance's heads, memoised, with an explicit stack; FALSE is exactly
-        0.0 and TRUE exactly 1.0."""
-        memo = {FALSE: 0.0, TRUE: 1.0}
+        instance's heads, memoised for the diagram's lifetime, with an
+        explicit stack; FALSE is exactly 0.0 and TRUE exactly 1.0."""
+        memo = self.probs
         stack = [root]
         while stack:
             node = stack.pop()

@@ -271,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=None,
-        help="most nodes held by the decision diagram of each proof's "
-        "probability (default: 1000000)",
+        help="most nodes the query's one decision diagram makes, for the whole "
+        "tree and every proof's probability (default: 1000000)",
     )
     _add_grounding_flags(p)
     p.set_defaults(func=cmd_explain)

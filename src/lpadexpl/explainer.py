@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass, field
 
 from .choice_algebra import (
+    DEFAULT_ASSIGNMENT_LIMIT,
     And,
     AtomicChoice,
     ChoiceExpr,
@@ -32,7 +33,6 @@ from .choice_algebra import (
 )
 from .errors import ProgramError
 from .grounder import GroundProgram, ground
-from .semantics import DEFAULT_ASSIGNMENT_LIMIT, derivation_prob
 from .slpdnf import (
     DEFAULT_DEPTH_LIMIT,
     Derivation,
@@ -242,14 +242,14 @@ def explain(
 ) -> list[Explanation]:
     """All proofs of ``q`` as trees with probabilities, most probable first
 
-    (ties keep left-to-right proof order).  ``limit`` bounds each proof's
-    decision diagram, as in ``success_prob``."""
+    (ties keep left-to-right proof order).  Each probability is the mass of
+    a leaf's node in the tree's one diagram, of at most ``limit`` nodes."""
     limit = DEFAULT_ASSIGNMENT_LIMIT if limit is None else limit
     if len(q) != 1 or not q[0].positive:
         q, g = _wrap_query(q, g)
-    tree = build_tree(q, g, depth_limit)
+    tree = build_tree(q, g, depth_limit, limit)
     items = [
-        Explanation(and_tree(d, g), derivation_prob(d, g, limit), d)
+        Explanation(and_tree(d, g), tree.diagram.prob(d.leaf.node), d)
         for d in derivations(tree)
     ]
     return sorted(items, key=lambda e: e.prob, reverse=True)

@@ -13,11 +13,10 @@ instances the query's proofs mention (independence marginalizes out the
 rest).  ``slpdnf.query_diagram`` builds that diagram from one tabled diagram
 per ground atom, as PITA does for LPADs (Riguzzi & Swift, TPLP 2011),
 without the resolution tree or any DNF.  On a positive cycle or a branch
-that may pass the depth limit the walk gives up, and ``event_prob`` compiles
-the disjunction of the tree's success-leaf expressions instead, which
-answers or raises as the tree does.  ``limit`` bounds the nodes the diagram
-makes, the walk's intermediate ones included; the enumerations bound
-selections.
+that may pass the depth limit the walk gives up, and the resolution tree's
+own diagram sums its ``success`` node instead, which answers or raises as
+the tree does.  ``limit`` bounds the nodes the diagram makes, the walk's
+intermediate ones included; the enumerations bound selections.
 """
 
 from __future__ import annotations
@@ -26,10 +25,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .choice_algebra import DEFAULT_ASSIGNMENT_LIMIT, AtomicChoice, ChoiceExpr, Diagram, conj, disj
+from .choice_algebra import DEFAULT_ASSIGNMENT_LIMIT, AtomicChoice, ChoiceExpr, Diagram, conj
 from .errors import EnumerationLimitError, ProgramError
 from .grounder import GroundProgram, ThetaKey
-from .slpdnf import DEFAULT_DEPTH_LIMIT, Derivation, query_diagram, success_expressions
+from .slpdnf import DEFAULT_DEPTH_LIMIT, build_tree, query_diagram
 from .syntax import Atom, Clause, NONE_PREDICATE, Query, is_ground_query, query_str
 
 #: A selection as a value: one atomic choice per instance.
@@ -147,15 +146,8 @@ def event_prob(
     over its ``Diagram``, in which ⊥ is exactly 0.0 and ⊤ exactly 1.0.
     Raises EnumerationLimitError once the diagram holds more than ``limit``
     nodes."""
-    diagram = Diagram(g, limit)
+    diagram = Diagram(g, limit, "event_prob")
     return diagram.prob(diagram.compile(e))
-
-
-def derivation_prob(
-    d: Derivation, g: GroundProgram, limit: int = DEFAULT_ASSIGNMENT_LIMIT
-) -> float:
-    """The probability of one proof: the mass of its leaf expression."""
-    return event_prob(d.expr, g, limit)
 
 
 def success_prob(
@@ -168,17 +160,18 @@ def success_prob(
     """The probability that a query holds.
 
     ``engine`` (default) sums the query's tabled decision diagram, and the
-    disjunction of the resolution tree's success-leaf expressions where the
-    walk gives up; ``oracle`` enumerates every selection and sums
-    the satisfying worlds' probabilities, and raises ProgramError on a query
-    that is not ground.  The two agree to within 1e-9.
+    resolution tree's ``success`` node where the walk gives up; ``oracle``
+    enumerates every selection and sums the satisfying worlds' probabilities,
+    and raises ProgramError on a query that is not ground.  The two agree to
+    within 1e-9.
     """
     limit = DEFAULT_ASSIGNMENT_LIMIT if limit is None else limit
     if method == "engine":
-        diagram = Diagram(g, limit)
+        diagram = Diagram(g, limit, "walk")
         root = query_diagram(q, g, diagram, depth_limit)
         if root is None:  # a positive cycle or a deep branch: the tree decides
-            return event_prob(disj(success_expressions(q, g, depth_limit)), g, limit)
+            tree = build_tree(q, g, depth_limit, limit)
+            diagram, root = tree.diagram, tree.success
         return diagram.prob(root)
     if method == "oracle":
         _require_ground(q, "oracle")

@@ -2,24 +2,25 @@
 
 expressions.
 
-A tree node pairs a goal (query) with a choice expression constraining the
-worlds in which the branch applies; the root carries ⊤.  The leftmost literal
-is always selected:
+A tree node pairs a goal (query) with the node, in the tree's one decision
+diagram, of the worlds in which the branch applies; the root carries TRUE.
+The leftmost literal is always selected:
 
 * a positive atom resolves against each of its ``resolvents`` that it
-  unifies with: a derived clause leaves the expression unchanged, and an
-  explicit head of a ground instance conjoins its atomic choice onto the
-  expression (in DNF), the child being pruned when that is inconsistent;
+  unifies with: a derived clause leaves the node unchanged, and an explicit
+  head of a ground instance conjoins its atomic choice onto it, the child
+  being pruned when that is FALSE;
 * a ground *negative* literal ¬a spawns (or reuses) a subsidiary tree for a,
-  built to completion; the expression of the single child conjoins the
-  negation of the disjunction of the subsidiary tree's success-leaf
-  expressions.  When that conjunction is inconsistent the node fails.
-  Selecting a non-ground negative literal raises ProgramError (floundering).
+  built to completion; the node of the single child conjoins the negation of
+  the subsidiary tree's ``success``, the ∨ of its success leaves' nodes.
+  When that conjunction is FALSE the node fails.  Selecting a non-ground
+  negative literal raises ProgramError (floundering).
 
 An empty goal is a success leaf; a selected positive literal with no
-resolution step is a failed leaf.  The success-leaf expressions are exactly
-the explanations of the query: a world satisfies the query iff it extends a
-composite choice in ``expl``.
+resolution step is a failed leaf.  A derivation folds what its edges
+conjoined into its leaf's expression, a DNF, only when asked; the
+success-leaf expressions are exactly the explanations of the query: a world
+satisfies the query iff it extends a composite choice in ``expl``.
 
 ``query_diagram`` follows the same selection rule without building the tree:
 it tables one decision diagram per ground atom and returns the node of the
@@ -28,15 +29,13 @@ disjunction of the success-leaf expressions.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass, field
 
 from .choice_algebra import (
-    BOT,
     FALSE,
     TOP,
     TRUE,
-    And,
     AtomicChoice,
     ChoiceExpr,
     CompositeChoice,
@@ -79,7 +78,8 @@ class EdgeLabel:
     """What one resolution step did.
 
     ``kind`` is "pos" or "neg"; ``sigma`` the unifier applied to the rest of
-    the goal; ``expr`` the conjoined expression of a "neg" step.
+    the goal; ``expr`` what the step conjoined: an explicit head's atomic
+    choice, or the DNF of a "neg" step's atom not being provable.
     """
 
     kind: str
@@ -90,7 +90,8 @@ class EdgeLabel:
 @dataclass(slots=True)
 class SlpdnfNode:
     query: Query
-    expr: ChoiceExpr
+    #: The node, in the tree's diagram, of the worlds the branch applies in.
+    node: int
     marking: str = UNMARKED
     children: list[tuple[EdgeLabel, "SlpdnfNode"]] = field(default_factory=list)
 
@@ -98,33 +99,26 @@ class SlpdnfNode:
 @dataclass(slots=True)
 class SlpdnfTree:
     root: SlpdnfNode
+    diagram: Diagram
     #: Subsidiary trees created while building this one, keyed by atom.
     subs: dict[Atom, "SlpdnfTree"] = field(default_factory=dict)
-
-    def success_leaves(self) -> list[SlpdnfNode]:
-        """Success leaves in left-to-right order."""
-        out: list[SlpdnfNode] = []
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            if n.marking == SUCCESS:
-                out.append(n)
-            for _, child in reversed(n.children):
-                stack.append(child)
-        return out
+    #: The ∨ of the success leaves' nodes.
+    success: int = FALSE
 
     def success_expressions(self) -> list[ChoiceExpr]:
-        return [leaf.expr for leaf in self.success_leaves()]
+        """The success leaves' expressions, in left-to-right order."""
+        return [d.expr for d in derivations(self)]
 
 
 @dataclass(frozen=True, slots=True)
 class Derivation:
     """One root-to-success-leaf branch: the visited nodes and the edges
 
-    between them (``len(nodes) == len(edges) + 1``)."""
+    between them (``len(nodes) == len(edges) + 1``), in the tree's diagram."""
 
     nodes: tuple[SlpdnfNode, ...]
     edges: tuple[EdgeLabel, ...]
+    diagram: Diagram
 
     @property
     def leaf(self) -> SlpdnfNode:
@@ -132,7 +126,16 @@ class Derivation:
 
     @property
     def expr(self) -> ChoiceExpr:
-        return self.leaf.expr
+        """The leaf's worlds as a DNF: the edges' factors folded with
+
+        ``conjoin_dnf``, as ``_satisfiable`` leaves each "neg" step."""
+        expr = TOP
+        for edge in self.edges:
+            if edge.expr is not None:
+                expr = conjoin_dnf(expr, edge.expr)
+                if edge.kind == "neg":
+                    expr = _satisfiable(expr, self.diagram)
+        return expr
 
     def substitution(self) -> Substitution:
         """The composed unifier of all steps."""
@@ -164,30 +167,43 @@ def _floundering(lit: Literal) -> ProgramError:
     return ProgramError(f"floundering: negative literal {query_str((lit,))} is not ground")
 
 
+def _satisfiable(e: ChoiceExpr, diagram: Diagram) -> ChoiceExpr:
+    """A DNF without its conjuncts whose node is FALSE.
+
+    ``dnf`` and ``conjoin_dnf`` keep a conjunct that negates every head of
+    one instance; only negations make one, so positive steps need no pass."""
+    conjuncts = e.children if isinstance(e, Or) else (e,)
+    kept = [c for c in conjuncts if diagram.compile(c) != FALSE]
+    return e if len(kept) == len(conjuncts) else disj(kept)
+
+
 class _TreeBuilder:
-    def __init__(self, g: GroundProgram, depth_limit: int):
+    def __init__(self, g: GroundProgram, depth_limit: int, limit: float):
         self.g = g
         self.depth_limit = depth_limit
+        self.diagram = Diagram(g, limit, "tree")
         self.subs: dict[Atom, SlpdnfTree] = {}
-        #: The normalised negation of each subsidiary tree's success
-        #: expressions, keyed like ``subs``.
-        self.not_provable: dict[Atom, ChoiceExpr] = {}
+        #: Each negated atom's edge, keyed like ``subs``: it carries the
+        #: normalised negation of the subsidiary tree's success expressions.
+        self.neg_edges: dict[Atom, EdgeLabel] = {}
         g.strata  # raises StratificationError up front
 
     def build(self, q: Query) -> SlpdnfTree:
         _check_known_predicates(q, self.g)
-        root = SlpdnfNode(q, TOP)
-        tree = SlpdnfTree(root, self.subs)
+        root = SlpdnfNode(q, TRUE)
+        tree = SlpdnfTree(root, self.diagram, self.subs)
         self._expand(tree)
         return tree
 
     def _expand(self, tree: SlpdnfTree) -> None:
         # Depth-first; depth = resolution steps from this tree's root.
         stack: list[tuple[SlpdnfNode, int]] = [(tree.root, 0)]
+        successes: list[int] = []
         while stack:
             node, depth = stack.pop()
             if not node.query:
                 node.marking = SUCCESS
+                successes.append(node.node)
                 continue
             if depth >= self.depth_limit:
                 raise DepthLimitError(
@@ -203,66 +219,51 @@ class _TreeBuilder:
                 node.marking = FAILED
             for _, child in reversed(node.children):
                 stack.append((child, depth + 1))
+        # A balanced ∨ makes a fraction of the nodes of a left-to-right one.
+        tree.success = self.diagram.apply_all(False, successes)
 
     def _step_positive(self, node: SlpdnfNode, lit: Literal) -> None:
-        rest = node.query[1:]
+        diagram, rest = self.diagram, node.query[1:]
         for head, body, source, i in self.g.resolvents(lit.atom):
             sigma = mgu(lit.atom, head)
             if sigma is None:
                 continue
-            expr = node.expr
+            worlds, choice = node.node, None
             if i:  # an explicit head: conjoin its atomic choice
-                expr = conjoin_dnf(expr, AtomicChoice(source.cid, source.key, i))
-                if expr == BOT:
+                choice = AtomicChoice(source.cid, source.key, i)
+                worlds = diagram.apply(True, worlds, diagram.chain([choice], False))
+                if worlds == FALSE:
                     continue
             child_query = body + (apply_query(sigma, rest) if sigma else rest)
-            edge = EdgeLabel("pos", theta_key(sigma))
-            node.children.append((edge, SlpdnfNode(child_query, expr)))
+            edge = EdgeLabel("pos", theta_key(sigma), choice)
+            node.children.append((edge, SlpdnfNode(child_query, worlds)))
 
     def _step_negative(self, node: SlpdnfNode, lit: Literal) -> None:
         if not is_ground_atom(lit.atom):
             raise _floundering(lit)
-        not_provable = self.not_provable.get(lit.atom)
-        if not_provable is None:
-            sub = SlpdnfTree(SlpdnfNode((lit.negate(),), TOP))
+        diagram, sub = self.diagram, self.subs.get(lit.atom)
+        if sub is None:
+            sub = SlpdnfTree(SlpdnfNode((lit.negate(),), TRUE), diagram)
             self._expand(sub)
             self.subs[lit.atom] = sub
-            not_provable = self._satisfiable(dnf(Not(disj(sub.success_expressions()))))
-            self.not_provable[lit.atom] = not_provable
-        expr = self._satisfiable(conjoin_dnf(node.expr, not_provable))
-        if expr == BOT:
+            not_provable = dnf(Not(disj(sub.success_expressions())))
+            self.neg_edges[lit.atom] = EdgeLabel("neg", (), _satisfiable(not_provable, diagram))
+        worlds = diagram.apply(True, node.node, diagram.negate(sub.success))
+        if worlds == FALSE:
             return  # failed: the goal's worlds all prove the negated atom
-        edge = EdgeLabel("neg", (), expr=not_provable)
-        node.children.append((edge, SlpdnfNode(node.query[1:], expr)))
-
-    def _satisfiable(self, e: ChoiceExpr) -> ChoiceExpr:
-        """A DNF without its conjuncts that negate every head of one instance.
-
-        ``dnf`` drops the other unsatisfiable conjuncts, so what is left is ⊥
-        exactly when no world satisfies it.  Only negations can leave an
-        instance no head, so ``_step_positive`` needs no such pass."""
-        conjuncts = e.children if isinstance(e, Or) else (e,)
-        kept = []
-        for c in conjuncts:
-            negated = Counter(
-                lit.child.inst
-                for lit in (c.children if isinstance(c, And) else (c,))
-                if isinstance(lit, Not)
-            )
-            if all(n < self.g.instance(*inst).n_heads for inst, n in negated.items()):
-                kept.append(c)
-        return e if len(kept) == len(conjuncts) else disj(kept)
+        node.children.append((self.neg_edges[lit.atom], SlpdnfNode(node.query[1:], worlds)))
 
 
 def build_tree(
-    q: Query, g: GroundProgram, depth_limit: int = DEFAULT_DEPTH_LIMIT
+    q: Query, g: GroundProgram, depth_limit: int = DEFAULT_DEPTH_LIMIT, limit: float = math.inf
 ) -> SlpdnfTree:
     """Build the full tree for ``q`` (subsidiary trees included, shared by
 
-    atom).  Requires a stratified ground program; raises
-    :class:`DepthLimitError` when a branch exceeds ``depth_limit`` steps.
+    atom) over one decision diagram of at most ``limit`` nodes.  Requires a
+    stratified ground program; raises :class:`DepthLimitError` when a
+    branch exceeds ``depth_limit`` steps.
     """
-    return _TreeBuilder(g, depth_limit).build(q)
+    return _TreeBuilder(g, depth_limit, limit).build(q)
 
 
 class _Unfinished(Exception):
@@ -394,7 +395,7 @@ def derivations(tree: SlpdnfTree) -> list[Derivation]:
         nodes.append(node)
         edges.append(edge)
         if node.marking == SUCCESS:
-            out.append(Derivation(tuple(nodes), tuple(edges[1:])))
+            out.append(Derivation(tuple(nodes), tuple(edges[1:]), tree.diagram))
         for e, child in reversed(node.children):
             stack.append((child, e, depth + 1))
     return out

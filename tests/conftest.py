@@ -6,6 +6,7 @@ run, scraped from the outcomes of tests named ``test_criterion_<n>``.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -29,6 +30,15 @@ def golden_text(name: str) -> str:
 
 def load_restriction(name: str) -> dict:
     return json.loads((FIXTURES / name).read_text())
+
+
+def load_families():
+    """The benchmark's program families (``perfbench/families.py``)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("families", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,7 @@ from lpadexpl.choice_algebra import (
 )
 from lpadexpl.explainer import render_nl, render_text
 from lpadexpl.grounder import ground
-from lpadexpl.semantics import derivation_prob, event_prob, success_prob
+from lpadexpl.semantics import event_prob, success_prob
 from lpadexpl.slpdnf import build_tree, derivations, expl
 from lpadexpl.syntax import parse_program, parse_query
 
@@ -119,7 +119,7 @@ def test_criterion_1(pos_ground):
     assert expl(q, pos_ground) == expected
     tree = build_tree(q, pos_ground)
     probs = sorted(
-        (derivation_prob(d, pos_ground) for d in derivations(tree)), reverse=True
+        (event_prob(d.expr, pos_ground) for d in derivations(tree)), reverse=True
     )
     assert probs == pytest.approx([0.9, 0.36], abs=1e-9)
     assert success_prob(q, pos_ground) == pytest.approx(0.936, abs=1e-9)
@@ -207,13 +207,13 @@ def test_criterion_4(neg_ground):
     q = parse_query("covid(p1)")
     tree = build_tree(q, g)
     ds = derivations(tree)
-    probs = sorted((derivation_prob(d, g) for d in ds), reverse=True)
+    probs = sorted((event_prob(d.expr, g) for d in ds), reverse=True)
     assert probs == pytest.approx([0.9, 0.147168], abs=1e-9)
     p = success_prob(q, g)
     assert p == pytest.approx(0.9147168, abs=1e-9)
     for d in ds:
         assert prob_via_transform(d.expr, g) == pytest.approx(
-            derivation_prob(d, g), abs=1e-9
+            event_prob(d.expr, g), abs=1e-9
         )
     assert prob_via_transform(disj(tree.success_expressions()), g) == pytest.approx(
         p, abs=1e-9

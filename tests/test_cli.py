@@ -134,13 +134,14 @@ def test_explain_limit(capsys):
     code, out, err = run(capsys, argv + ["--limit", "12"])
     assert (code, out) == (2, "")
     assert err == (
-        "error: event_prob: 13 nodes in the decision diagram exceed the limit 12 (--limit)\n"
+        "error: tree: 13 nodes in the decision diagram exceed the limit 12 (--limit)\n"
     )
-    # The largest proof diagram has 13 nodes.  The default is the one prob
+    # The query's one diagram has 26 nodes.  The default is the one prob
     # uses: the output without the flag is the output with it.
     default = run(capsys, argv)
     assert default[0] == 0 and default[1].startswith("proof 1\n")
-    assert run(capsys, argv + ["--limit", "13"]) == default
+    assert run(capsys, argv + ["--limit", "25"])[0] == 2
+    assert run(capsys, argv + ["--limit", "26"]) == default
     assert run(capsys, argv + ["--limit", "1000000"]) == default
 
 
@@ -152,6 +153,16 @@ def test_limit_errors_name_their_stage(capsys):
     )
     code, _, err = run(capsys, ["worlds", NEG, "--limit", "3"])
     assert (code, err) == (2, "error: worlds: 17414258688 worlds exceed the limit 3 (--limit)\n")
+    code, _, err = run(capsys, ["prob", NEG, "covid(p1)", "--limit", "5"])
+    assert (code, err) == (
+        2,
+        "error: walk: 6 nodes in the decision diagram exceed the limit 5 (--limit)\n",
+    )
+    code, _, err = run(capsys, ["explain", NEG, "covid(p1)", "--limit", "5"])
+    assert (code, err) == (
+        2,
+        "error: tree: 6 nodes in the decision diagram exceed the limit 5 (--limit)\n",
+    )
 
 
 def test_oracle_rejects_a_non_ground_query(capsys, tmp_path):

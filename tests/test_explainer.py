@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from lpadexpl.choice_algebra import TOP, AtomicChoice, Not, conj, mentioned_instances
+from lpadexpl.choice_algebra import TRUE, AtomicChoice, Diagram, Not, conj, mentioned_instances
 from lpadexpl.errors import ProgramError
 from lpadexpl.explainer import (
     RAnd,
@@ -26,7 +26,7 @@ from lpadexpl.grounder import ground, relevant_subset
 from lpadexpl.slpdnf import Derivation, SlpdnfNode, build_tree, derivations
 from lpadexpl.syntax import is_ground_query, parse_program, parse_query
 
-from conftest import golden_text
+from conftest import golden_text, load_families
 
 
 def ac(g, cid, values, index):
@@ -160,6 +160,23 @@ def test_equal_probability_ties_keep_proof_order():
     assert cids == ["c1", "c2"]
 
 
+def test_explain_makes_one_diagram(monkeypatch):
+    # The tree's diagram gives every proof its probability.
+    text, restriction = load_families().star(4)
+    g = ground(parse_program(text), restriction=restriction)
+    made = []
+    init = Diagram.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Diagram, "__init__", counting_init)
+    proofs = explain(parse_query("covid(p1)"), g)
+    assert len(proofs) > 1
+    assert len(made) == 1
+
+
 def test_fully_pruned_reason_is_trivially_true():
     g = ground(parse_program("f(a):0.3.\nq :- \\+f(a).\n"))
     proofs = explain(parse_query("q"), g)
@@ -207,7 +224,7 @@ def test_and_tree_grounds_every_literal(pos_ground):
 
 
 def test_and_tree_rejects_a_derivation_that_leaves_a_variable(pos_ground):
-    d = Derivation((SlpdnfNode(parse_query("covid(X)"), TOP),), ())
+    d = Derivation((SlpdnfNode(parse_query("covid(X)"), TRUE),), (), Diagram(pos_ground))
     with pytest.raises(ProgramError, match="does not ground its goals"):
         and_tree(d, pos_ground)
 

@@ -9,7 +9,6 @@ from lpadexpl.errors import EnumerationLimitError
 from lpadexpl.explainer import explain
 from lpadexpl.grounder import ground
 from lpadexpl.semantics import (
-    derivation_prob,
     enumerate_selections,
     event_prob,
     model_check,
@@ -106,9 +105,9 @@ def test_event_prob_of_thousands_of_independent_facts():
 
 
 def test_event_prob_matches_enumeration_on_generated_programs():
-    """On genprog seeds 0-199, the engine's success_prob and every
+    """On genprog seeds 0-199, the engine's success_prob and the event_prob
 
-    derivation's derivation_prob are within 1e-9 of enumerating head
+    of every derivation's expression are within 1e-9 of enumerating head
     assignments."""
     for seed in range(200):
         text, query_text = genprog.generate(seed)
@@ -119,7 +118,7 @@ def test_event_prob_matches_enumeration_on_generated_programs():
         )
         assert success_prob(q, g) == pytest.approx(expected, abs=1e-9), seed
         for d in derivations(build_tree(q, g)):
-            assert derivation_prob(d, g) == pytest.approx(
+            assert event_prob(d.expr, g) == pytest.approx(
                 oracles.event_prob_by_enumeration(d.expr, g), abs=1e-9
             ), seed
 
@@ -146,7 +145,7 @@ def test_no_proof_has_probability_zero():
 def test_derivation_probs_without_negation(pos_ground):
     tree = build_tree(parse_query("covid(p1)"), pos_ground)
     probs = sorted(
-        (derivation_prob(d, pos_ground) for d in derivations(tree)), reverse=True
+        (event_prob(d.expr, pos_ground) for d in derivations(tree)), reverse=True
     )
     assert probs == pytest.approx([0.9, 0.36], abs=1e-12)
 
@@ -154,7 +153,7 @@ def test_derivation_probs_without_negation(pos_ground):
 def test_derivation_probs_with_negation(neg_ground):
     tree = build_tree(parse_query("covid(p1)"), neg_ground)
     probs = sorted(
-        (derivation_prob(d, neg_ground) for d in derivations(tree)), reverse=True
+        (event_prob(d.expr, neg_ground) for d in derivations(tree)), reverse=True
     )
     assert probs == pytest.approx([0.9, 0.147168], abs=1e-12)
 

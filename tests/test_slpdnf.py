@@ -1,15 +1,13 @@
 import gc
-import importlib.util
 import math
-from pathlib import Path
 
 import pytest
 
 from lpadexpl import slpdnf
-from lpadexpl.choice_algebra import Diagram, conj, conjoin_dnf, disj, dnf, gamma, render_expr
+from lpadexpl.choice_algebra import FALSE, Diagram, Or, conj, conjoin_dnf, disj, dnf, gamma, render_expr
 from lpadexpl.errors import DepthLimitError, ProgramError
 from lpadexpl.grounder import ground
-from lpadexpl.semantics import success_prob
+from lpadexpl.semantics import event_prob, success_prob
 from lpadexpl.slpdnf import (
     FAILED,
     SUCCESS,
@@ -22,6 +20,7 @@ from lpadexpl.slpdnf import (
 )
 from lpadexpl.syntax import Literal, parse_program, parse_query
 
+from conftest import load_families
 import genprog
 import oracles
 
@@ -62,6 +61,17 @@ def test_success_expressions_covid_neg(neg_ground):
     assert [len(gamma(e, neg_ground)) for e in exprs] == [1, 9]
 
 
+def test_the_fold_drops_the_conjuncts_no_world_satisfies():
+    # ¬b is ¬f(1) ∨ h and ¬c is ¬f(2).  f has no head besides f(1) and f(2),
+    # so the conjunct ¬f(1) ∧ ¬f(2) denotes no world and goes.
+    g = ground(parse_program(
+        "f(1):0.5; f(2):0.5.\nh:0.5.\nb :- f(1), \\+h.\nc :- f(2).\na :- \\+b, \\+c.\n"
+    ))
+    exprs = success_expressions(parse_query("a"), g)
+    assert [render_expr(e, g) for e in exprs] == ["~(c1,[],2) & (c2,[],1)"]
+    assert_table_is_tree(parse_query("a"), g, "a")
+
+
 def test_negative_literal_spawns_single_child_with_expression(neg_ground):
     tree = build_tree(parse_query("covid(p1)"), neg_ground)
     node = find_goal(tree, "¬protected(p1)")
@@ -86,7 +96,7 @@ def test_subsidiary_trees_are_cached_per_atom(neg_ground):
 
 def test_probabilistic_branching_order(pos_ground):
     tree = build_tree(parse_query("covid(p1)"), pos_ground)
-    labels = [child.expr for _, child in tree.root.children]
+    labels = [edge.expr for edge, _ in tree.root.children]
     assert [str(a) for a in labels] == [
         "(c1,{X/p1},1)",
         "(c2,{X/p1,Y/p1},1)",
@@ -171,19 +181,10 @@ def test_expl_requires_ground_query(pos_ground):
 # ---------------------------------------------------------------------------
 
 
-def _load_families():
-    """The benchmark's program families (``perfbench/families.py``)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "families.py"
-    spec = importlib.util.spec_from_file_location("families", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_build_tree_leaves_no_cyclic_garbage():
     # Only the returned tree holds the subsidiary trees: a subsidiary tree
     # that held them too would make a cycle for the collector to find.
-    text, restriction = _load_families().star(4)
+    text, restriction = load_families().star(4)
     g = ground(parse_program(text), restriction=restriction)
     q = parse_query("\\+covid(p1)")
     gc.collect()
@@ -199,11 +200,23 @@ def test_build_tree_leaves_no_cyclic_garbage():
 def assert_table_is_tree(q, g, label):
     """One diagram holds the walk's node and the node compiled from the
 
-    tree's success expressions; canonicity makes them one node."""
+    tree's success expressions; canonicity makes them one node.  In the
+    tree's own diagram, the tree's ``success`` is that node too, each leaf's
+    node is its derivation's folded expression compiled, its mass is that
+    expression's event_prob, bit for bit, and no conjunct of the expression
+    is FALSE."""
     diagram = Diagram(g)
     node = query_diagram(q, g, diagram)
     assert node is not None, label
-    assert node == diagram.compile(disj(success_expressions(q, g))), label
+    tree = build_tree(q, g)
+    success = disj(tree.success_expressions())
+    assert node == diagram.compile(success), label
+    assert tree.success == tree.diagram.compile(success), label
+    for d in derivations(tree):
+        assert d.leaf.node == tree.diagram.compile(d.expr), label
+        assert tree.diagram.prob(d.leaf.node) == event_prob(d.expr, g), label
+        conjuncts = d.expr.children if isinstance(d.expr, Or) else (d.expr,)
+        assert FALSE not in map(tree.diagram.compile, conjuncts), label
 
 
 def fixture_queries(g):
@@ -228,7 +241,7 @@ def test_the_table_is_the_tree_on_the_fixtures(pos_ground, neg_ground, neg_groun
 
 
 def test_the_table_is_the_tree_on_the_families():
-    families = _load_families()
+    families = load_families()
     cases = [(families.deep(n), "reach(n0)") for n in (5, 50)]
     for n in range(2, 7):
         cases += [(families.positive_star(n), "covid(p1)")]
@@ -275,8 +288,9 @@ def test_the_walk_flounders_and_rejects_unknown_predicates_as_the_tree_does():
 
 
 def test_every_conjoin_of_the_tree_is_the_dnf_of_the_conjunction(monkeypatch):
-    # Both steps conjoin two DNFs with conjoin_dnf; each call must give what
-    # normalising the whole conjunction gives.
+    # Folding a derivation's factors conjoins two DNFs with conjoin_dnf; each
+    # call must give what normalising the whole conjunction gives.
+    # success_expressions folds every success leaf of the tree.
     calls, mismatches = [], []
 
     def checked(e, f):
@@ -287,18 +301,18 @@ def test_every_conjoin_of_the_tree_is_the_dnf_of_the_conjunction(monkeypatch):
         return out
 
     monkeypatch.setattr(slpdnf, "conjoin_dnf", checked)
-    families = _load_families()
+    families = load_families()
     programs = [family(n) for family, n in [
         (families.chain, 4), (families.chain, 6), (families.star, 5), (families.positive_star, 5)
     ]]
     for text, restriction in programs:
         g = ground(parse_program(text), restriction=restriction)
         for query in ("covid(p1)", "\\+covid(p1)"):
-            build_tree(parse_query(query), g)
+            build_tree(parse_query(query), g).success_expressions()
     family_calls = len(calls)
     for full_heads in (False, True):
         for seed in range(500):
             text, query_text = genprog.generate(seed, full_heads=full_heads)
-            build_tree(parse_query(query_text), ground(parse_program(text)))
+            build_tree(parse_query(query_text), ground(parse_program(text))).success_expressions()
     assert family_calls > 100 and len(calls) > family_calls
     assert mismatches == []
