@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .choice_algebra import (
     DEFAULT_ASSIGNMENT_LIMIT,
@@ -203,11 +204,17 @@ def and_tree(d: Derivation, g: GroundProgram) -> AndTree:
     return root
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Explanation:
-    tree: AndTree
+    """A proof and its probability; its AND-tree is built when first read."""
+
     prob: float
     derivation: Derivation
+    g: GroundProgram
+
+    @cached_property
+    def tree(self) -> AndTree:
+        return and_tree(self.derivation, self.g)
 
 
 def _wrap_query(q: Query, g: GroundProgram) -> tuple[Query, GroundProgram]:
@@ -240,7 +247,7 @@ def explain(
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
     limit: int | None = None,
 ) -> list[Explanation]:
-    """All proofs of ``q`` as trees with probabilities, most probable first
+    """All proofs of ``q`` with their probabilities, most probable first
 
     (ties keep left-to-right proof order).  Each probability is the mass of
     a leaf's node in the tree's one diagram, of at most ``limit`` nodes."""
@@ -248,10 +255,7 @@ def explain(
     if len(q) != 1 or not q[0].positive:
         q, g = _wrap_query(q, g)
     tree = build_tree(q, g, depth_limit, limit)
-    items = [
-        Explanation(and_tree(d, g), tree.diagram.prob(d.leaf.node), d)
-        for d in derivations(tree)
-    ]
+    items = [Explanation(tree.diagram.prob(d.leaf.node), d, g) for d in derivations(tree)]
     return sorted(items, key=lambda e: e.prob, reverse=True)
 
 

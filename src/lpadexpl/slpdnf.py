@@ -17,9 +17,9 @@ The leftmost literal is always selected:
   negative literal raises ProgramError (floundering).
 
 An empty goal is a success leaf; a selected positive literal with no
-resolution step is a failed leaf.  A derivation folds what its edges
-conjoined into its leaf's expression, a DNF, only when asked; the
-success-leaf expressions are exactly the explanations of the query: a world
+resolution step is a failed leaf.  ``success_expressions`` folds what the
+edges conjoined into each success leaf's expression, a DNF, in one pass when
+asked; those expressions are exactly the explanations of the query: a world
 satisfies the query iff it extends a composite choice in ``expl``.
 
 ``query_diagram`` follows the same selection rule without building the tree:
@@ -106,36 +106,37 @@ class SlpdnfTree:
     success: int = FALSE
 
     def success_expressions(self) -> list[ChoiceExpr]:
-        """The success leaves' expressions, in left-to-right order."""
-        return [d.expr for d in derivations(self)]
+        """The success leaves' DNFs, in left-to-right order: one pass carries
+
+        each node's DNF to its children, with one ``conjoin_dnf`` per edge
+        factor, and ``_satisfiable`` leaves each "neg" step."""
+        out: list[ChoiceExpr] = []
+        stack: list[tuple[SlpdnfNode, ChoiceExpr]] = [(self.root, TOP)]
+        while stack:
+            node, expr = stack.pop()
+            if node.marking == SUCCESS:
+                out.append(expr)
+            for edge, child in reversed(node.children):
+                child_expr = expr if edge.expr is None else conjoin_dnf(expr, edge.expr)
+                if edge.kind == "neg":
+                    child_expr = _satisfiable(child_expr, self.diagram)
+                stack.append((child, child_expr))
+        return out
 
 
 @dataclass(frozen=True, slots=True)
 class Derivation:
     """One root-to-success-leaf branch: the visited nodes and the edges
 
-    between them (``len(nodes) == len(edges) + 1``), in the tree's diagram."""
+    between them (``len(nodes) == len(edges) + 1``); the tree's
+    ``success_expressions`` holds its DNF."""
 
     nodes: tuple[SlpdnfNode, ...]
     edges: tuple[EdgeLabel, ...]
-    diagram: Diagram
 
     @property
     def leaf(self) -> SlpdnfNode:
         return self.nodes[-1]
-
-    @property
-    def expr(self) -> ChoiceExpr:
-        """The leaf's worlds as a DNF: the edges' factors folded with
-
-        ``conjoin_dnf``, as ``_satisfiable`` leaves each "neg" step."""
-        expr = TOP
-        for edge in self.edges:
-            if edge.expr is not None:
-                expr = conjoin_dnf(expr, edge.expr)
-                if edge.kind == "neg":
-                    expr = _satisfiable(expr, self.diagram)
-        return expr
 
     def substitution(self) -> Substitution:
         """The composed unifier of all steps."""
@@ -395,7 +396,7 @@ def derivations(tree: SlpdnfTree) -> list[Derivation]:
         nodes.append(node)
         edges.append(edge)
         if node.marking == SUCCESS:
-            out.append(Derivation(tuple(nodes), tuple(edges[1:]), tree.diagram))
+            out.append(Derivation(tuple(nodes), tuple(edges[1:])))
         for e, child in reversed(node.children):
             stack.append((child, e, depth + 1))
     return out
@@ -408,12 +409,12 @@ def answers(q: Query, g: GroundProgram, depth_limit: int = DEFAULT_DEPTH_LIMIT) 
     tree = build_tree(q, g, depth_limit)
     qvars = {v.name for v in query_vars(q)}
     result = []
-    for d in derivations(tree):
+    for d, expr in zip(derivations(tree), tree.success_expressions()):
         sigma = d.substitution()
         restricted = tuple(
             sorted((v.name, t.name) for v, t in sigma.items() if v.name in qvars)
         )
-        result.append(Answer(restricted, d.expr))
+        result.append(Answer(restricted, expr))
     return result
 
 

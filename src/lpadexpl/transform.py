@@ -12,18 +12,18 @@ plus auxiliary derived clauses: ⊤ ↦ the empty query, an atomic choice ↦ it
 ``ch`` literal (a none-indexed choice, having no ``ch`` atom, becomes the
 negated explicit ``ch`` atoms of its instance), ∧ ↦ the concatenated
 queries, ¬ of an explicit-head choice ↦ the negated ``ch`` literal.  Each ⊥,
-∨ and other ¬ gets one fresh ``aux`` predicate: ⊥ has no clauses, ∨ one
-clause per disjunct, ¬ one clause whose head the query negates.  So the
-expression's probability can be recomputed by running the ordinary
-machinery on the transformed program — ``prob_via_transform`` does exactly
-that, on the expression's ``dnf``, and agrees with ``event_prob``.
+∨ and other ¬ gets one fresh ``aux`` predicate: ⊥ one fact, which the query
+negates, ∨ one clause per disjunct, ¬ one clause whose head the query
+negates.  So the expression's probability can be recomputed by running the
+ordinary machinery on the transformed program — ``prob_via_transform`` does
+exactly that, on the expression as given, and agrees with ``event_prob``.
 """
 
 from __future__ import annotations
 
 from itertools import count
 
-from .choice_algebra import BOT, TOP, And, AtomicChoice, ChoiceExpr, Not, Or, dnf
+from .choice_algebra import BOT, TOP, And, AtomicChoice, ChoiceExpr, Not, Or
 from .grounder import GroundProbClause, GroundProgram, ground
 from .semantics import success_prob
 from .syntax import (
@@ -79,7 +79,8 @@ def trp(g: GroundProgram) -> Program:
 def trc(e: ChoiceExpr, g: GroundProgram) -> tuple[tuple[Clause, ...], Query]:
     """Auxiliary derived clauses plus the plain query over ``ch`` atoms that
 
-    holds exactly in the worlds of ``e``."""
+    holds exactly in the worlds of ``e``.  Every predicate it names is
+    defined: ⊥ is the negation of a fresh fact."""
     clauses: list[Clause] = []
     names = count(1)
 
@@ -90,8 +91,9 @@ def trc(e: ChoiceExpr, g: GroundProgram) -> tuple[tuple[Clause, ...], Query]:
         if e == TOP:
             return ()
         if e == BOT:
-            # A fresh predicate with no clauses fails finitely.
-            return (Literal(True, fresh()),)
+            head = fresh()
+            clauses.append(Clause(head, ()))
+            return (Literal(False, head),)
         if isinstance(e, AtomicChoice):
             inst = g.instance(e.cid, e.key)
             if e.index <= inst.n_explicit:
@@ -135,16 +137,8 @@ def prob_via_transform(
     """The expression's probability, recomputed by resolution over the
 
     choice-fact program — an independent route that must agree with
-    ``event_prob``.  It runs on the expression's ``dnf``: the CLI's
-    disjunction of success expressions is only absorbed, but a large negated
-    expression can exceed ``CONJOIN_LIMIT`` and raise EnumerationLimitError.
-    ``limit`` bounds the engine's decision diagram, as in ``success_prob``."""
-    # dnf removes every embedded ⊤/⊥; only a wholly-⊥ goal is left to
-    # special-case (the query for `false` would otherwise put a clauseless
-    # fresh predicate in the root query).
-    e = dnf(e)
-    if e == BOT:
-        return 0.0
+    ``event_prob``.  ``limit`` bounds the engine's decision diagram, as in
+    ``success_prob``."""
     program = trp(g)
     aux, query = trc(e, g)
     combined = Program(program.prob_clauses, aux, ())

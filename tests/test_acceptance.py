@@ -30,7 +30,7 @@ from lpadexpl.choice_algebra import (
 from lpadexpl.explainer import render_nl, render_text
 from lpadexpl.grounder import ground
 from lpadexpl.semantics import event_prob, success_prob
-from lpadexpl.slpdnf import build_tree, derivations, expl
+from lpadexpl.slpdnf import build_tree, expl
 from lpadexpl.syntax import parse_program, parse_query
 
 from conftest import golden_text
@@ -119,7 +119,7 @@ def test_criterion_1(pos_ground):
     assert expl(q, pos_ground) == expected
     tree = build_tree(q, pos_ground)
     probs = sorted(
-        (event_prob(d.expr, pos_ground) for d in derivations(tree)), reverse=True
+        (event_prob(e, pos_ground) for e in tree.success_expressions()), reverse=True
     )
     assert probs == pytest.approx([0.9, 0.36], abs=1e-9)
     assert success_prob(q, pos_ground) == pytest.approx(0.936, abs=1e-9)
@@ -206,16 +206,16 @@ def test_criterion_4(neg_ground):
     g = neg_ground
     q = parse_query("covid(p1)")
     tree = build_tree(q, g)
-    ds = derivations(tree)
-    probs = sorted((event_prob(d.expr, g) for d in ds), reverse=True)
+    exprs = tree.success_expressions()
+    probs = sorted((event_prob(e, g) for e in exprs), reverse=True)
     assert probs == pytest.approx([0.9, 0.147168], abs=1e-9)
     p = success_prob(q, g)
     assert p == pytest.approx(0.9147168, abs=1e-9)
-    for d in ds:
-        assert prob_via_transform(d.expr, g) == pytest.approx(
-            event_prob(d.expr, g), abs=1e-9
+    for e in exprs:
+        assert prob_via_transform(e, g) == pytest.approx(
+            event_prob(e, g), abs=1e-9
         )
-    assert prob_via_transform(disj(tree.success_expressions()), g) == pytest.approx(
+    assert prob_via_transform(disj(exprs), g) == pytest.approx(
         p, abs=1e-9
     )
     assert time.perf_counter() - t0 < 1.0

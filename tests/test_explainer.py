@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from lpadexpl.choice_algebra import TRUE, AtomicChoice, Diagram, Not, conj, mentioned_instances
+from lpadexpl import explainer
+from lpadexpl.choice_algebra import TRUE, AtomicChoice, Diagram, Not, conj
+from lpadexpl.cli import main
 from lpadexpl.errors import ProgramError
 from lpadexpl.explainer import (
     RAnd,
@@ -156,7 +158,11 @@ def test_equal_probability_ties_keep_proof_order():
     g = ground(parse_program("p(a):0.5 :- f(a).\np(a):0.5 :- h(a).\nf(a).\nh(a).\n"))
     proofs = explain(parse_query("p(a)"), g)
     assert [e.prob for e in proofs] == pytest.approx([0.5, 0.5])
-    cids = [sorted(mentioned_instances(e.derivation.expr))[0][0] for e in proofs]
+    # Each proof's one probabilistic step names its clause.
+    cids = [
+        next(edge.expr.cid for edge in e.derivation.edges if edge.expr is not None)
+        for e in proofs
+    ]
     assert cids == ["c1", "c2"]
 
 
@@ -175,6 +181,29 @@ def test_explain_makes_one_diagram(monkeypatch):
     proofs = explain(parse_query("covid(p1)"), g)
     assert len(proofs) > 1
     assert len(made) == 1
+
+
+def test_explain_top_builds_the_printed_trees_only(monkeypatch, capsys, tmp_path):
+    # Only the AND-tree of the one printed proof is built.
+    text, restriction = load_families().star(4)
+    (tmp_path / "star.lpad").write_text(text)
+    (tmp_path / "star.json").write_text(json.dumps(restriction))
+    built = []
+
+    def counting_and_tree(d, g):
+        built.append(d)
+        return and_tree(d, g)
+
+    monkeypatch.setattr(explainer, "and_tree", counting_and_tree)
+    argv = ["explain", str(tmp_path / "star.lpad"), "covid(p1)"]
+    argv += ["--restrict", str(tmp_path / "star.json")]
+    assert main(argv + ["--top", "1"]) == 0
+    assert capsys.readouterr().out.count("proof ") == 1
+    assert len(built) == 1
+    built.clear()
+    assert main(argv) == 0
+    proofs = capsys.readouterr().out.count("proof ")
+    assert proofs > 1 and len(built) == proofs
 
 
 def test_fully_pruned_reason_is_trivially_true():
@@ -224,7 +253,7 @@ def test_and_tree_grounds_every_literal(pos_ground):
 
 
 def test_and_tree_rejects_a_derivation_that_leaves_a_variable(pos_ground):
-    d = Derivation((SlpdnfNode(parse_query("covid(X)"), TRUE),), (), Diagram(pos_ground))
+    d = Derivation((SlpdnfNode(parse_query("covid(X)"), TRUE),), ())
     with pytest.raises(ProgramError, match="does not ground its goals"):
         and_tree(d, pos_ground)
 

@@ -17,7 +17,7 @@ from lpadexpl.semantics import (
     world_prob,
     worlds_table,
 )
-from lpadexpl.slpdnf import build_tree, derivations, success_expressions
+from lpadexpl.slpdnf import build_tree, success_expressions
 from lpadexpl.syntax import parse_program, parse_query
 
 from conftest import load_restriction
@@ -117,9 +117,9 @@ def test_event_prob_matches_enumeration_on_generated_programs():
             disj(success_expressions(q, g)), g
         )
         assert success_prob(q, g) == pytest.approx(expected, abs=1e-9), seed
-        for d in derivations(build_tree(q, g)):
-            assert event_prob(d.expr, g) == pytest.approx(
-                oracles.event_prob_by_enumeration(d.expr, g), abs=1e-9
+        for e in build_tree(q, g).success_expressions():
+            assert event_prob(e, g) == pytest.approx(
+                oracles.event_prob_by_enumeration(e, g), abs=1e-9
             ), seed
 
 
@@ -145,7 +145,7 @@ def test_no_proof_has_probability_zero():
 def test_derivation_probs_without_negation(pos_ground):
     tree = build_tree(parse_query("covid(p1)"), pos_ground)
     probs = sorted(
-        (event_prob(d.expr, pos_ground) for d in derivations(tree)), reverse=True
+        (event_prob(e, pos_ground) for e in tree.success_expressions()), reverse=True
     )
     assert probs == pytest.approx([0.9, 0.36], abs=1e-12)
 
@@ -153,7 +153,7 @@ def test_derivation_probs_without_negation(pos_ground):
 def test_derivation_probs_with_negation(neg_ground):
     tree = build_tree(parse_query("covid(p1)"), neg_ground)
     probs = sorted(
-        (event_prob(d.expr, neg_ground) for d in derivations(tree)), reverse=True
+        (event_prob(e, neg_ground) for e in tree.success_expressions()), reverse=True
     )
     assert probs == pytest.approx([0.9, 0.147168], abs=1e-12)
 

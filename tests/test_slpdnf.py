@@ -212,10 +212,10 @@ def assert_table_is_tree(q, g, label):
     success = disj(tree.success_expressions())
     assert node == diagram.compile(success), label
     assert tree.success == tree.diagram.compile(success), label
-    for d in derivations(tree):
-        assert d.leaf.node == tree.diagram.compile(d.expr), label
-        assert tree.diagram.prob(d.leaf.node) == event_prob(d.expr, g), label
-        conjuncts = d.expr.children if isinstance(d.expr, Or) else (d.expr,)
+    for d, expr in zip(derivations(tree), tree.success_expressions(), strict=True):
+        assert d.leaf.node == tree.diagram.compile(expr), label
+        assert tree.diagram.prob(d.leaf.node) == event_prob(expr, g), label
+        conjuncts = expr.children if isinstance(expr, Or) else (expr,)
         assert FALSE not in map(tree.diagram.compile, conjuncts), label
 
 
@@ -316,3 +316,33 @@ def test_every_conjoin_of_the_tree_is_the_dnf_of_the_conjunction(monkeypatch):
             build_tree(parse_query(query_text), ground(parse_program(text))).success_expressions()
     assert family_calls > 100 and len(calls) > family_calls
     assert mismatches == []
+
+
+def ladder(n):
+    """``edge(si,ti+1):0.5`` for s, t in {a, b}: ``reach(a0)`` has 2^(n-1) proofs."""
+    edges = "".join(
+        f"edge({s}{i},{t}{i + 1}):0.5.\n" for i in range(n) for s in "ab" for t in "ab"
+    )
+    return f"reach(X) :- goal(X).\nreach(X) :- edge(X,Y), reach(Y).\ngoal(a{n}).\n{edges}"
+
+
+def test_success_expressions_conjoin_once_per_edge_factor(monkeypatch):
+    # One pass from the root: derivations that share a prefix share its
+    # conjoins, so no edge's factor is conjoined twice.
+    calls = []
+
+    def counted(e, f):
+        calls.append((e, f))
+        return conjoin_dnf(e, f)
+
+    g = ground(parse_program(ladder(6)))
+    tree = build_tree(parse_query("reach(a0)"), g)
+    factors, stack = 0, [tree.root]
+    while stack:
+        node = stack.pop()
+        factors += sum(edge.expr is not None for edge, _ in node.children)
+        stack += [child for _, child in node.children]
+    monkeypatch.setattr(slpdnf, "conjoin_dnf", counted)
+    exprs = tree.success_expressions()
+    assert len(exprs) == 2**5
+    assert 0 < len(calls) <= factors

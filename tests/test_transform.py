@@ -62,8 +62,8 @@ def test_trp_preserves_head_probabilities(neg_ground_min):
 
 def test_trc_units(neg_ground_min):
     assert translation(TOP, neg_ground_min) == ("", [])
-    # a fresh predicate with no clauses fails finitely
-    assert translation(BOT, neg_ground_min) == ("aux1", [])
+    # the negation of a fresh fact fails
+    assert translation(BOT, neg_ground_min) == ("\\+aux1", ["aux1."])
 
 
 def test_trc_explicit_head_becomes_one_ch_literal(neg_ground_min):
@@ -127,7 +127,7 @@ def test_trc_nested_aux_clauses_precede_their_callers(neg_ground_min):
 def test_prob_via_transform_units(neg_ground_min):
     assert prob_via_transform(TOP, neg_ground_min) == 1.0
     assert prob_via_transform(BOT, neg_ground_min) == 0.0
-    # an embedded unit is propagated away before transforming
+    # an embedded ⊥ is translated in place
     a = ac(neg_ground_min, "c1", ["p1"], 1)
     assert prob_via_transform(And((BOT, a)), neg_ground_min) == 0.0
 
@@ -156,6 +156,14 @@ def test_prob_via_transform_agrees_with_event_prob(neg_ground_min):
         assert prob_via_transform(e, g) == pytest.approx(
             event_prob(e, g), abs=1e-9
         )
+
+
+def test_prob_via_transform_translates_a_negation_without_expanding_it():
+    # The DNF of this negation has 2^20 conjuncts; trc writes 21 aux clauses.
+    g = ground(parse_program("".join(f"a{i}:0.{i % 9 + 1}.\nb{i}:0.5.\n" for i in range(20))))
+    pairs = [conj([ac(g, f"c{2 * i + 1}", [], 1), ac(g, f"c{2 * i + 2}", [], 1)]) for i in range(20)]
+    e = Not(disj(pairs))
+    assert prob_via_transform(e, g) == event_prob(e, g)
 
 
 @pytest.mark.parametrize("full_heads", [False, True])
