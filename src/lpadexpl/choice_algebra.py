@@ -17,6 +17,13 @@ decision diagram: ``equiv`` compares two expressions' nodes,
 the number of nodes, and ``slpdnf.query_diagram`` and ``build_tree`` build
 a query's diagram, the first from one diagram per ground atom.
 
+``dnf``, ``conjoin_dnf``, ``duals``, ``otimes`` and ``gamma`` share one
+conjoin-and-absorb kernel over sets of literals held as Python ints: each
+call builds one literal table (``_Literals``) that gives every literal α or
+¬α it meets a bit, and a join or an absorption test is a few integer
+operations.  ``dual_sets`` and ``render_composite_set`` read the masks
+directly, so the ``duals`` subcommand builds no frozenset per set.
+
 Everything here is deterministic: ∧/∨ keep their children as canonically
 sorted, duplicate-free tuples (so associativity, commutativity, and
 idempotence hold structurally), and set-valued results are produced in a
@@ -28,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -77,17 +85,20 @@ def _natural(text: str) -> tuple:
 class AtomicChoice(ChoiceExpr, _HashConsed):
     """The choice ``(cid, θ, index)``; hash-consed, so equal choices are one
 
-    object.  ``inst`` is its instance's ``(cid, θ)``, made once."""
+    object.  ``inst`` is its instance's ``(cid, θ)`` and ``order`` its sort
+    key, both made once."""
 
-    __slots__ = ("cid", "key", "index", "inst")
+    __slots__ = ("cid", "key", "index", "inst", "order")
     _fields = ("cid", "key", "index")
 
     def __new__(cls, cid: str, key: ThetaKey, index: int) -> "AtomicChoice":
         k = (cid, key, index)
-        return cls._table.get(k) or cls._intern(k, cid, key, index, (cid, key))
+        return cls._table.get(k) or cls._intern(
+            k, cid, key, index, (cid, key), (_natural(cid), key, index)
+        )
 
     def sort_key(self) -> tuple:
-        return (_natural(self.cid), self.key, self.index)
+        return self.order
 
     def __str__(self) -> str:
         theta = ",".join(f"{v}/{c}" for v, c in self.key)
@@ -173,6 +184,20 @@ def _subexpressions(e: ChoiceExpr):
             stack.extend(x.children)
 
 
+def _leaves(e: ChoiceExpr) -> list[tuple[AtomicChoice, int]]:
+    """Each atomic choice of the expression with the number of ¬ above it."""
+    leaves, stack = [], [(e, 0)]
+    while stack:
+        x, nots = stack.pop()
+        if isinstance(x, AtomicChoice):
+            leaves.append((x, nots))
+        elif isinstance(x, Not):
+            stack.append((x.child, nots + 1))
+        elif isinstance(x, (And, Or)):
+            stack += [(c, nots) for c in x.children]
+    return leaves
+
+
 def node_count(e: ChoiceExpr) -> int:
     return sum(1 for _ in _subexpressions(e))
 
@@ -204,7 +229,7 @@ def complement_atomic(ac: AtomicChoice, g: GroundProgram) -> CompositeChoice:
 
 def is_consistent(kappa) -> bool:
     """No two atomic choices pick different heads of the same instance."""
-    return _chosen(kappa) is not None
+    return len(set(kappa)) == len({ac.inst for ac in kappa})
 
 
 def hits(sets) -> list[CompositeChoice]:
@@ -229,97 +254,158 @@ def mins_set(ks) -> frozenset[CompositeChoice]:
 
 
 # ---------------------------------------------------------------------------
-# The conjoin-and-absorb kernel
+# The conjoin-and-absorb kernel, over integer bitsets
 # ---------------------------------------------------------------------------
 
 #: The most sets one conjoin step may hold before absorption; past it the
 #: step raises EnumerationLimitError instead of exhausting memory.
 CONJOIN_LIMIT = 250_000
 
-#: The set of sets denoting ⊤: the empty conjunction alone.
-_UNIT = (frozenset(),)
+_ORDER = operator.attrgetter("order")
 
 
-def _chosen(s: frozenset) -> dict[tuple[str, ThetaKey], int] | None:
-    """The head each instance's atomic choices in ``s`` pick, or None when
-
-    two of them pick different heads of one instance."""
-    chosen: dict[tuple[str, ThetaKey], int] = {}
-    for lit in s:
-        if isinstance(lit, AtomicChoice) and chosen.setdefault(lit.inst, lit.index) != lit.index:
-            return None
-    return chosen
+def _literal_order(lit: ChoiceExpr) -> tuple:
+    """α and ¬α in ``expr_key``'s order: by sort key, α first."""
+    return (lit.child.order, 1) if lit.__class__ is Not else (lit.order, 0)
 
 
-def _join(a: frozenset, chosen_a, b: frozenset, chosen_b, guarded) -> frozenset | None:
-    """a ∧ b as one literal set, or None when it is inconsistent.
+class _Literals:
+    """The literal table of one kernel call: one bit per literal α or ¬α.
 
-    Literals are atomic choices and their negations; ``chosen_a`` and
-    ``chosen_b`` are the ``_chosen`` heads of the two sets.  Two heads of
-    one instance, or α with ¬α, are inconsistent; a chosen head α makes ¬α'
-    of the same instance redundant, and it is dropped.  Negations occur only
-    when ``guarded`` (the negated instances) is non-empty.
+    Ranked by (sort key, sign), ``expr_key``'s order, the first literal
+    takes the highest bit, so a set is an int whose bits read from the top
+    list its literals in order, and bits below the last rank stay unused up
+    to a whole byte.  ``pos[α]`` and ``neg[α]`` give α's and ¬α's
+    ``(bit, conflict, drop)``: ``conflict`` holds the literals that cannot
+    join it (α's instance's other heads and ¬α for α, α for ¬α) and
+    ``drop`` the negations α makes redundant (¬α' for the other heads α' of
+    its instance).  ``guarded`` holds the heads of every instance with a
+    negation in the table.
     """
-    for inst, index in chosen_b.items():
-        if chosen_a.get(inst, index) != index:
-            return None
-    u = a | b
-    if not guarded:
-        return u
-    redundant = []
-    for lit in u:
-        if isinstance(lit, Not):
-            inst = lit.child.inst
-            index = chosen_a.get(inst) or chosen_b.get(inst)
-            if index == lit.child.index:
-                return None
-            if index is not None:
-                redundant.append(lit)
-    return u.difference(redundant) if redundant else u
+
+    __slots__ = ("literals", "width", "pos", "neg", "guarded")
+
+    def __init__(self, positive, negative=()):
+        negative = set(negative)
+        self.literals = literals = sorted(set(positive), key=_ORDER)
+        if negative:
+            literals += map(Not, negative)
+            literals.sort(key=_literal_order)
+        self.width = width = (len(literals) + 7) // 8 * 8
+        pos, neg, heads, nots = {}, {}, {}, {}  # α's and ¬α's bits; by instance
+        for r, lit in enumerate(literals):
+            bit = 1 << width - 1 - r
+            if lit.__class__ is Not:
+                neg[lit.child] = bit
+                nots[lit.child.inst] = nots.get(lit.child.inst, 0) | bit
+            else:
+                pos[lit] = bit
+                heads[lit.inst] = heads.get(lit.inst, 0) | bit
+        if nots:
+            self.pos = {
+                ac: (b, heads[ac.inst] ^ b | neg.get(ac, 0), nots.get(ac.inst, 0) & ~neg.get(ac, 0))
+                for ac, b in pos.items()
+            }
+        else:
+            self.pos = {ac: (b, heads[ac.inst] ^ b, 0) for ac, b in pos.items()}
+        self.neg = {ac: (b, pos.get(ac, 0), 0) for ac, b in neg.items()}
+        self.guarded = 0
+        for inst in nots:
+            self.guarded |= heads.get(inst, 0)
+
+    @classmethod
+    def of(cls, sets) -> "_Literals":
+        """The table of the literals in ``sets``."""
+        literals = {lit for s in sets for lit in s}
+        return cls(
+            (lit for lit in literals if isinstance(lit, AtomicChoice)),
+            (lit.child for lit in literals if isinstance(lit, Not)),
+        )
+
+    def family(self, sets) -> dict[int, tuple[int, int]]:
+        """The consistent ones of ``sets`` (of literals) as
+        ``{mask: (conflict, drop)}``: the kernel's form of a set of sets."""
+        out = {}
+        for s in sets:
+            mask = conflict = drop = 0
+            for lit in s:
+                b, c, d = self.neg[lit.child] if lit.__class__ is Not else self.pos[lit]
+                mask, conflict, drop = mask | b, conflict | c, drop | d
+            if not mask & conflict:
+                out[mask] = (conflict, drop)
+        return out
+
+    def members(self, mask: int) -> tuple[ChoiceExpr, ...]:
+        """The literals of a mask, in rank order."""
+        out = []
+        while mask:
+            top = mask.bit_length() - 1
+            out.append(self.literals[self.width - 1 - top])
+            mask ^= 1 << top
+        return tuple(out)
+
+    def order_key(self, mask: int) -> tuple[int, int]:
+        """A key that sorts masks as their rank lists sort, lexicographically.
+
+        The first rank where two lists differ is the highest differing bit.
+        The list holding it comes first unless the other list ends before
+        it, so the key compares the *holes* of each list (the ranks up to
+        its last one that it lacks), and, when they tie, the length: the
+        one list is then the other one's prefix."""
+        if not mask:
+            return (0, 0)
+        return (((1 << self.width) - (mask & -mask)) ^ mask, mask.bit_count())
+
+    def dnf(self, family) -> ChoiceExpr:
+        """The canonical DNF of an absorbed family: literal conjuncts first,
+        then conjunctions, each group by its literals' ranks, as ``disj``
+        of ``conj`` orders them."""
+        if not family:
+            return BOT
+        if 0 in family:
+            return TOP
+        masks = sorted(family, key=lambda m: (m.bit_count() > 1, self.order_key(m)))
+        conjuncts = [And(c) if len(c := self.members(m)) > 1 else c[0] for m in masks]
+        return conjuncts[0] if len(conjuncts) == 1 else Or(tuple(conjuncts))
 
 
-def _absorb(sets, guarded) -> list[frozenset]:
-    """The sets not absorbed by a strictly smaller kept one, shortest first.
+#: The family denoting ⊤: the empty conjunction alone.
+_UNIT: dict[int, tuple[int, int]] = {0: (0, 0)}
 
-    A set k ⊂ s absorbs s only when s∖k holds no chosen head of a
-    ``guarded`` instance: such a head would drop a negation from a later
-    join of s but not from the same join of k, so k's joins need not stay
-    subsets of s's.  Equal-length sets cannot absorb each other, so each set
-    is compared with the shorter kept ones only.
+
+def _absorb(family, guarded: int) -> dict[int, tuple[int, int]]:
+    """The sets not absorbed by a strictly smaller kept one.
+
+    A set k ⊂ s absorbs s only when s∖k holds no ``guarded`` head: such a
+    head would drop a negation from a later join of s but not from the same
+    join of k, so k's joins need not stay subsets of s's.  Equal-length sets
+    cannot absorb each other, so each set is compared with the shorter kept
+    ones only.
     """
-    kept: list[frozenset] = []
-    for _, group in itertools.groupby(sorted(sets, key=len), key=len):
+    if len(family) < 2 or len(set(map(int.bit_count, family))) < 2:
+        return family
+    kept: list[int] = []
+    for _, group in itertools.groupby(sorted(family, key=int.bit_count), key=int.bit_count):
         kept += [
-            s
-            for s in group
-            if not any(
-                k < s
-                and not any(
-                    isinstance(lit, AtomicChoice) and lit.inst in guarded
-                    for lit in s - k
-                )
-                for k in kept
-            )
+            s for s in group if not any(k & s == k and not s & ~k & guarded for k in kept)
         ]
-    return kept
+    return {s: family[s] for s in kept}
 
 
-def _conjoin(acc, factor, op: str, guarded=frozenset()) -> list[frozenset]:
+def _conjoin(acc, factor, op: str, guarded: int = 0) -> dict[int, tuple[int, int]]:
     """One kernel step: join every set of ``acc`` with every set of ``factor``
 
-    (a DNF given as literal sets), drop the inconsistent joins, and absorb.
-    Raises EnumerationLimitError once the joins pass ``CONJOIN_LIMIT``.
+    and absorb.  A join skips b when b meets a's conflicts; otherwise it is
+    a ∪ b without the negations either side's heads make redundant.  Raises
+    EnumerationLimitError once the joins pass ``CONJOIN_LIMIT``.
     """
-    joined: set[frozenset] = set()
-    factor = [(b, chosen) for b in factor if (chosen := _chosen(b)) is not None]
-    for a in acc:
-        chosen_a = _chosen(a)
-        if chosen_a is None:
-            continue
-        for b, chosen_b in factor:
-            u = _join(a, chosen_a, b, chosen_b, guarded)
-            if u is not None:
-                joined.add(u)
+    joined: dict[int, tuple[int, int]] = {}
+    factor = factor.items()
+    for a, (conflict_a, drop_a) in acc.items():
+        for b, (conflict_b, drop_b) in factor:
+            if not b & conflict_a:
+                drop = drop_a | drop_b
+                joined[(a | b) & ~drop] = (conflict_a | conflict_b, drop)
         if len(joined) > CONJOIN_LIMIT:
             raise EnumerationLimitError(
                 f"{op}: {len(joined)} sets in one conjoin step exceed the "
@@ -330,7 +416,56 @@ def _conjoin(acc, factor, op: str, guarded=frozenset()) -> list[frozenset]:
 
 def otimes(k1, k2) -> frozenset[CompositeChoice]:
     """Pairwise unions, reduced to their consistent minimal elements."""
-    return frozenset(_conjoin(k1, k2, "otimes"))
+    k1, k2 = list(k1), list(k2)
+    table = _Literals.of(k1 + k2)
+    return frozenset(ChoiceSets(table, _conjoin(table.family(k1), table.family(k2), "otimes")))
+
+
+def _duals(family, table: _Literals) -> dict[int, tuple[int, int]]:
+    """The duals of a family whose instances have every head in ``table``:
+
+    a set's conflicts are then the complements of its atomic choices, and
+    each is conjoined in as a factor of singletons (the first is the
+    result so far: joining ⊤ with it would give it back)."""
+    singletons = {b: (conflict, drop) for b, conflict, drop in table.pos.values()}
+    result = None
+    for complement, _ in family.values():
+        factor = {}
+        while complement:
+            b = complement & -complement
+            factor[b] = singletons[b]
+            complement ^= b
+        result = factor if result is None else _conjoin(result, factor, "duals")
+    return _UNIT if result is None else result
+
+
+class ChoiceSets:
+    """A set of composite choices as the kernel holds it: masks over one
+
+    literal table.  It iterates as frozensets; ``render_composite_set``
+    reads the masks without building them."""
+
+    __slots__ = ("table", "masks")
+
+    def __init__(self, table: _Literals, masks):
+        self.table, self.masks = table, list(masks)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __iter__(self):
+        return (frozenset(self.table.members(m)) for m in self.masks)
+
+
+def dual_sets(ks, g: GroundProgram) -> ChoiceSets:
+    """``duals`` as masks: one table holds ``ks``' atomic choices and their
+
+    complements, and ``family`` skips an inconsistent set, which covers no
+    world."""
+    ks = list(ks)
+    choices = {ac for k in ks for ac in k}
+    table = _Literals(choices.union(*(complement_atomic(ac, g) for ac in choices)))
+    return ChoiceSets(table, _duals(table.family(ks), table))
 
 
 def duals(ks, g: GroundProgram) -> frozenset[CompositeChoice]:
@@ -340,13 +475,7 @@ def duals(ks, g: GroundProgram) -> frozenset[CompositeChoice]:
     built one complement at a time.  An inconsistent set covers no world
     and is skipped.
     """
-    result = _UNIT
-    for k in ks:
-        if not is_consistent(k):
-            continue
-        complement = {c for ac in k for c in complement_atomic(ac, g)}
-        result = _conjoin(result, [frozenset([c]) for c in complement], "duals")
-    return frozenset(result)
+    return frozenset(dual_sets(ks, g))
 
 
 # ---------------------------------------------------------------------------
@@ -355,22 +484,39 @@ def duals(ks, g: GroundProgram) -> frozenset[CompositeChoice]:
 
 
 def gamma(e: ChoiceExpr, g: GroundProgram) -> frozenset[CompositeChoice]:
-    """The set of composite choices denoted by an expression."""
+    """The set of composite choices denoted by an expression, from one
+
+    table of its atomic choices and, under a negation, their complements."""
+    choices = set()
+    for ac, nots in _leaves(e):
+        choices.add(ac)
+        if nots:
+            choices |= complement_atomic(ac, g)
+    table = _Literals(choices)
+    return frozenset(frozenset(table.members(m)) for m in _gamma(e, table))
+
+
+def _gamma(e: ChoiceExpr, table: _Literals) -> dict[int, tuple[int, int]]:
     if isinstance(e, _Bottom):
-        return frozenset()
+        return {}
     if isinstance(e, _Top):
-        return frozenset([frozenset()])
+        return _UNIT
     if isinstance(e, AtomicChoice):
-        return frozenset([frozenset([e])])
+        b, conflict, drop = table.pos[e]
+        return {b: (conflict, drop)}
     if isinstance(e, Not):
-        return duals(gamma(e.child, g), g)
-    if isinstance(e, And):
-        result = frozenset(_UNIT)
+        return _duals(_gamma(e.child, table), table)
+    if isinstance(e, And):  # the first child's family starts the product
+        result = None
         for c in e.children:
-            result = otimes(result, gamma(c, g))
-        return result
+            family = _gamma(c, table)
+            result = family if result is None else _conjoin(result, family, "otimes")
+        return _UNIT if result is None else result
     if isinstance(e, Or):
-        return otimes(_UNIT, [k for c in e.children for k in gamma(c, g)])
+        factor = {}
+        for c in e.children:
+            factor.update(_gamma(c, table))
+        return _conjoin(_UNIT, factor, "otimes")
     raise TypeError(f"not a choice expression: {e!r}")
 
 
@@ -379,37 +525,29 @@ def gamma(e: ChoiceExpr, g: GroundProgram) -> frozenset[CompositeChoice]:
 # ---------------------------------------------------------------------------
 
 
-def _negated_instances(e: ChoiceExpr, negated: bool) -> frozenset[tuple[str, ThetaKey]]:
-    """Instances of the ¬α literals in the NNF of ``e`` (of ¬e when ``negated``)."""
+def _literal_sets(e: ChoiceExpr, negated: bool, table: _Literals) -> dict[int, tuple[int, int]]:
+    """The conjuncts of ``e`` (of ¬e when ``negated``) as a family, absorbed
+
+    as far as ``_absorb`` allows before the final pass.  ¬ flips the
+    polarity on the way down, so no negation-normal copy is built."""
     if isinstance(e, Not):
-        return _negated_instances(e.child, not negated)
+        return _literal_sets(e.child, not negated, table)
     if isinstance(e, AtomicChoice):
-        return frozenset([e.inst]) if negated else frozenset()
-    if isinstance(e, (And, Or)):
-        return frozenset().union(*(_negated_instances(c, negated) for c in e.children))
-    return frozenset()
-
-
-def _literal_sets(e: ChoiceExpr, negated: bool, guarded) -> list[frozenset]:
-    """The conjuncts of ``e`` (of ¬e when ``negated``) as literal sets,
-
-    absorbed as far as ``_absorb`` allows before the final pass.  ¬ flips
-    the polarity on the way down, so no negation-normal copy is built."""
-    if isinstance(e, Not):
-        return _literal_sets(e.child, not negated, guarded)
-    if isinstance(e, AtomicChoice):
-        return [frozenset([Not(e) if negated else e])]
+        b, conflict, drop = (table.neg if negated else table.pos)[e]
+        return {b: (conflict, drop)}
     if isinstance(e, (_Bottom, _Top)):
-        return list(_UNIT) if isinstance(e, _Top) != negated else []
+        return _UNIT if isinstance(e, _Top) != negated else {}
     if not isinstance(e, (And, Or)):
         raise TypeError(f"not a choice expression: {e!r}")
     if isinstance(e, And) != negated:  # a conjunction under this polarity
-        acc = list(_UNIT)
+        acc = _UNIT
         for c in e.children:
-            acc = _conjoin(acc, _literal_sets(c, negated, guarded), "dnf", guarded)
+            acc = _conjoin(acc, _literal_sets(c, negated, table), "dnf", table.guarded)
         return acc
-    factor = [s for c in e.children for s in _literal_sets(c, negated, guarded)]
-    return _conjoin(_UNIT, factor, "dnf", guarded)
+    factor = {}
+    for c in e.children:
+        factor.update(_literal_sets(c, negated, table))
+    return _conjoin(_UNIT, factor, "dnf", table.guarded)
 
 
 def dnf(e: ChoiceExpr) -> ChoiceExpr:
@@ -420,29 +558,28 @@ def dnf(e: ChoiceExpr) -> ChoiceExpr:
     them with the kernel (consistency pruning, redundant negations dropped,
     absorption after each step), then absorbs once more.
     """
-    sets = _absorb(_literal_sets(e, False, _negated_instances(e, False)), frozenset())
-    return disj(conj(c) for c in sets)
+    leaves = _leaves(e)  # α under an odd number of ¬ is ¬α in the NNF
+    table = _Literals([ac for ac, nots in leaves if not nots % 2], [ac for ac, nots in leaves if nots % 2])
+    return table.dnf(_absorb(_literal_sets(e, False, table), 0))
 
 
 def conjoin_dnf(e: ChoiceExpr, f: ChoiceExpr) -> ChoiceExpr:
     """``dnf(conj([e, f]))`` of two DNFs in one kernel step: their conjuncts,
 
-    read as literal sets, are joined pairwise under both inputs' negated
-    instances, then absorbed once more."""
+    read as sets over one table of their literals, are joined pairwise, then
+    absorbed once more."""
     e_sets, f_sets = _conjunct_sets(e), _conjunct_sets(f)
-    guarded = frozenset(
-        lit.child.inst for s in (*e_sets, *f_sets) for lit in s if isinstance(lit, Not)
-    )
-    sets = _absorb(_conjoin(e_sets, f_sets, "dnf", guarded), frozenset())
-    return disj(conj(c) for c in sets)
+    table = _Literals.of(e_sets + f_sets)
+    joined = _conjoin(table.family(e_sets), table.family(f_sets), "dnf", table.guarded)
+    return table.dnf(_absorb(joined, 0))
 
 
-def _conjunct_sets(e: ChoiceExpr) -> list[frozenset]:
-    """The conjuncts of a DNF as literal sets."""
+def _conjunct_sets(e: ChoiceExpr) -> list[tuple[ChoiceExpr, ...]]:
+    """The conjuncts of a DNF as tuples of literals."""
     if isinstance(e, (_Bottom, _Top)):
-        return list(_UNIT) if isinstance(e, _Top) else []
+        return [()] if isinstance(e, _Top) else []
     return [
-        frozenset(c.children) if isinstance(c, And) else frozenset([c])
+        c.children if isinstance(c, And) else (c,)
         for c in (e.children if isinstance(e, Or) else (e,))
     ]
 
@@ -688,14 +825,48 @@ def render_composite(k: CompositeChoice, g: GroundProgram) -> str:
 def render_composite_set(ks, g: GroundProgram) -> str:
     """``render_composite`` of each set, the sets ordered by their sorted
 
-    atomic choices' sort keys.  The distinct atomic choices are ranked by
-    sort key and rendered once; the sets are then sorted as rank lists."""
-    ks = list(ks)
-    distinct = sorted({ac for k in ks for ac in k}, key=AtomicChoice.sort_key)
-    rank = {ac: r for r, ac in enumerate(distinct)}
-    texts = [render_atomic(ac, g) for ac in distinct]
-    rows = sorted(sorted(map(rank.__getitem__, k)) for k in ks)
-    return "{" + ",".join("{" + ",".join([texts[r] for r in row]) + "}" for row in rows) + "}"
+    atomic choices' sort keys.  The sets are read as masks over one literal
+    table (``ChoiceSets`` already are), sorted by ``order_key``, and each is
+    written from its bytes, top first: a byte's atomic choices are rendered
+    once, as one text fragment per byte value met at that position."""
+    if not isinstance(ks, ChoiceSets):
+        ks = list(ks)
+        table = _Literals({ac for k in ks for ac in k})
+        ks = ChoiceSets(table, [sum(table.pos[ac][0] for ac in k) for k in ks])
+    if not ks.masks:
+        return "{}"
+    table = ks.table
+    present = functools.reduce(operator.or_, ks.masks)
+    texts = [
+        "," + render_atomic(ac, g) if present >> table.width - 1 - r & 1 else ""
+        for r, ac in enumerate(table.literals)
+    ]
+    fragments = [_Fragments(texts[j : j + 8]) for j in range(0, table.width, 8)]
+    nbytes, fragment = len(fragments), dict.__getitem__
+    rows = (
+        "".join(map(fragment, fragments, m.to_bytes(nbytes, "big")))[1:]
+        for m in sorted(ks.masks, key=table.order_key)
+    )
+    return "{{" + "},{".join(rows) + "}}"
+
+
+#: The positions of each byte value's set bits, top bit first.
+_BYTE_BITS = [tuple(i for i in range(8) if byte & 128 >> i) for byte in range(256)]
+
+
+class _Fragments(dict):
+    """The text of each byte value at one byte position: the texts, each
+
+    with a comma before it, of the atomic choices its set bits stand for."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self, texts: list[str]):
+        self.texts = texts
+
+    def __missing__(self, byte: int) -> str:
+        text = self[byte] = "".join([self.texts[i] for i in _BYTE_BITS[byte]])
+        return text
 
 
 #: The most ``~`` and ``(`` a choice expression may nest.

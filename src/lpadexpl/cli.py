@@ -21,8 +21,9 @@ import sys
 from pathlib import Path
 
 from .choice_algebra import (
+    BOT,
     disj,
-    duals,
+    dual_sets as duals,
     gamma,
     parse_composite_set_text,
     parse_expr_text,
@@ -154,7 +155,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
         g = relevant_subset(g, q)
     if args.method == "transform":
         expr = disj(success_expressions(q, g))
-        p = prob_via_transform(expr, g, args.limit)
+        p = 0.0 if expr == BOT else prob_via_transform(expr, g, args.limit)
     else:
         p = success_prob(q, g, method=args.method, limit=args.limit)
     print(f"{p:.9f}")

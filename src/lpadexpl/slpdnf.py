@@ -108,20 +108,39 @@ class SlpdnfTree:
     def success_expressions(self) -> list[ChoiceExpr]:
         """The success leaves' DNFs, in left-to-right order: one pass carries
 
-        each node's DNF to its children, with one ``conjoin_dnf`` per edge
-        factor, and ``_satisfiable`` leaves each "neg" step."""
+        each node's DNF to the children with a success leaf below, with one
+        ``conjoin_dnf`` per edge factor, and ``_satisfiable`` leaves each
+        "neg" step."""
+        live = self._live()
         out: list[ChoiceExpr] = []
-        stack: list[tuple[SlpdnfNode, ChoiceExpr]] = [(self.root, TOP)]
+        stack: list[tuple[SlpdnfNode, ChoiceExpr]] = [(self.root, TOP)] if live else []
         while stack:
             node, expr = stack.pop()
             if node.marking == SUCCESS:
                 out.append(expr)
             for edge, child in reversed(node.children):
+                if id(child) not in live:
+                    continue
                 child_expr = expr if edge.expr is None else conjoin_dnf(expr, edge.expr)
                 if edge.kind == "neg":
                     child_expr = _satisfiable(child_expr, self.diagram)
                 stack.append((child, child_expr))
         return out
+
+    def _live(self) -> set[int]:
+        """The ids of the nodes with a success leaf at or below them, marked
+
+        in one post-order pass."""
+        live: set[int] = set()
+        stack: list[tuple[SlpdnfNode, bool]] = [(self.root, False)]
+        while stack:
+            node, visited = stack.pop()
+            if not visited:
+                stack.append((node, True))
+                stack += [(child, False) for _, child in node.children]
+            elif node.marking == SUCCESS or any(id(child) in live for _, child in node.children):
+                live.add(id(node))
+        return live
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,6 +19,7 @@ from lpadexpl.choice_algebra import (
     And,
     AtomicChoice,
     Not,
+    Or,
     conj,
     disj,
     eval_expr,
@@ -196,6 +197,32 @@ def coverage(ks, g: GroundProgram) -> set[frozenset]:
 
 def complement_coverage(ks, g: GroundProgram) -> set[frozenset]:
     return {s for s in all_selections(g) if not covers(ks, s)}
+
+
+def extensions(conjuncts, g: GroundProgram) -> set[tuple[int, ...]]:
+    """The selections satisfying some conjunct of literals (α or ¬α), as
+
+    head-index tuples in ``g.instances`` order: each conjunct's allowed heads
+    per instance, expanded in full.  ``coverage`` of a composite-choice set
+    built from the sets' side, for programs too large to scan selection by
+    selection."""
+    out = set()
+    for conjunct in conjuncts:
+        allowed = {(inst.cid, inst.key): set(range(1, inst.n_heads + 1)) for inst in g.instances}
+        for lit in conjunct:
+            if isinstance(lit, Not):
+                allowed[(lit.child.cid, lit.child.key)].discard(lit.child.index)
+            else:
+                allowed[(lit.cid, lit.key)] &= {lit.index}
+        out.update(itertools.product(*(sorted(allowed[(i.cid, i.key)]) for i in g.instances)))
+    return out
+
+
+def conjuncts(e) -> list[tuple]:
+    """The conjuncts of a DNF as tuples of literals."""
+    if e in (TOP, BOT):
+        return [()] if e == TOP else []
+    return [c.children if isinstance(c, And) else (c,) for c in (e.children if isinstance(e, Or) else (e,))]
 
 
 def dnf_reference(e):

@@ -12,8 +12,10 @@ from lpadexpl.choice_algebra import (
     Not,
     complement_atomic,
     conj,
+    conjoin_dnf,
     disj,
     dnf,
+    dual_sets,
     duals,
     equiv,
     eval_expr,
@@ -34,6 +36,7 @@ from lpadexpl.grounder import ground
 from lpadexpl.slpdnf import success_expressions
 from lpadexpl.syntax import parse_program, parse_query
 
+from conftest import load_families
 import genprog
 import oracles
 
@@ -378,3 +381,106 @@ def test_gamma_matches_dnf_coverage(neg_ground_min):
     cover_gamma = oracles.coverage(gamma(e, g), g)
     cover_dnf = oracles.coverage(gamma(dnf(e), g), g)
     assert cover_gamma == cover_dnf
+
+
+# ---------------------------------------------------------------------------
+# The kernel against brute force
+# ---------------------------------------------------------------------------
+
+
+def as_tuples(selections, g):
+    """Selections (sets of atomic choices) as head-index tuples in instance order."""
+    position = {(inst.cid, inst.key): r for r, inst in enumerate(g.instances)}
+    out = set()
+    for s in selections:
+        row = [0] * len(position)
+        for a in s:
+            row[position[a.inst]] = a.index
+        out.add(tuple(row))
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_kernel_agrees_with_brute_force_coverage_on_positive_star(n):
+    families = load_families()
+    text, restriction = families.positive_star(n)
+    g = ground(parse_program(text), restriction=restriction)
+    ks = cs(families.positive_star_explanations(n), g)
+    covered = oracles.extensions(ks, g)
+    if n <= 5:  # the extension oracle is the selection scan's coverage
+        assert covered == as_tuples(oracles.coverage(ks, g), g)
+    missed = oracles.extensions([()], g) - covered
+    d = duals(ks, g)
+    assert oracles.extensions(d, g) == missed
+    assert mins_set(d) == d
+    rendered = render_composite_set(d, g)
+    assert render_composite_set(dual_sets(ks, g), g) == rendered == oracles.composite_set_text(d, g)
+    e = disj(conj(k) for k in ks)
+    assert gamma(e, g) == ks
+    assert gamma(Not(e), g) == d
+    assert oracles.extensions(oracles.conjuncts(dnf(Not(e))), g) == missed
+    first = sorted(ks, key=lambda k: sorted(a.sort_key() for a in k))[: len(ks) // 2 + 1]
+    e1, e2 = disj(conj(k) for k in first), disj(conj(k) for k in ks - set(first))
+    assert otimes(gamma(Not(e1), g), gamma(Not(e2), g)) == d
+    both = conjoin_dnf(dnf(Not(e1)), dnf(Not(e2)))
+    assert oracles.extensions(oracles.conjuncts(both), g) == missed
+
+
+@pytest.mark.parametrize("full_heads", [False, True])
+def test_kernel_agrees_with_brute_force_coverage_on_generated_negations(full_heads):
+    # Each success expression and its negation: the negations, and the
+    # success expressions of programs with \+, take dnf's and conjoin_dnf's
+    # guarded-absorption path.
+    checked = negated = 0
+    for seed in range(300):
+        text, query = genprog.generate(seed, full_heads=full_heads)
+        g = ground(parse_program(text))
+        exprs = success_expressions(parse_query(query), g)[:2]
+        if not exprs:
+            continue
+        worlds = [(s, {a.inst: a.index for a in s}) for s in oracles.all_selections(g)]
+
+        def models(x):
+            return {s for s, assignment in worlds if eval_expr(x, assignment)}
+
+        everything = {s for s, _ in worlds}
+        exprs += [Not(e) for e in exprs]
+        for a in exprs:
+            assert models(dnf(a)) == models(a)
+            assert dnf(a) == oracles.dnf_reference(a)
+            assert oracles.coverage(gamma(a, g), g) == models(a)
+            assert oracles.coverage(duals(gamma(a, g), g), g) == everything - models(a)
+            for b in exprs:
+                expected = models(a) - models(b)
+                assert models(conjoin_dnf(dnf(a), dnf(Not(b)))) == expected
+                assert oracles.coverage(otimes(gamma(a, g), gamma(Not(b), g)), g) == expected
+            checked += 1
+            negated += "~" in render_expr(dnf(a), g)
+    assert checked > 200 and negated > 100
+
+
+def test_the_kernel_skips_an_inconsistent_input_set(neg_ground):
+    g = neg_ground
+    a1, a2 = ac(g, "c6", ("p1",), 1), ac(g, "c6", ("p1",), 2)
+    b = ac(g, "c5", ("p1",), 1)
+    both, single = frozenset({a1, a2}), frozenset({b})
+    assert otimes([both, single], [frozenset()]) == frozenset({single})
+    assert otimes([frozenset()], [both]) == frozenset()
+    assert duals([both, single], g) == duals([single], g)
+    # A conjunct holding two heads of one instance, or α with ¬α.
+    for bad in (conj([a1, a2]), conj([a1, Not(a1)])):
+        assert conjoin_dnf(disj([bad, b]), TOP) == b
+        assert conjoin_dnf(TOP, disj([bad, b])) == b
+        assert conjoin_dnf(bad, TOP) == BOT
+
+
+def test_composite_set_rendering_puts_a_set_before_its_supersets(neg_ground):
+    # Exact lexicographic order of the sorted choices: {c3} before {c3, c5},
+    # and both before {c4, c6}.  Ordered by descending mask (the first choice
+    # on the highest bit), {c3, c5} would come before {c3}.
+    text = (
+        "{{(c3,[p1],1)},{(c3,[p1],1),(c5,[p1],2)},{(c3,[p1],1),(c5,[p1],2),(c6,[p1],1)},"
+        "{(c4,[p1],1),(c6,[p1],1)},{(c5,[p1],1)}}"
+    )
+    ks = cs(text, neg_ground)
+    assert render_composite_set(ks, neg_ground) == text == oracles.composite_set_text(ks, neg_ground)

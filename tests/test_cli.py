@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import lpadexpl.__main__
+from lpadexpl import transform
 from lpadexpl.choice_algebra import (
     CONJOIN_LIMIT,
     MAX_EXPR_DEPTH,
@@ -118,6 +119,17 @@ def test_prob_respects_enumeration_limit(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_transform_of_a_query_with_no_proof_builds_no_program(capsys, monkeypatch):
+    # covid(p3) has no proof: its success expressions join to ⊥, whose
+    # probability is 0 without grounding a choice-fact program.
+    calls = []
+    monkeypatch.setattr(transform, "ground", lambda *a, **k: calls.append(a))
+    code, out, _ = run(capsys, ["prob", NEG, "covid(p3)", "--method", "transform"])
+    assert (code, out, calls) == (0, "0.000000000\n", [])
+    code, out, _ = run(capsys, ["prob", NEG, "covid(p3)", "--method", "engine"])
+    assert (code, out) == (0, "0.000000000\n")
 
 
 def test_prob_limit_zero_exits_two(capsys):

@@ -326,6 +326,26 @@ def ladder(n):
     return f"reach(X) :- goal(X).\nreach(X) :- edge(X,Y), reach(Y).\ngoal(a{n}).\n{edges}"
 
 
+def test_success_expressions_skip_edges_with_no_success_below(monkeypatch):
+    # p's first clause chooses a, then fails at \+q: nothing reads that
+    # branch's DNF, so only the edge choosing b is conjoined.
+    calls = []
+
+    def counted(e, f):
+        calls.append((e, f))
+        return conjoin_dnf(e, f)
+
+    g = ground(parse_program("a:0.5.\nb:0.5.\nq.\np :- a, \\+q.\np :- b.\n"))
+    tree = build_tree(parse_query("p"), g)
+    assert [node.marking for node in walk(tree.root) if not node.children] == [FAILED, SUCCESS]
+    monkeypatch.setattr(slpdnf, "conjoin_dnf", counted)
+    assert [render_expr(e, g) for e in tree.success_expressions()] == ["(c2,[],1)"]
+    assert len(calls) == 1
+    calls.clear()
+    assert build_tree(parse_query("a, \\+q"), g).success_expressions() == []
+    assert calls == []
+
+
 def test_success_expressions_conjoin_once_per_edge_factor(monkeypatch):
     # One pass from the root: derivations that share a prefix share its
     # conjoins, so no edge's factor is conjoined twice.
