@@ -15,6 +15,18 @@ clauses over-approximate those that can fire in some world, and no world
 loses a true atom.  This is semi-naive evaluation as in Datalog engines
 (Ullman, 1988) and ProbLog's grounder (Kimmig et al., TPLP 2011).
 
+Each source clause is compiled once per call into a template over a frame,
+a list holding its variables in sorted-name order and then its constants:
+every atom argument is a frame position, and the variables' constants, in
+slot order, are θ's sort key.  A probabilistic clause fills the frame from
+each restriction entry or each row of the pool's product.  A derived clause
+with variables gets a join plan per positive body atom, fixed in advance as
+Datalog engines compile rules (e.g. Soufflé, Jordan et al., CAV 2016): the
+ops that match a triggering atom into the frame, then, per other positive
+body atom, the index to look it up in (keyed by the arguments bound by
+then) and the ops that bind the rest.  A ground derived clause waits for its
+positive body atoms, and a ground fact is kept as it is.
+
 Stratification is checked at the predicate level, on the source clauses: the
 dependency graph must not contain a cycle through negation.  The resulting
 stratum map drives bottom-up world evaluation.
@@ -23,23 +35,24 @@ stratum map drives bottom-up world evaluation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cached_property
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import ProgramError, StratificationError
 from .syntax import (
     Atom,
     Clause,
     Constant,
+    Literal,
     NONE_PREDICATE,
     ProbClause,
     Program,
     Query,
     Substitution,
+    Term,
     Variable,
-    apply_atom,
-    apply_query,
-    apply_term,
     clause_vars,
     is_ground_atom,
     mgu,
@@ -54,13 +67,13 @@ def theta_key(theta: Substitution) -> ThetaKey:
     return tuple(sorted((v.name, t.name) for v, t in theta.items()))
 
 
-@dataclass(frozen=True, slots=True)
-class GroundProbClause:
+class GroundProbClause(NamedTuple):
     """One ground instance of a probabilistic clause.
 
     ``var_order``/``var_values`` record the source clause's variables in
     first-occurrence order and the constants θ maps them to — the external
-    identity of the instance (rendered like ``(c2,[p1,p2],i)``).
+    identity of the instance (rendered like ``(c2,[p1,p2],i)``).  A named
+    tuple, so that the grounder builds one with a single positional call.
     """
 
     cid: str
@@ -203,27 +216,12 @@ def ground(
         for cid in restriction:
             if cid not in known:
                 raise ProgramError(f"restriction names unknown clause id {cid!r}")
-
+    values = [Constant(name) for name in pool]
     instances: list[GroundProbClause] = []
     for c in p.prob_clauses:
-        var_order = tuple(v.name for v in clause_vars(c))
-        for theta in _substitutions_for(c, pool, restriction):
-            key = theta_key(theta)
-            theta_map = dict(key)
-            instances.append(
-                GroundProbClause(
-                    cid=c.cid,
-                    key=key,
-                    var_order=var_order,
-                    var_values=tuple(theta_map[v] for v in var_order),
-                    heads=tuple((apply_atom(theta, a), prob) for a, prob in c.heads),
-                    n_explicit=c.n_explicit,
-                    body=apply_query(theta, c.body),
-                )
-            )
-
+        instances += _ground_prob(c, values, restriction)
     heads = [inst.head_atom(i) for inst in instances for i in range(1, inst.n_explicit + 1)]
-    derived = _ground_derived(p.derived_clauses, heads + list(possible), pool)
+    derived = _ground_derived(p.derived_clauses, heads + list(possible), values)
     return GroundProgram(tuple(instances), derived, tuple(pool), p)
 
 
@@ -234,154 +232,300 @@ def _no_constants(variables) -> ProgramError:
     )
 
 
-def _ground_derived(
-    clauses: tuple[Clause, ...], heads: list[Atom], pool: list[str]
-) -> tuple[Clause, ...]:
-    """The instances of ``clauses`` over ``pool`` whose positive body atoms
+def _reader(positions: tuple[int, ...]) -> Callable[[list], tuple]:
+    """``frame -> tuple(frame[k] for k in positions)`` (``itemgetter`` gives
 
-    can all be true, starting from ``heads`` and the facts.
-
-    Semi-naive: each atom that becomes possible is joined only against the
-    clauses whose positive body mentions its predicate, at the position it
-    fills.  The rest of that body is looked up among the atoms known so far,
-    through an index on the arguments bound at that point, so a clause
-    instance is found once the last of its body atoms is known.
-    """
-    if not clauses:
-        return ()
-    values = [Constant(name) for name in pool]
-    in_pool = set(pool)
-    #: per clause: its variables by name, those no positive literal binds,
-    #: and its positive body atoms
-    rules = []
-    #: predicate -> (clause number, body position) of each positive literal
-    triggers: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    for n, c in enumerate(clauses):
-        variables = clause_vars(c)
-        if variables and not pool:
-            raise _no_constants(variables)
-        positive = [lit.atom for lit in c.body if lit.positive]
-        bound = {t for a in positive for t in a.args if isinstance(t, Variable)}
-        ordered = sorted(variables, key=lambda v: v.name)
-        rules.append((ordered, [v for v in ordered if v not in bound], positive))
-        for i, a in enumerate(positive):
-            triggers.setdefault(a.pred, []).append((n, i))
-
-    #: per clause: the kept instances by the constant names of their θ
-    found: list[dict[tuple[str, ...], Clause]] = [{} for _ in clauses]
-    # Only atoms that some positive body mentions can make a clause fire.
-    possible = {a for a in heads if a.pred in triggers}
-    agenda = list(possible)
-    by_pred: dict[tuple[str, int], list[Atom]] = {}
-    #: predicate -> bound argument positions -> their values -> known atoms
-    index: dict[tuple[str, int], dict[tuple[int, ...], dict[tuple, list[Atom]]]] = {}
-
-    def fire(n: int, theta: Substitution) -> None:
-        """Keep clause ``n`` under ``theta`` extended over its free variables."""
-        ordered, free, _ = rules[n]
-        for combo in itertools.product(values, repeat=len(free)) if free else ((),):
-            full = {**theta, **dict(zip(free, combo))} if free else theta
-            row = tuple(full[v].name for v in ordered)
-            if row in found[n]:
-                continue
-            c = clauses[n]
-            if full:
-                c = Clause(apply_atom(full, c.head), apply_query(full, c.body))
-            found[n][row] = c
-            if c.head not in possible and c.head.pred in triggers:
-                possible.add(c.head)
-                agenda.append(c.head)
-
-    def lookup(pattern: Atom, theta: Substitution) -> list[Atom]:
-        """The known atoms that agree with ``pattern`` where θ binds it."""
-        key = tuple(
-            k for k, t in enumerate(pattern.args) if not isinstance(t, Variable) or t in theta
-        )
-        by_key = index.setdefault(pattern.pred, {})
-        if key not in by_key:
-            by_key[key] = {}
-            for a in by_pred.get(pattern.pred, ()):
-                by_key[key].setdefault(tuple(a.args[k] for k in key), []).append(a)
-        return by_key[key].get(tuple(apply_term(theta, pattern.args[k]) for k in key), [])
-
-    for n, (_, _, positive) in enumerate(rules):
-        if not positive:
-            fire(n, {})
-    while agenda:
-        atom = agenda.pop()
-        pred = atom.pred
-        by_pred.setdefault(pred, []).append(atom)
-        for key, by_value in index.get(pred, {}).items():
-            by_value.setdefault(tuple(atom.args[k] for k in key), []).append(atom)
-        for n, i in triggers[pred]:
-            positive = rules[n][2]
-            theta = _match(positive[i], atom, {}, in_pool)
-            stack = [] if theta is None else [(0, theta)]
-            while stack:
-                j, theta = stack.pop()
-                if j == i:
-                    j += 1
-                if j == len(positive):
-                    fire(n, theta)
-                    continue
-                for candidate in lookup(positive[j], theta):
-                    extended = _match(positive[j], candidate, theta, in_pool)
-                    if extended is not None:
-                        stack.append((j + 1, extended))
-
-    # The full product's order: by clause, then by θ, that is by the names
-    # θ maps the clause's variables to, since the pool is sorted.
-    return tuple(clause for kept in found for _, clause in sorted(kept.items()))
+    a tuple from two positions on)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (k,) = positions
+        return lambda frame: (frame[k],)
+    return lambda frame: ()
 
 
-def _match(
-    pattern: Atom, atom: Atom, theta: Substitution, in_pool: set[str]
-) -> Substitution | None:
-    """``theta`` extended so that it maps ``pattern`` onto the ground ``atom``
+class _Frame:
+    """A source clause's variables and constants laid out in one list, the
 
-    of the same predicate, binding variables to constants named in
-    ``in_pool`` only; None when there is no such extension."""
-    out = theta
-    for t, value in zip(pattern.args, atom.args):
-        if isinstance(t, Variable):
-            bound = out.get(t)
-            if bound is None:
-                if value.name not in in_pool:
-                    return None
-                if out is theta:
-                    out = dict(theta)
-                out[t] = value
-            elif bound != value:
-                return None
-        elif t != value:
-            return None
+    frame its instances are filled in.  The variables take slots
+    ``0 .. width-1`` in sorted-name order, so that the constants θ maps them
+    to, in slot order, are θ's sort key; the clause's constants follow, so
+    that every argument of every atom is a frame position."""
+
+    def __init__(self, names: list[str]):
+        self.width = len(names)
+        self.cells: list[Constant | None] = [None] * self.width
+        self.position: dict[Term, int] = {Variable(n): k for k, n in enumerate(names)}
+
+    def args(self, atom: Atom) -> tuple[int, ...]:
+        """The frame positions of ``atom``'s arguments."""
+        position = self.position
+        for t in atom.args:
+            if t not in position:
+                position[t] = len(self.cells)
+                self.cells.append(t)
+        return tuple([position[t] for t in atom.args])
+
+    def template(self, atom: Atom) -> tuple[str, Callable[[list], tuple]]:
+        """``atom``'s predicate and the reader of its arguments from a frame."""
+        return atom.predicate, _reader(self.args(atom))
+
+
+def _ground_prob(
+    c: ProbClause,
+    values: list[Constant],
+    restriction: dict[str, list[dict[str, str]]] | None,
+) -> list[GroundProbClause]:
+    """``c``'s instances: one per restriction entry, if ``restriction`` names
+
+    ``c``, else one per row of the product of the pool over its variables."""
+    variables = clause_vars(c)  # in first-occurrence order
+    names = sorted(v.name for v in variables)
+    if restriction is not None and c.cid in restriction:
+        rows = []
+        for entry in restriction[c.cid]:
+            if set(entry) != set(names):
+                raise ProgramError(
+                    f"restriction for {c.cid} must bind exactly "
+                    f"{{{', '.join(names)}}}, got {{{', '.join(sorted(entry))}}}"
+                )
+            rows.append([Constant(entry[name]) for name in names])
+    elif not names:
+        rows = [()]
+    elif not values:
+        raise _no_constants(variables)
+    else:
+        rows = itertools.product(values, repeat=len(names))
+    if not names:
+        return [GroundProbClause(c.cid, (), (), (), c.heads, c.n_explicit, c.body) for _ in rows]
+    frame = _Frame(names)
+    width, cells = frame.width, frame.cells
+    heads = [(frame.template(a), prob) for a, prob in c.heads]
+    body = [(lit.positive, frame.template(lit.atom)) for lit in c.body]
+    var_order = tuple(v.name for v in variables)
+    order = [frame.position[v] for v in variables]
+    out = []
+    for row in rows:
+        cells[:width] = row
+        out.append(GroundProbClause(
+            c.cid,
+            tuple(zip(names, [t.name for t in row])),
+            var_order,
+            tuple([cells[k].name for k in order]),
+            tuple([(Atom(pred, read(cells)), prob) for (pred, read), prob in heads]),
+            c.n_explicit,
+            tuple([Literal(positive, Atom(pred, read(cells))) for positive, (pred, read) in body]),
+        ))
     return out
 
 
-def _substitutions_for(
-    c: ProbClause,
-    pool: list[str],
-    restriction: dict[str, list[dict[str, str]]] | None,
-):
-    variables = clause_vars(c)
-    if restriction is not None and c.cid in restriction:
-        names = {v.name for v in variables}
-        for entry in restriction[c.cid]:
-            if set(entry) != names:
-                raise ProgramError(
-                    f"restriction for {c.cid} must bind exactly "
-                    f"{{{', '.join(sorted(names))}}}, got {{{', '.join(sorted(entry))}}}"
-                )
-            yield {Variable(v): Constant(t) for v, t in entry.items()}
-        return
-    if not variables:
-        yield {}
-        return
-    if not pool:
-        raise _no_constants(variables)
-    ordered = sorted(variables, key=lambda v: v.name)
-    for combo in itertools.product(pool, repeat=len(ordered)):
-        yield {v: Constant(name) for v, name in zip(ordered, combo)}
+#: How a join reads one argument of a known atom: the argument's position,
+#: its frame position, and whether it binds that slot (else it must be the
+#: constant already there).
+_Op = tuple[int, int, bool]
+
+
+class _Rule:
+    """A derived clause compiled for the join of ``_ground_derived``.
+
+    ``plans`` holds, per positive body atom ``i``, what an atom of its
+    predicate triggers: the ops that match that atom into the frame, then,
+    for each other positive body atom ``j`` in body order, a step: the index
+    of the known atoms to look up (keyed by the arguments that are constants
+    or bound by then), the reader of that key from the frame, and the ops
+    that match the rest.  ``matched`` holds the positive body atoms as the
+    join finds them; ``free`` the slots no positive body atom binds."""
+
+    __slots__ = ("cells", "width", "head", "parts", "free", "matched", "plans", "found")
+
+    def __init__(self, c: Clause, names: list[str], indexes: dict):
+        frame = _Frame(names)
+        positive = [lit.atom for lit in c.body if lit.positive]
+        positions = [frame.args(a) for a in positive]
+        self.head = frame.template(c.head)
+        #: per body literal, a positive one's place in ``matched`` or a
+        #: negative one's template; None when the body is all positive
+        self.parts = None
+        if len(positive) < len(c.body):
+            k = itertools.count()
+            self.parts = [next(k) if lit.positive else frame.template(lit.atom) for lit in c.body]
+        self.cells, self.width = frame.cells, frame.width
+        bound = {k for args in positions for k in args}
+        self.free = [k for k in range(self.width) if k not in bound]
+        self.matched: list[Atom | None] = [None] * len(positive)
+        self.found: dict[tuple[Constant, ...], Clause] = {}
+        self.plans = []
+        for i, atom in enumerate(positive):
+            bound = set()
+            ops = self._ops(enumerate(positions[i]), bound)
+            steps = [
+                self._step(j, positive[j].pred, args, bound, indexes)
+                for j, args in enumerate(positions)
+                if j != i
+            ]
+            self.plans.append((atom.pred, i, ops, steps))
+
+    def _ops(self, args, bound: set[int]) -> list[_Op]:
+        """The ops for (position, frame position) pairs; a variable's first
+
+        occurrence that is not in ``bound`` binds it, into ``bound``."""
+        ops = []
+        for p, k in args:
+            ops.append((p, k, k < self.width and k not in bound))
+            bound.add(k)
+        return ops
+
+    def _step(self, j: int, pred, args: tuple[int, ...], bound: set[int], indexes: dict):
+        """The step that finds positive body atom ``j``, when ``bound`` holds
+
+        the slots the atoms before it bind."""
+        key, read, rest = [], [], []
+        for p, k in enumerate(args):
+            if k >= self.width or k in bound:
+                key.append(p)
+                read.append(k)
+            else:
+                rest.append((p, k))
+        by_key = indexes.setdefault(pred, {})
+        key = tuple(key)
+        if key not in by_key:
+            by_key[key] = (itemgetter(*key) if key else None, {})
+        return j, by_key[key][1], itemgetter(*read) if read else None, self._ops(rest, bound)
+
+
+def _ground_derived(
+    clauses: tuple[Clause, ...], heads: list[Atom], values: list[Constant]
+) -> tuple[Clause, ...]:
+    """The instances of ``clauses`` over the pool ``values`` whose positive
+
+    body atoms can all be true, starting from ``heads`` and the facts.
+
+    Semi-naive: each atom that becomes possible triggers the join plans of
+    the positive body atoms of its predicate.  A plan matches that atom into
+    the clause's frame, then looks up each other positive body atom among
+    the atoms known so far, through an index on the arguments bound at that
+    point, so a clause instance is found once the last of its body atoms is
+    known.  A ground clause is kept once its positive body atoms are all
+    possible, a ground fact at once.
+    """
+    if not clauses:
+        return ()
+    in_pool = set(values)
+    #: predicate -> argument positions -> (their reader, their values -> known atoms)
+    indexes: dict[tuple[str, int], dict[tuple[int, ...], tuple]] = {}
+    #: per clause: its kept instances by the constants of their θ
+    found: list[dict[tuple[Constant, ...], Clause]] = []
+    rules: list[_Rule] = []
+    #: the heads of the ground clauses kept as they are
+    kept_heads: list[Atom] = []
+    #: positive body atom -> the ground clauses that wait for it, each as
+    #: [its positive body atoms not yet possible, the clause, its kept instances]
+    waiting: dict[Atom, list[list]] = {}
+    for c in clauses:
+        variables = clause_vars(c)
+        if variables:
+            if not values:
+                raise _no_constants(variables)
+            rule = _Rule(c, sorted(v.name for v in variables), indexes)
+            found.append(rule.found)
+            rules.append(rule)
+            continue
+        found.append({})
+        atoms = {lit.atom for lit in c.body if lit.positive}
+        if not atoms:
+            found[-1][()] = c
+            kept_heads.append(c.head)
+        entry = [len(atoms), c, found[-1]]
+        for atom in atoms:
+            waiting.setdefault(atom, []).append(entry)
+    #: predicate -> (rule, plan) of each positive body literal
+    triggers: dict[tuple[str, int], list] = {}
+    for rule in rules:
+        for pred, *plan in rule.plans:
+            triggers.setdefault(pred, []).append((rule, *plan))
+    #: the positive literal of each known atom, for the bodies
+    literal: dict[Atom, Literal] = {}
+    # Only atoms that some positive body mentions can make a clause fire.
+    agenda = [a for a in dict.fromkeys(heads + kept_heads) if a.pred in triggers or a in waiting]
+    possible = set(agenda)
+
+    def add(atom: Atom) -> None:
+        if atom not in possible and (atom.pred in triggers or atom in waiting):
+            possible.add(atom)
+            agenda.append(atom)
+
+    def fire(rule: _Rule) -> None:
+        """Keep ``rule``'s instances under its filled frame, extended over
+
+        its free slots."""
+        cells, free = rule.cells, rule.free
+        for combo in itertools.product(values, repeat=len(free)) if free else ((),):
+            for k, value in zip(free, combo):
+                cells[k] = value
+            row = tuple(cells[: rule.width])
+            if row in rule.found:
+                continue
+            pred, read = rule.head
+            head = Atom(pred, read(cells))
+            if rule.parts is None:
+                body = tuple([literal[a] for a in rule.matched])
+            else:
+                body = tuple([
+                    literal[rule.matched[x]] if x.__class__ is int else Literal(False, Atom(x[0], x[1](cells)))
+                    for x in rule.parts
+                ])
+            rule.found[row] = Clause(head, body)
+            add(head)
+
+    def join(rule: _Rule, j: int, ops: list[_Op], candidates, steps: list, s: int) -> None:
+        """Match each of ``candidates`` as positive body atom ``j`` by ``ops``,
+
+        then ``steps[s:]``, firing ``rule`` for each way to match them all."""
+        cells = rule.cells
+        for atom in candidates:
+            args = atom.args
+            for p, k, binds in ops:
+                value = args[p]
+                if binds:
+                    if value not in in_pool:
+                        break
+                    cells[k] = value
+                elif cells[k] is not value:
+                    break
+            else:
+                rule.matched[j] = atom
+                if s == len(steps):
+                    fire(rule)
+                else:
+                    j2, by_value, read, ops2 = steps[s]
+                    found_atoms = by_value.get(read(cells) if read else None, ())
+                    join(rule, j2, ops2, found_atoms, steps, s + 1)
+
+    for rule in rules:
+        if not rule.plans:
+            fire(rule)
+    while agenda:
+        atom = agenda.pop()
+        for entry in waiting.pop(atom, ()):
+            entry[0] -= 1
+            if not entry[0]:
+                c = entry[2][()] = entry[1]
+                add(c.head)
+        if atom.pred not in triggers:
+            continue
+        literal[atom] = Literal(True, atom)
+        for get, by_value in indexes.get(atom.pred, {}).values():
+            by_value.setdefault(get(atom.args) if get else None, []).append(atom)
+        for rule, i, ops, steps in triggers[atom.pred]:
+            join(rule, i, ops, (atom,), steps, 0)
+
+    # The full product's order: by clause, then by θ, that is by the names
+    # θ maps the clause's variables to, since the pool is sorted.
+    return tuple(
+        clause
+        for kept in found
+        for _, clause in sorted(kept.items(), key=lambda item: [v.name for v in item[0]])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -73,18 +73,29 @@ SUCCESS = "success"
 FAILED = "failed"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class EdgeLabel:
     """What one resolution step did.
 
     ``kind`` is "pos" or "neg"; ``sigma`` the unifier applied to the rest of
     the goal; ``expr`` what the step conjoined: an explicit head's atomic
-    choice, or the DNF of a "neg" step's atom not being provable.
+    choice, or the DNF of a "neg" step's atom not being provable, folded
+    from the step's subsidiary tree when first read.
     """
 
     kind: str
     sigma: tuple[tuple[str, str], ...]
-    expr: ChoiceExpr | None = None
+    _expr: ChoiceExpr | None = None
+    #: A "neg" step's subsidiary tree, until ``expr`` is first read.
+    _sub: SlpdnfTree | None = field(default=None, repr=False)
+
+    @property
+    def expr(self) -> ChoiceExpr | None:
+        sub = self._sub
+        if sub is not None:
+            not_provable = dnf(Not(disj(sub.success_expressions())))
+            self._expr, self._sub = _satisfiable(not_provable, sub.diagram), None
+        return self._expr
 
 
 @dataclass(slots=True)
@@ -108,22 +119,28 @@ class SlpdnfTree:
     def success_expressions(self) -> list[ChoiceExpr]:
         """The success leaves' DNFs, in left-to-right order: one pass carries
 
-        each node's DNF to the children with a success leaf below, with one
-        ``conjoin_dnf`` per edge factor, and ``_satisfiable`` leaves each
-        "neg" step."""
+        each node's DNF to the children with a success leaf below.  A
+        branch's first factor is carried as it is (⊤ before it), each later
+        one takes one ``conjoin_dnf``, and ``_satisfiable`` leaves what a
+        "neg" step conjoined (a "neg" edge's own DNF is already satisfiable)."""
         live = self._live()
         out: list[ChoiceExpr] = []
-        stack: list[tuple[SlpdnfNode, ChoiceExpr]] = [(self.root, TOP)] if live else []
+        #: None stands for ⊤, the DNF of a branch before its first factor.
+        stack: list[tuple[SlpdnfNode, ChoiceExpr | None]] = [(self.root, None)] if live else []
         while stack:
             node, expr = stack.pop()
             if node.marking == SUCCESS:
-                out.append(expr)
+                out.append(TOP if expr is None else expr)
             for edge, child in reversed(node.children):
                 if id(child) not in live:
                     continue
-                child_expr = expr if edge.expr is None else conjoin_dnf(expr, edge.expr)
-                if edge.kind == "neg":
-                    child_expr = _satisfiable(child_expr, self.diagram)
+                factor = edge.expr
+                if factor is None or expr is None:
+                    child_expr = expr if factor is None else factor
+                else:
+                    child_expr = conjoin_dnf(expr, factor)
+                    if edge.kind == "neg":
+                        child_expr = _satisfiable(child_expr, self.diagram)
                 stack.append((child, child_expr))
         return out
 
@@ -204,7 +221,8 @@ class _TreeBuilder:
         self.diagram = Diagram(g, limit, "tree")
         self.subs: dict[Atom, SlpdnfTree] = {}
         #: Each negated atom's edge, keyed like ``subs``: it carries the
-        #: normalised negation of the subsidiary tree's success expressions.
+        #: normalised negation of the subsidiary tree's success expressions,
+        #: folded when first read.
         self.neg_edges: dict[Atom, EdgeLabel] = {}
         g.strata  # raises StratificationError up front
 
@@ -266,8 +284,7 @@ class _TreeBuilder:
             sub = SlpdnfTree(SlpdnfNode((lit.negate(),), TRUE), diagram)
             self._expand(sub)
             self.subs[lit.atom] = sub
-            not_provable = dnf(Not(disj(sub.success_expressions())))
-            self.neg_edges[lit.atom] = EdgeLabel("neg", (), _satisfiable(not_provable, diagram))
+            self.neg_edges[lit.atom] = EdgeLabel("neg", (), None, sub)
         worlds = diagram.apply(True, node.node, diagram.negate(sub.success))
         if worlds == FALSE:
             return  # failed: the goal's worlds all prove the negated atom

@@ -117,10 +117,12 @@ class Atom(_HashConsed):
         return f"{self.predicate}({','.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    positive: bool
-    atom: Atom
+class Literal(_HashConsed):
+    __slots__ = _fields = ("positive", "atom")
+
+    def __new__(cls, positive: bool, atom: Atom) -> "Literal":
+        key = (positive, atom)
+        return cls._table.get(key) or cls._intern(key, positive, atom)
 
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"¬{self.atom}"
@@ -145,12 +147,14 @@ def query_str(q: Query) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
+class Clause(_HashConsed):
     """A derived clause ``head :- body`` (a fact when the body is empty)."""
 
-    head: Atom
-    body: Query = ()
+    __slots__ = _fields = ("head", "body")
+
+    def __new__(cls, head: Atom, body: Query = ()) -> "Clause":
+        key = (head, body)
+        return cls._table.get(key) or cls._intern(key, head, body)
 
     def __str__(self) -> str:
         if not self.body:

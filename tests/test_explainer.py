@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from lpadexpl import explainer
+from lpadexpl import explainer, slpdnf
 from lpadexpl.choice_algebra import TRUE, AtomicChoice, Diagram, Not, conj
 from lpadexpl.cli import main
 from lpadexpl.errors import ProgramError
@@ -204,6 +204,42 @@ def test_explain_top_builds_the_printed_trees_only(monkeypatch, capsys, tmp_path
     assert main(argv) == 0
     proofs = capsys.readouterr().out.count("proof ")
     assert proofs > 1 and len(built) == proofs
+
+
+def test_explain_top_folds_the_printed_negations_only(monkeypatch, capsys, tmp_path):
+    # A negated atom's DNF is folded when a printed proof reads it: --top 1
+    # prints p's proof through \+c, so the DNF of \+b is never made.
+    program = tmp_path / "two.lpad"
+    program.write_text("a:0.6.\nb:0.5.\nc:0.5.\np :- a, \\+b.\np :- \\+c.\n")
+    folded, dnf = [], slpdnf.dnf
+
+    def counting_dnf(e):
+        folded.append(e)
+        return dnf(e)
+
+    monkeypatch.setattr(slpdnf, "dnf", counting_dnf)
+    assert main(["explain", str(program), "p", "--top", "1"]) == 0
+    assert capsys.readouterr().out.count("proof ") == 1
+    assert len(folded) == 1
+    folded.clear()
+    assert main(["explain", str(program), "p"]) == 0
+    assert capsys.readouterr().out.count("proof ") == 2
+    assert len(folded) == 2
+
+
+def test_a_clause_stated_twice_gives_two_resolvents_and_two_proofs(capsys, tmp_path):
+    # The two statements are one hash-consed clause, and still two clauses
+    # of the program.
+    program = tmp_path / "twice.lpad"
+    program.write_text("q:0.5.\np :- q.\np :- q.\n")
+    g = ground(parse_program(program.read_text()))
+    assert len(g.derived) == 2 and g.derived[0] is g.derived[1]
+    assert len(g.resolvents(the_atom("p"))) == 2
+    assert len(relevant_subset(g, parse_query("p")).derived) == 2
+    proofs = explain(parse_query("p"), g)
+    assert [e.prob for e in proofs] == pytest.approx([0.5, 0.5])
+    assert main(["explain", str(program), "p"]) == 0
+    assert capsys.readouterr().out.count("proof ") == 2
 
 
 def test_fully_pruned_reason_is_trivially_true():

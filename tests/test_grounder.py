@@ -1,10 +1,26 @@
+import itertools
+import random
+
 import pytest
 
 from lpadexpl.cli import main
 from lpadexpl.errors import ProgramError, StratificationError
-from lpadexpl.grounder import ground, relevant_subset, stratify, theta_key
+from lpadexpl.grounder import GroundProbClause, ground, relevant_subset, stratify, theta_key
 from lpadexpl.semantics import success_prob
-from lpadexpl.syntax import Variable, Constant, is_ground_atom, mgu, parse_program, parse_query
+from lpadexpl.syntax import (
+    Atom,
+    Clause,
+    Constant,
+    Program,
+    Variable,
+    apply_atom,
+    apply_query,
+    clause_vars,
+    is_ground_atom,
+    mgu,
+    parse_program,
+    parse_query,
+)
 
 from conftest import FIXTURES, fixture_text, load_restriction
 import genprog
@@ -150,11 +166,13 @@ def test_deep_1000_answers():
     assert success_prob(parse_query("reach(n0)"), g) == pytest.approx(0.7, abs=1e-12)
 
 
-def _positive_model(g, clauses):
+def _positive_model(g, clauses, possible=()):
     """The least model of ``clauses`` with negative literals dropped, over the
 
-    explicit heads of every instance taken as facts (naive iteration)."""
+    explicit heads of every instance and the ``possible`` atoms taken as
+    facts (naive iteration)."""
     model = {inst.head_atom(i) for inst in g.instances for i in range(1, inst.n_explicit + 1)}
+    model.update(possible)
     changed = True
     while changed:
         changed = False
@@ -165,9 +183,9 @@ def _positive_model(g, clauses):
     return model
 
 
-def _pruned_full_grounding(g):
+def _pruned_full_grounding(g, possible=()):
     full = oracles.full_grounding(g)
-    model = _positive_model(g, full)
+    model = _positive_model(g, full, possible)
     return [c for c in full if all(lit.atom in model for lit in c.body if lit.positive)]
 
 
@@ -192,6 +210,16 @@ def test_derived_is_the_full_grounding_filtered_in_order():
         assert list(g.derived) == _pruned_full_grounding(g)
         dropped += len(oracles.full_grounding(g)) - len(g.derived)
     assert dropped > 0
+
+
+def test_a_join_binds_no_variable_outside_the_pool():
+    # g(b) is joined last, and looks up e(X,b): e(d,b) binds X to d, which
+    # the pool leaves out, so r(d)'s clause is no instance.
+    p = parse_program("g(b).\ne(d,b).\ne(a,b).\nr(X) :- g(Y), e(X,Y).\n")
+    assert [str(c) for c in ground(p, ["a", "b"]).derived] == [
+        "g(b).", "e(d,b).", "e(a,b).", "r(a) :- g(b), e(a,b).",
+    ]
+    assert len(ground(p).derived) == 5
 
 
 def test_unbound_variables_range_over_the_pool():
@@ -312,3 +340,143 @@ def test_relevant_subset_is_the_closure_in_order():
         kept = _relevant_by_passes(g, q)
         assert list(rs.instances) == [inst for inst in g.instances if inst in kept]
         assert list(rs.derived) == [c for c in g.derived if c in kept]
+
+
+# ---------------------------------------------------------------------------
+# The compiled joins over atoms of arity 2 and 3
+# ---------------------------------------------------------------------------
+
+_VARIABLES = ("X", "Y", "Z")
+
+
+def wide_program(seed):
+    """A seeded program over atoms of arity 0-3, for the joins that genprog
+
+    (arity at most 1, the one variable X) does not reach: repeated
+    variables, constants among variables, bodies of up to three atoms,
+    recursion, and variables that only the head or a negative literal
+    binds.  Returns the program text, a restriction (or None) and a
+    constant pool (or None); a pool leaves out the program constant ``d``
+    and adds ``e``, which the program does not mention."""
+    rng = random.Random(seed)
+    consts = ["a", "b", "c", "d"][: rng.randint(2, 4)]
+
+    def atom(name, arity, var_share=0.7):
+        if arity == 0:
+            return name
+        args = [rng.choice(_VARIABLES) if rng.random() < var_share else rng.choice(consts)
+                for _ in range(arity)]
+        return f"{name}({','.join(args)})"
+
+    lines = []
+    base = [("e", 2), ("f", 3), ("g", 1)]
+    for name, arity in base:
+        lines += [atom(name, arity, var_share=0) + "." for _ in range(rng.randint(1, 4))]
+    # Probabilistic facts, and clauses whose heads take a base atom's variables.
+    prob = []
+    for k in range(rng.randint(1, 2)):
+        name, arity = f"q{k}", rng.randint(1, 3)
+        if rng.random() < 0.4:
+            lines.append(f"{atom(name, arity, var_share=0)}:0.5.")
+        else:
+            body = parse_query(atom(*rng.choice(base)))[0].atom
+            names = [t.name for t in body.args if isinstance(t, Variable)] or consts
+            args = ",".join(rng.choice(names) for _ in range(arity))
+            lines.append(f"{name}({args}):0.4; {name}_alt({args}):0.3 :- {body}.")
+        prob.append((name, arity))
+    derived = [(f"r{k}", rng.randint(0, 3)) for k in range(3)]
+    for name, arity in derived:
+        for _ in range(rng.randint(1, 2)):
+            body = [
+                ("\\+" if rng.random() < 0.25 else "") + atom(*rng.choice(base + prob + derived))
+                for _ in range(rng.randint(1, 3))
+            ]
+            lines.append(f"{atom(name, arity)} :- {', '.join(body)}.")
+    text = "\n".join(lines) + "\n"
+
+    restriction = None
+    with_variables = [c for c in parse_program(text).prob_clauses if clause_vars(c)]
+    if with_variables and rng.random() < 0.5:
+        c = rng.choice(with_variables)
+        names = sorted(v.name for v in clause_vars(c))
+        rows = list(itertools.product(consts, repeat=len(names)))
+        rows = rng.sample(rows, rng.randint(1, len(rows)))
+        restriction = {c.cid: [dict(zip(names, row)) for row in rows]}
+    constants = None
+    if rng.random() < 0.5:
+        constants = [x for x in consts if x != "d"] + ["e"]
+        rng.shuffle(constants)
+    return text, restriction, constants
+
+
+def _instances_by_substitution(p, pool, restriction):
+    """``ground``'s instances by their definition: each θ a dict, applied to
+
+    the clause's atoms."""
+    out = []
+    for c in p.prob_clauses:
+        variables = clause_vars(c)
+        ordered = sorted(variables, key=lambda v: v.name)
+        if restriction and c.cid in restriction:
+            thetas = [{Variable(v): Constant(t) for v, t in entry.items()} for entry in restriction[c.cid]]
+        else:
+            thetas = [
+                {v: Constant(name) for v, name in zip(ordered, combo)}
+                for combo in itertools.product(pool, repeat=len(ordered))
+            ]
+        for theta in thetas:
+            out.append(GroundProbClause(
+                c.cid,
+                theta_key(theta),
+                tuple(v.name for v in variables),
+                tuple(theta[v].name for v in variables),
+                tuple((apply_atom(theta, a), prob) for a, prob in c.heads),
+                c.n_explicit,
+                apply_query(theta, c.body),
+            ))
+    return out
+
+
+def _join_features(c):
+    """Which of the joins that genprog does not reach a source clause needs."""
+    positive = [lit.atom for lit in c.body if lit.positive]
+    bound = {t for a in positive for t in a.args if isinstance(t, Variable)}
+    return {
+        "repeated variable": any(len(set(a.args)) < len(a.args) for a in positive),
+        "constant among variables": any(
+            {type(t) for t in a.args} == {Variable, Constant} for a in positive
+        ),
+        "three body atoms": len(positive) == 3,
+        "recursion": any(a.pred == c.head.pred for a in positive),
+        "unbound variable": bool(set(clause_vars(c)) - bound),
+    }
+
+
+def test_compiled_joins_agree_with_the_full_grounding_on_wide_programs():
+    # Each feature counts the programs whose grounding keeps an instance of a
+    # clause with it, so that every kind of join is checked on real output.
+    kept = dict.fromkeys(_join_features(Clause(Atom("p"))), 0)
+    kept.update({"pool leaves out d": 0, "restriction": 0, "possible": 0})
+    for seed in range(300):
+        text, restriction, constants = wide_program(seed)
+        p = parse_program(text)
+        g = ground(p, constants, restriction)
+        assert list(g.instances) == _instances_by_substitution(p, list(g.constants), restriction)
+        assert list(g.derived) == _pruned_full_grounding(g)
+        heads = {c.head.pred for c in g.derived}
+        for c in p.derived_clauses:
+            if c.body and c.head.pred in heads:
+                for feature, present in _join_features(c).items():
+                    kept[feature] += present
+        kept["pool leaves out d"] += bool(constants) and "d" in p.constants() and bool(heads)
+        kept["restriction"] += restriction is not None and bool(heads)
+        # explain's wrapper: one clause, seeded with the atoms that can be true.
+        rng = random.Random(seed)
+        body = tuple(rng.choice([lit for c in p.derived_clauses for lit in c.body]) for _ in range(2))
+        variables = dict.fromkeys(t for lit in body for t in lit.atom.args if isinstance(t, Variable))
+        wrapper = Clause(Atom("main", tuple(variables)), body)
+        possible = tuple(g.by_head)
+        mains = ground(Program(derived_clauses=(wrapper,)), list(g.constants), None, possible)
+        assert list(mains.derived) == _pruned_full_grounding(mains, possible)
+        kept["possible"] += bool(mains.derived)
+    assert min(kept.values()) > 0, kept

@@ -303,7 +303,8 @@ def test_every_conjoin_of_the_tree_is_the_dnf_of_the_conjunction(monkeypatch):
     monkeypatch.setattr(slpdnf, "conjoin_dnf", checked)
     families = load_families()
     programs = [family(n) for family, n in [
-        (families.chain, 4), (families.chain, 6), (families.star, 5), (families.positive_star, 5)
+        (families.chain, 4), (families.chain, 6), (families.star, 5), (families.star, 6),
+        (families.positive_star, 5),
     ]]
     for text, restriction in programs:
         g = ground(parse_program(text), restriction=restriction)
@@ -318,6 +319,25 @@ def test_every_conjoin_of_the_tree_is_the_dnf_of_the_conjunction(monkeypatch):
     assert mismatches == []
 
 
+def test_a_negated_atoms_dnf_is_folded_when_its_edge_is_first_read(monkeypatch):
+    folded = []
+
+    def counted(e):
+        folded.append(e)
+        return dnf(e)
+
+    monkeypatch.setattr(slpdnf, "dnf", counted)
+    g = ground(parse_program("a:0.5.\nb:0.5.\nq :- a.\np :- b, \\+q.\n"))
+    tree = build_tree(parse_query("p"), g)
+    assert folded == []
+    (edge, _), = find_goal(tree, "¬q").children
+    expr = edge.expr
+    assert len(folded) == 1 and render_expr(expr, g) == "~(c1,[],1)"
+    assert edge.expr is expr
+    assert [render_expr(e, g) for e in tree.success_expressions()] == ["~(c1,[],1) & (c2,[],1)"]
+    assert len(folded) == 1
+
+
 def ladder(n):
     """``edge(si,ti+1):0.5`` for s, t in {a, b}: ``reach(a0)`` has 2^(n-1) proofs."""
     edges = "".join(
@@ -327,20 +347,21 @@ def ladder(n):
 
 
 def test_success_expressions_skip_edges_with_no_success_below(monkeypatch):
-    # p's first clause chooses a, then fails at \+q: nothing reads that
-    # branch's DNF, so only the edge choosing b is conjoined.
+    # p's first clause chooses a and c, then fails at \+q: nothing reads
+    # that branch's DNF, so only c is conjoined onto b, the first factor of
+    # the other branch, which is carried as it is.
     calls = []
 
     def counted(e, f):
         calls.append((e, f))
         return conjoin_dnf(e, f)
 
-    g = ground(parse_program("a:0.5.\nb:0.5.\nq.\np :- a, \\+q.\np :- b.\n"))
+    g = ground(parse_program("a:0.5.\nb:0.5.\nc:0.5.\nq.\np :- a, c, \\+q.\np :- b, c.\n"))
     tree = build_tree(parse_query("p"), g)
     assert [node.marking for node in walk(tree.root) if not node.children] == [FAILED, SUCCESS]
     monkeypatch.setattr(slpdnf, "conjoin_dnf", counted)
-    assert [render_expr(e, g) for e in tree.success_expressions()] == ["(c2,[],1)"]
-    assert len(calls) == 1
+    assert [render_expr(e, g) for e in tree.success_expressions()] == ["(c2,[],1) & (c3,[],1)"]
+    assert [(render_expr(e, g), render_expr(f, g)) for e, f in calls] == [("(c2,[],1)", "(c3,[],1)")]
     calls.clear()
     assert build_tree(parse_query("a, \\+q"), g).success_expressions() == []
     assert calls == []

@@ -6,6 +6,7 @@ from lpadexpl.choice_algebra import parse_composite_set_text, parse_expr_text
 from lpadexpl.errors import LpadSyntaxError, ProgramError
 from lpadexpl.syntax import (
     Atom,
+    Clause,
     Constant,
     Literal,
     Variable,
@@ -205,7 +206,17 @@ def test_terms_and_atoms_are_hash_consed():
     assert parse_query("p(a)")[0].atom is atom
     assert Atom("none") is Atom("none", ())
     assert repr(atom) == "Atom(predicate='p', args=(Constant(name='a'),))"
-    for value in (Constant("a"), Variable("X"), atom):
-        with pytest.raises(AttributeError):
-            value.name = "b"
+    literal = Literal(False, atom)
+    assert parse_query("\\+p(a)")[0] is literal
+    assert Literal(positive=False, atom=atom) is literal and literal.negate() is Literal(True, atom)
+    assert repr(literal) == "Literal(positive=False, atom=Atom(predicate='p', args=(Constant(name='a'),)))"
+    clause = Clause(Atom("q"), (literal,))
+    assert parse_program("q :- \\+p(a).\n").derived_clauses[0] is clause
+    assert Clause(head=Atom("q"), body=(literal,)) is clause
+    assert Clause(Atom("q")) is Clause(Atom("q"), ())
+    assert repr(clause) == f"Clause(head=Atom(predicate='q', args=()), body=({literal!r},))"
+    for value in (Constant("a"), Variable("X"), atom, literal, clause):
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
         assert pickle.loads(pickle.dumps(value)) is value
