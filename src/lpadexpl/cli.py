@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .choice_algebra import (
     BOT,
+    DEFAULT_ASSIGNMENT_LIMIT,
     disj,
     dual_sets as duals,
     gamma,
@@ -154,8 +155,9 @@ def cmd_prob(args: argparse.Namespace) -> int:
     if args.relevant:
         g = relevant_subset(g, q)
     if args.method == "transform":
-        expr = disj(success_expressions(q, g))
-        p = 0.0 if expr == BOT else prob_via_transform(expr, g, args.limit)
+        limit = DEFAULT_ASSIGNMENT_LIMIT if args.limit is None else args.limit
+        expr = disj(success_expressions(q, g, limit=limit))
+        p = 0.0 if expr == BOT else prob_via_transform(expr, g, limit)
     else:
         p = success_prob(q, g, method=args.method, limit=args.limit)
     print(f"{p:.9f}")
@@ -292,9 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=None,
-        help="oracle: most selections enumerated; engine and transform: most "
-        "nodes the tabled decision diagram makes, for every atom and step "
-        "(default: 1000000 for all)",
+        help="oracle: most selections enumerated; engine: most nodes the tabled "
+        "decision diagram makes, for every atom and step; transform: most nodes "
+        "the query's tree makes, then the engine's limit on the choice-fact "
+        "program (default: 1000000 for all)",
     )
     p.add_argument(
         "--relevant",

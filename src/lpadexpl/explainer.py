@@ -48,8 +48,6 @@ from .syntax import (
     Program,
     Query,
     Substitution,
-    apply_literal,
-    is_ground_atom,
     mgu,
     query_str,
     query_vars,
@@ -170,31 +168,24 @@ class AndTree:
 def and_tree(d: Derivation, g: GroundProgram) -> AndTree:
     """Replay a derivation into a proof tree of ground literals.
 
-    The composed answer substitution grounds the root literal and the body
-    literals each step adds, each once.  The derivation must start from a
+    Each "pos" step's ground clause gives its node's children, and the
+    first step's head the root literal.  The derivation must start from a
     single-literal goal (``explain`` wraps other queries first).
     """
-    queries = [n.query for n in d.nodes]
-    if len(queries[0]) != 1:
-        raise ProgramError(
-            f"proof trees need an atomic goal, got {query_str(queries[0])}"
-        )
-    sigma = d.substitution()
-
-    def grounded(lit: Literal) -> AndTree:
-        lit = apply_literal(sigma, lit) if sigma else lit
-        if not is_ground_atom(lit.atom):
-            raise ProgramError("internal error: derivation does not ground its goals")
-        return AndTree(lit)
-
-    root = grounded(queries[0][0])
+    goal = d.nodes[0].query
+    if len(goal) != 1:
+        raise ProgramError(f"proof trees need an atomic goal, got {query_str(goal)}")
+    lit = goal[0]
+    if d.edges and d.edges[0].kind == "pos":
+        lit = Literal(True, d.edges[0].head)
+    if not lit.atom.ground:
+        raise ProgramError("internal error: derivation does not ground its goals")
+    root = AndTree(lit)
     pending: list[AndTree] = [root]  # the open literals, leftmost last
-    for k, edge in enumerate(d.edges):
+    for edge in d.edges:
         node = pending.pop()
-        child_query = queries[k + 1]
         if edge.kind == "pos":
-            body_len = len(child_query) - (len(queries[k]) - 1)
-            children = [grounded(child_query[i]) for i in range(body_len)]
+            children = [AndTree(body_lit) for body_lit in edge.body]
             node.children = children
             pending += reversed(children)
         else:  # negative literal: closing child plus readable expression

@@ -70,15 +70,14 @@ def theta_key(theta: Substitution) -> ThetaKey:
 class GroundProbClause(NamedTuple):
     """One ground instance of a probabilistic clause.
 
-    ``var_order``/``var_values`` record the source clause's variables in
-    first-occurrence order and the constants θ maps them to — the external
-    identity of the instance (rendered like ``(c2,[p1,p2],i)``).  A named
-    tuple, so that the grounder builds one with a single positional call.
+    ``var_values`` records the constants θ maps the source clause's
+    variables to, in first-occurrence order — the external identity of the
+    instance (rendered like ``(c2,[p1,p2],i)``).  A named tuple, so that the
+    grounder builds one with a single positional call.
     """
 
     cid: str
     key: ThetaKey
-    var_order: tuple[str, ...]
     var_values: tuple[str, ...]
     heads: tuple[tuple[Atom, float], ...]
     n_explicit: int
@@ -297,12 +296,11 @@ def _ground_prob(
     else:
         rows = itertools.product(values, repeat=len(names))
     if not names:
-        return [GroundProbClause(c.cid, (), (), (), c.heads, c.n_explicit, c.body) for _ in rows]
+        return [GroundProbClause(c.cid, (), (), c.heads, c.n_explicit, c.body) for _ in rows]
     frame = _Frame(names)
     width, cells = frame.width, frame.cells
     heads = [(frame.template(a), prob) for a, prob in c.heads]
     body = [(lit.positive, frame.template(lit.atom)) for lit in c.body]
-    var_order = tuple(v.name for v in variables)
     order = [frame.position[v] for v in variables]
     out = []
     for row in rows:
@@ -310,7 +308,6 @@ def _ground_prob(
         out.append(GroundProbClause(
             c.cid,
             tuple(zip(names, [t.name for t in row])),
-            var_order,
             tuple([cells[k].name for k in order]),
             tuple([(Atom(pred, read(cells)), prob) for (pred, read), prob in heads]),
             c.n_explicit,
@@ -615,7 +612,7 @@ def stratify(g: GroundProgram) -> dict[tuple[str, int], int]:
     sccs = _tarjan(preds, successors)
     scc_of = {p: i for i, scc in enumerate(sccs) for p in scc}
 
-    for b, h in neg_edges:
+    for b, h in sorted(neg_edges):  # sorted, so the cycle named is the same every run
         if scc_of[b] == scc_of[h]:
             raise StratificationError(_negative_cycle(b, h, sccs[scc_of[b]], successors))
 

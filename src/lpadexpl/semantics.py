@@ -62,7 +62,6 @@ class World:
     """A ground normal program induced by one selection."""
 
     clauses: tuple[Clause, ...]
-    selection: Selection
     strata: dict[tuple[str, int], int]
     _model: set[Atom] | None = None
 
@@ -87,7 +86,7 @@ def world_of(selection: Selection, g: GroundProgram) -> World:
         if head.predicate != NONE_PREDICATE:
             clauses.append(Clause(head, inst.body))
     clauses.extend(g.derived)
-    return World(tuple(clauses), selection, g.strata)
+    return World(tuple(clauses), g.strata)
 
 
 def world_prob(selection: Selection, g: GroundProgram) -> float:

@@ -48,16 +48,13 @@ from .choice_algebra import (
     gamma,
 )
 from .errors import DepthLimitError, ProgramError
-from .grounder import GroundProgram, theta_key
+from .grounder import GroundProgram
 from .syntax import (
     Atom,
-    Constant,
     Literal,
     Query,
     Substitution,
-    Variable,
     apply_query,
-    compose,
     is_ground_atom,
     is_ground_query,
     mgu,
@@ -77,14 +74,16 @@ FAILED = "failed"
 class EdgeLabel:
     """What one resolution step did.
 
-    ``kind`` is "pos" or "neg"; ``sigma`` the unifier applied to the rest of
-    the goal; ``expr`` what the step conjoined: an explicit head's atomic
-    choice, or the DNF of a "neg" step's atom not being provable, folded
-    from the step's subsidiary tree when first read.
+    ``kind`` is "pos" or "neg"; ``head`` and ``body`` the ground clause a
+    "pos" step resolved with (None and () for "neg"); ``expr`` what the step
+    conjoined: an explicit head's atomic choice, or the DNF of a "neg"
+    step's atom not being provable, folded from the step's subsidiary tree
+    when first read.
     """
 
     kind: str
-    sigma: tuple[tuple[str, str], ...]
+    head: Atom | None
+    body: Query
     _expr: ChoiceExpr | None = None
     #: A "neg" step's subsidiary tree, until ``expr`` is first read.
     _sub: SlpdnfTree | None = field(default=None, repr=False)
@@ -175,11 +174,11 @@ class Derivation:
         return self.nodes[-1]
 
     def substitution(self) -> Substitution:
-        """The composed unifier of all steps."""
+        """The union of each "pos" step's unifier with its ground head."""
         sigma: Substitution = {}
-        for edge in self.edges:
-            if edge.sigma:
-                sigma = compose(sigma, {Variable(v): Constant(c) for v, c in edge.sigma})
+        for node, edge in zip(self.nodes, self.edges):
+            if edge.kind == "pos":
+                sigma.update(mgu(node.query[0].atom, edge.head))
         return sigma
 
 
@@ -273,7 +272,7 @@ class _TreeBuilder:
                 if worlds == FALSE:
                     continue
             child_query = body + (apply_query(sigma, rest) if sigma else rest)
-            edge = EdgeLabel("pos", theta_key(sigma), choice)
+            edge = EdgeLabel("pos", head, body, choice)
             node.children.append((edge, SlpdnfNode(child_query, worlds)))
 
     def _step_negative(self, node: SlpdnfNode, lit: Literal) -> None:
@@ -284,7 +283,7 @@ class _TreeBuilder:
             sub = SlpdnfTree(SlpdnfNode((lit.negate(),), TRUE), diagram)
             self._expand(sub)
             self.subs[lit.atom] = sub
-            self.neg_edges[lit.atom] = EdgeLabel("neg", (), None, sub)
+            self.neg_edges[lit.atom] = EdgeLabel("neg", None, (), None, sub)
         worlds = diagram.apply(True, node.node, diagram.negate(sub.success))
         if worlds == FALSE:
             return  # failed: the goal's worlds all prove the negated atom
@@ -439,7 +438,7 @@ def derivations(tree: SlpdnfTree) -> list[Derivation]:
 
 
 def answers(q: Query, g: GroundProgram, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> list[Answer]:
-    """One answer per success leaf: the composed substitution restricted to
+    """One answer per success leaf: the steps' bindings restricted to
 
     the query's variables, plus the leaf expression."""
     tree = build_tree(q, g, depth_limit)
@@ -455,9 +454,9 @@ def answers(q: Query, g: GroundProgram, depth_limit: int = DEFAULT_DEPTH_LIMIT) 
 
 
 def success_expressions(
-    q: Query, g: GroundProgram, depth_limit: int = DEFAULT_DEPTH_LIMIT
+    q: Query, g: GroundProgram, depth_limit: int = DEFAULT_DEPTH_LIMIT, limit: float = math.inf
 ) -> list[ChoiceExpr]:
-    return build_tree(q, g, depth_limit).success_expressions()
+    return build_tree(q, g, depth_limit, limit).success_expressions()
 
 
 def expl(

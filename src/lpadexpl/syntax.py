@@ -104,12 +104,14 @@ Term = Constant | Variable
 
 
 class Atom(_HashConsed):
-    __slots__ = ("predicate", "args", "pred")
+    __slots__ = ("predicate", "args", "pred", "ground")
     _fields = ("predicate", "args")
 
     def __new__(cls, predicate: str, args: tuple[Term, ...] = ()) -> "Atom":
         key = (predicate, args)
-        return cls._table.get(key) or cls._intern(key, predicate, args, (predicate, len(args)))
+        return cls._table.get(key) or cls._intern(
+            key, predicate, args, (predicate, len(args)), all(isinstance(t, Constant) for t in args)
+        )
 
     def __str__(self) -> str:
         if not self.args:
@@ -302,21 +304,8 @@ def apply_query(s: Substitution, q: Query) -> Query:
     return tuple(apply_literal(s, lit) for lit in q)
 
 
-def compose(s1: Substitution, s2: Substitution) -> Substitution:
-    """The substitution equivalent to applying ``s1`` and then ``s2``."""
-    out: Substitution = {}
-    for v, t in s1.items():
-        t2 = apply_term(s2, t)
-        if t2 != v:
-            out[v] = t2
-    for v, t in s2.items():
-        if v not in s1 and t != v:
-            out[v] = t
-    return out
-
-
 def is_ground_atom(a: Atom) -> bool:
-    return all(isinstance(t, Constant) for t in a.args)
+    return a.ground
 
 
 def is_ground_query(q: Query) -> bool:

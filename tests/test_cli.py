@@ -79,6 +79,28 @@ def test_check_fails_on_negative_cycle(capsys, tmp_path):
     assert out.endswith("check failed\n")
 
 
+def test_negative_cycle_message_is_the_same_under_every_hash_seed(tmp_path):
+    # Set and dict order of strings changes with the hash seed; each child
+    # process takes its own seed, so only an order-free check prints one text.
+    bad = tmp_path / "cycle.lpad"
+    bad.write_text("p :- \\+q.\nq :- \\+p.\n")
+    package_root = str(Path(lpadexpl.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    for argv in (["check", str(bad)], ["prob", str(bad), "p"]):
+        results = set()
+        for seed in range(6):
+            env["PYTHONHASHSEED"] = str(seed)
+            result = subprocess.run(
+                [sys.executable, "-m", "lpadexpl", *argv], capture_output=True, timeout=60, env=env
+            )
+            results.add((result.returncode, result.stdout, result.stderr))
+        assert len(results) == 1, results
+        code, out, err = results.pop()
+        assert code == 2
+        assert b"negative cycle q -> p -> q\n" in out + err
+
+
 # ---------------------------------------------------------------------------
 # prob
 # ---------------------------------------------------------------------------
@@ -171,6 +193,12 @@ def test_limit_errors_name_their_stage(capsys):
         "error: walk: 6 nodes in the decision diagram exceed the limit 5 (--limit)\n",
     )
     code, _, err = run(capsys, ["explain", NEG, "covid(p1)", "--limit", "5"])
+    assert (code, err) == (
+        2,
+        "error: tree: 6 nodes in the decision diagram exceed the limit 5 (--limit)\n",
+    )
+    # transform builds the query's tree first, within the same --limit.
+    code, _, err = run(capsys, ["prob", NEG, "covid(p1)", "--method", "transform", "--limit", "5"])
     assert (code, err) == (
         2,
         "error: tree: 6 nodes in the decision diagram exceed the limit 5 (--limit)\n",

@@ -28,6 +28,7 @@ from lpadexpl.grounder import ground, relevant_subset
 from lpadexpl.slpdnf import Derivation, SlpdnfNode, build_tree, derivations
 from lpadexpl.syntax import is_ground_query, parse_program, parse_query
 
+import genprog
 from conftest import golden_text, load_families
 
 
@@ -286,6 +287,47 @@ def test_and_tree_grounds_every_literal(pos_ground):
             stack += node.children
         assert literals and all(is_ground_query((lit,)) for lit in literals)
     assert str(and_tree(derivations(tree)[0], pos_ground).literal) == "covid(p1)"
+
+
+def assert_nodes_are_ground_clauses(tree, g, label):
+    """Every positive node is the head of a ground instance or derived
+
+    clause of ``g`` with its children's literals as that clause's body; a
+    negative node's only child is the closing □.  Returns the number of
+    negative nodes."""
+    clauses = {(c.head, c.body) for c in g.derived}
+    for inst in g.instances:
+        clauses |= {(inst.head_atom(i), inst.body) for i in range(1, inst.n_explicit + 1)}
+    stack, negative = [tree], 0
+    while stack:
+        node = stack.pop()
+        if node.literal.positive:
+            body = tuple(child.literal for child in node.children)
+            assert (node.literal.atom, body) in clauses, (label, str(node.literal))
+            stack += node.children
+        else:
+            assert [child.literal for child in node.children] == [None], (label, str(node.literal))
+            negative += 1
+    return negative
+
+
+def test_and_tree_nodes_are_ground_clauses_of_the_program():
+    families = load_families()
+    cases = [
+        (families.chain(3), ("covid(p1)", "\\+covid(p1)", "covid(X)")),
+        (families.star(3), ("covid(p1)", "\\+covid(p1)")),
+        (families.positive_star(4), ("covid(p1)", "covid(X), contact(X,Y)")),
+        (families.deep(6), ("reach(n0)", "reach(X)")),
+    ]
+    cases += [((text, None), (query,)) for text, query in map(genprog.generate, range(200))]
+    proofs = negative = 0
+    for (text, restriction), queries in cases:
+        g = ground(parse_program(text), restriction=restriction)
+        for query in queries:
+            for e in explain(parse_query(query), g):
+                negative += assert_nodes_are_ground_clauses(e.tree, e.g, f"{query}\n{text}")
+                proofs += 1
+    assert proofs > 100 and negative > 20, (proofs, negative)
 
 
 def test_and_tree_rejects_a_derivation_that_leaves_a_variable(pos_ground):

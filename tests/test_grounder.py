@@ -428,7 +428,6 @@ def _instances_by_substitution(p, pool, restriction):
             out.append(GroundProbClause(
                 c.cid,
                 theta_key(theta),
-                tuple(v.name for v in variables),
                 tuple(theta[v].name for v in variables),
                 tuple((apply_atom(theta, a), prob) for a, prob in c.heads),
                 c.n_explicit,

@@ -121,6 +121,24 @@ def test_success_marking_and_answers(pos_ground):
     ]
 
 
+def test_answers_of_a_conjunctive_query_join_bindings_from_every_step(pos_ground):
+    # contact(X,Y) binds both variables at the first step; covid(X) binds X
+    # at the first step and contact(X,Y) binds Y at a later one.
+    both = (("X", "p1"), ("Y", "p2"))
+    ans = answers(parse_query("contact(X,Y), covid(Y)"), pos_ground)
+    assert [(a.substitution, render_expr(a.expr, pos_ground)) for a in ans] == [
+        (both, "(c1,[p2],1)")
+    ]
+    q = parse_query("covid(X), contact(X,Y)")
+    ans = answers(q, pos_ground)
+    assert [(a.substitution, render_expr(a.expr, pos_ground)) for a in ans] == [
+        (both, "(c1,[p1],1)"),
+        (both, "(c1,[p2],1) & (c2,[p1,p2],1)"),
+    ]
+    grounded = parse_query("covid(p1), contact(p1,p2)")
+    assert [a.expr for a in ans] == success_expressions(grounded, pos_ground)
+
+
 def test_empty_query_succeeds(pos_ground):
     tree = build_tree((), pos_ground)
     assert tree.root.marking == SUCCESS

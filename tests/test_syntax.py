@@ -11,7 +11,7 @@ from lpadexpl.syntax import (
     Literal,
     Variable,
     apply_query,
-    compose,
+    is_ground_atom,
     is_range_restricted,
     mgu,
     parse_program,
@@ -174,10 +174,11 @@ def test_mgu_is_idempotent_on_chained_variables():
     assert apply_query(s, parse_query("p(X,Y)")) == parse_query("p(a,a)")
 
 
-def test_compose():
-    X, Y = Variable("X"), Variable("Y")
-    s = compose({X: Y}, {Y: Constant("a")})
-    assert s == {X: Constant("a"), Y: Constant("a")}
+def test_atoms_know_they_are_ground():
+    X, a = Variable("X"), Constant("a")
+    for atom, ground in ((Atom("p"), True), (Atom("p", (a, a)), True), (Atom("p", (a, X)), False)):
+        assert atom.ground is ground and is_ground_atom(atom) is ground
+        assert pickle.loads(pickle.dumps(atom)).ground is ground
 
 
 def test_range_restriction():
