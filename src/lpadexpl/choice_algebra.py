@@ -589,37 +589,9 @@ def _is_literal(x: ChoiceExpr) -> bool:
     return isinstance(x, AtomicChoice) or isinstance(x, Not) and isinstance(x.child, AtomicChoice)
 
 
-def is_dnf(e: ChoiceExpr) -> bool:
-    def is_conjunct(x: ChoiceExpr) -> bool:
-        return _is_literal(x) or (isinstance(x, And) and all(map(_is_literal, x.children)))
-
-    if isinstance(e, (_Bottom, _Top)):
-        return True
-    if isinstance(e, Or):
-        return all(is_conjunct(c) for c in e.children)
-    return is_conjunct(e)
-
-
 # ---------------------------------------------------------------------------
-# Evaluation and the decision diagram
+# The decision diagram
 # ---------------------------------------------------------------------------
-
-
-def eval_expr(e: ChoiceExpr, assignment: dict[tuple[str, ThetaKey], int]) -> bool:
-    """Truth of an expression under a head assignment for its instances."""
-    if isinstance(e, _Bottom):
-        return False
-    if isinstance(e, _Top):
-        return True
-    if isinstance(e, AtomicChoice):
-        return assignment[e.inst] == e.index
-    if isinstance(e, Not):
-        return not eval_expr(e.child, assignment)
-    if isinstance(e, And):
-        return all(eval_expr(c, assignment) for c in e.children)
-    if isinstance(e, Or):
-        return any(eval_expr(c, assignment) for c in e.children)
-    raise TypeError(f"not a choice expression: {e!r}")
 
 
 #: The terminal nodes of every ``Diagram``: ⊥ and ⊤.

@@ -59,7 +59,10 @@ def _load_restriction(path: str | None) -> dict | None:
     if path is None:
         return None
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as e:  # a decode error, of JSON or of the text
+            raise ProgramError(f"restriction file {path} is not valid JSON: {e}") from None
 
 
 def _load(args: argparse.Namespace) -> tuple[Program, GroundProgram]:

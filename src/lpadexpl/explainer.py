@@ -33,7 +33,8 @@ from .choice_algebra import (
     head_label,
 )
 from .errors import ProgramError
-from .grounder import GroundProgram, ground
+# ``ground`` stays importable from here: perfbench/tracer.py wraps it by name.
+from .grounder import GroundProgram, ground  # noqa: F401
 from .slpdnf import (
     DEFAULT_DEPTH_LIMIT,
     Derivation,
@@ -43,13 +44,12 @@ from .slpdnf import (
 from .syntax import (
     Annotation,
     Atom,
-    Clause,
     Literal,
     Program,
     Query,
     Substitution,
+    apply_query,
     mgu,
-    query_str,
     query_vars,
 )
 
@@ -168,20 +168,25 @@ class AndTree:
 def and_tree(d: Derivation, g: GroundProgram) -> AndTree:
     """Replay a derivation into a proof tree of ground literals.
 
-    Each "pos" step's ground clause gives its node's children, and the
-    first step's head the root literal.  The derivation must start from a
-    single-literal goal (``explain`` wraps other queries first).
+    Each "pos" step's ground clause gives its node's children.  A goal of
+    one positive literal is the root, as the first step's head; any other
+    goal gets a display root ``main(v1,…)`` (``main_k`` when the program
+    uses ``main``), whose arguments are the values the derivation gives the
+    goal's variables, in first-occurrence order, and whose children are the
+    goal's literals under those values.
     """
     goal = d.nodes[0].query
-    if len(goal) != 1:
-        raise ProgramError(f"proof trees need an atomic goal, got {query_str(goal)}")
-    lit = goal[0]
-    if d.edges and d.edges[0].kind == "pos":
-        lit = Literal(True, d.edges[0].head)
-    if not lit.atom.ground:
+    if len(goal) == 1 and goal[0].positive:
+        root = AndTree(Literal(True, d.edges[0].head) if d.edges else goal[0])
+        pending: list[AndTree] = [root]  # the open literals, leftmost last
+    else:
+        sigma = d.substitution()
+        values = tuple(sigma.get(v, v) for v in query_vars(goal))
+        root = AndTree(Literal(True, Atom(_display_name(g.source), values)))
+        root.children = [AndTree(lit) for lit in apply_query(sigma, goal)]
+        pending = root.children[::-1]
+    if not all(node.literal.atom.ground for node in pending):
         raise ProgramError("internal error: derivation does not ground its goals")
-    root = AndTree(lit)
-    pending: list[AndTree] = [root]  # the open literals, leftmost last
     for edge in d.edges:
         node = pending.pop()
         if edge.kind == "pos":
@@ -193,6 +198,16 @@ def and_tree(d: Derivation, g: GroundProgram) -> AndTree:
             node.expr = chq(edge.expr, g, node.literal.atom)
             node.has_expr = True
     return root
+
+
+def _display_name(p: Program) -> str:
+    """``main``, or the first ``main_k`` that names no predicate of ``p``."""
+    taken = {name for name, _ in p.prob_predicates() | p.derived_predicates()}
+    name, k = "main", 0
+    while name in taken:
+        k += 1
+        name = f"main_{k}"
+    return name
 
 
 @dataclass(frozen=True)
@@ -208,30 +223,6 @@ class Explanation:
         return and_tree(self.derivation, self.g)
 
 
-def _wrap_query(q: Query, g: GroundProgram) -> tuple[Query, GroundProgram]:
-    """For a non-atomic or negative goal, add the ground instances of
-
-    ``main(vars) :- q`` that can fire in ``g`` to ``g``, which keeps
-    whatever pruning ``g`` had."""
-    taken = {name for name, _ in g.source.prob_predicates()}
-    taken |= {name for name, _ in g.source.derived_predicates()}
-    name = "main"
-    k = 0
-    while name in taken:
-        k += 1
-        name = f"main_{k}"
-    main = Clause(Atom(name, tuple(query_vars(q))), q)
-    source = Program(
-        g.source.prob_clauses, g.source.derived_clauses + (main,), g.source.annotations
-    )
-    # Every atom that can be true in g seeds main's grounding, since
-    # Program((main,)) has no facts of its own.
-    possible = tuple(g.by_head)
-    mains = ground(Program(derived_clauses=(main,)), list(g.constants), None, possible).derived
-    g2 = GroundProgram(g.instances, g.derived + mains, g.constants, source)
-    return (Literal(True, main.head),), g2
-
-
 def explain(
     q: Query,
     g: GroundProgram,
@@ -240,13 +231,18 @@ def explain(
 ) -> list[Explanation]:
     """All proofs of ``q`` with their probabilities, most probable first
 
-    (ties keep left-to-right proof order).  Each probability is the mass of
+    (ties keep left-to-right proof order, after a display-rooted goal's
+    grouping by instance).  Each probability is the mass of
     a leaf's node in the tree's one diagram, of at most ``limit`` nodes."""
     limit = DEFAULT_ASSIGNMENT_LIMIT if limit is None else limit
-    if len(q) != 1 or not q[0].positive:
-        q, g = _wrap_query(q, g)
     tree = build_tree(q, g, depth_limit, limit)
-    items = [Explanation(tree.diagram.prob(d.leaf.node), d, g) for d in derivations(tree)]
+    ds = derivations(tree)
+    names = sorted(query_vars(q), key=lambda v: v.name)
+    if names and (len(q) != 1 or not q[0].positive):
+        # A display-rooted goal's proofs come grouped by its instance: by
+        # the values of its variables, taken in sorted-name order.
+        ds.sort(key=lambda d: [d.substitution()[v].name for v in names])
+    items = [Explanation(tree.diagram.prob(d.leaf.node), d, g) for d in ds]
     return sorted(items, key=lambda e: e.prob, reverse=True)
 
 

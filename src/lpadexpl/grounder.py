@@ -50,7 +50,6 @@ from .syntax import (
     ProbClause,
     Program,
     Query,
-    Substitution,
     Term,
     Variable,
     clause_vars,
@@ -61,10 +60,6 @@ from .syntax import (
 #: θ as a hashable canonical value: variable/constant name pairs sorted by
 #: variable name.
 ThetaKey = tuple[tuple[str, str], ...]
-
-
-def theta_key(theta: Substitution) -> ThetaKey:
-    return tuple(sorted((v.name, t.name) for v, t in theta.items()))
 
 
 class GroundProbClause(NamedTuple):
@@ -195,7 +190,6 @@ def ground(
     p: Program,
     constants: list[str] | None = None,
     restriction: dict[str, list[dict[str, str]]] | None = None,
-    possible: tuple[Atom, ...] = (),
 ) -> GroundProgram:
     """Ground ``p`` over a constant pool.
 
@@ -203,25 +197,39 @@ def ground(
     constant listed twice counts once.  Probabilistic clauses ground over
     the whole pool, except that ``restriction`` maps clause ids to the exact
     substitutions to instantiate (each must bind precisely the clause's
-    variables).  A derived clause keeps the instances over the pool whose
-    positive body atoms can all be true (see the module docstring), taking
-    the atoms in ``possible`` as possible too; a variable that no positive
-    body literal binds ranges over the whole pool.  Instances and derived
-    clauses are ordered by source clause, then lexicographically by θ.
+    variables to constant names; an entry listed twice counts once).  A
+    derived clause keeps the instances over the pool whose positive body
+    atoms can all be true (see the module docstring); a variable that no
+    positive body literal binds ranges over the whole pool.  Instances and
+    derived clauses are ordered by source clause, then lexicographically
+    by θ.
     """
     pool = sorted(set(constants)) if constants is not None else p.constants()
-    if restriction:
-        known = {c.cid for c in p.prob_clauses}
-        for cid in restriction:
-            if cid not in known:
-                raise ProgramError(f"restriction names unknown clause id {cid!r}")
+    if restriction is not None:
+        _check_restriction(restriction, {c.cid for c in p.prob_clauses})
     values = [Constant(name) for name in pool]
     instances: list[GroundProbClause] = []
     for c in p.prob_clauses:
         instances += _ground_prob(c, values, restriction)
     heads = [inst.head_atom(i) for inst in instances for i in range(1, inst.n_explicit + 1)]
-    derived = _ground_derived(p.derived_clauses, heads + list(possible), values)
+    derived = _ground_derived(p.derived_clauses, heads, values)
     return GroundProgram(tuple(instances), derived, tuple(pool), p)
+
+
+def _check_restriction(restriction, known: set[str]) -> None:
+    """Raise ProgramError unless ``restriction`` maps ids of ``known``
+
+    clauses to lists of objects with string values."""
+    if not isinstance(restriction, dict):
+        raise ProgramError("restriction must be an object mapping clause ids to lists")
+    for cid, entries in restriction.items():
+        if cid not in known:
+            raise ProgramError(f"restriction names unknown clause id {cid!r}")
+        if not isinstance(entries, list) or not all(
+            isinstance(entry, dict) and all(isinstance(v, str) for v in entry.values())
+            for entry in entries
+        ):
+            raise ProgramError(f"restriction for {cid} must be a list of objects with string values")
 
 
 def _no_constants(variables) -> ProgramError:
@@ -275,20 +283,21 @@ def _ground_prob(
     values: list[Constant],
     restriction: dict[str, list[dict[str, str]]] | None,
 ) -> list[GroundProbClause]:
-    """``c``'s instances: one per restriction entry, if ``restriction`` names
+    """``c``'s instances: one per distinct restriction entry, if ``restriction``
 
-    ``c``, else one per row of the product of the pool over its variables."""
+    names ``c``, else one per row of the product of the pool over its
+    variables."""
     variables = clause_vars(c)  # in first-occurrence order
     names = sorted(v.name for v in variables)
     if restriction is not None and c.cid in restriction:
-        rows = []
+        rows = {}  # a dict, so that an entry listed twice counts once
         for entry in restriction[c.cid]:
             if set(entry) != set(names):
                 raise ProgramError(
                     f"restriction for {c.cid} must bind exactly "
                     f"{{{', '.join(names)}}}, got {{{', '.join(sorted(entry))}}}"
                 )
-            rows.append([Constant(entry[name]) for name in names])
+            rows[tuple([Constant(entry[name]) for name in names])] = None
     elif not names:
         rows = [()]
     elif not values:

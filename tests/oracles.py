@@ -22,12 +22,56 @@ from lpadexpl.choice_algebra import (
     Or,
     conj,
     disj,
-    eval_expr,
     mentioned_instances,
     render_composite,
 )
-from lpadexpl.grounder import GroundProgram
-from lpadexpl.syntax import Atom, Clause, Constant, Query, Variable, apply_atom, apply_query
+from lpadexpl.grounder import GroundProgram, ThetaKey
+from lpadexpl.syntax import (
+    Atom,
+    Clause,
+    Constant,
+    Query,
+    Substitution,
+    Variable,
+    apply_atom,
+    apply_query,
+)
+
+
+def theta_key(theta: Substitution) -> ThetaKey:
+    """θ as an instance's ``key``: name pairs sorted by variable name."""
+    return tuple(sorted((v.name, t.name) for v, t in theta.items()))
+
+
+def is_dnf(e) -> bool:
+    """Whether ``e`` is ⊥, ⊤, or a disjunction of conjunctions of literals."""
+
+    def is_literal(x) -> bool:
+        return isinstance(x, AtomicChoice) or isinstance(x, Not) and isinstance(x.child, AtomicChoice)
+
+    def is_conjunct(x) -> bool:
+        return is_literal(x) or (isinstance(x, And) and all(map(is_literal, x.children)))
+
+    if e == BOT or e == TOP:
+        return True
+    if isinstance(e, Or):
+        return all(is_conjunct(c) for c in e.children)
+    return is_conjunct(e)
+
+
+def eval_expr(e, assignment: dict[tuple[str, ThetaKey], int]) -> bool:
+    """Truth of an expression under a head assignment for its instances."""
+    if e == BOT or e == TOP:
+        return e == TOP
+    if isinstance(e, AtomicChoice):
+        return assignment[e.inst] == e.index
+    if isinstance(e, Not):
+        return not eval_expr(e.child, assignment)
+    if isinstance(e, And):
+        return all(eval_expr(c, assignment) for c in e.children)
+    if isinstance(e, Or):
+        return any(eval_expr(c, assignment) for c in e.children)
+    raise TypeError(f"not a choice expression: {e!r}")
 
 
 def composite_set_text(ks, g: GroundProgram) -> str:

@@ -18,11 +18,9 @@ from lpadexpl.choice_algebra import (
     dual_sets,
     duals,
     equiv,
-    eval_expr,
     gamma,
     hits,
     is_consistent,
-    is_dnf,
     mins_set,
     otimes,
     parse_composite_set_text,
@@ -39,6 +37,7 @@ from lpadexpl.syntax import parse_program, parse_query
 from conftest import load_families
 import genprog
 import oracles
+from oracles import eval_expr, is_dnf
 
 
 def ac(g, cid, values, index):

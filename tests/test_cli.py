@@ -111,16 +111,25 @@ def test_prob_prints_nine_decimals(capsys):
     assert (code, out) == (0, "0.936000000\n")
 
 
-def test_prob_methods_agree_on_the_restricted_program(capsys):
-    results = {}
-    for method in ("engine", "oracle", "transform"):
-        code, out, _ = run(
-            capsys,
-            ["prob", NEG, "covid(p1)", "--restrict", RMIN, "--method", method],
-        )
-        assert code == 0
-        results[method] = out
-    assert set(results.values()) == {"0.914716800\n"}
+def test_prob_methods_agree_on_the_restricted_program(capsys, tmp_path):
+    # An entry listed twice counts once, as a repeated --constants name does.
+    restriction = json.loads(Path(RMIN).read_text())
+    restriction["c2"] *= 2
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(json.dumps(restriction))
+    g = ground(parse_program(Path(NEG).read_text()), restriction=restriction)
+    keys = [(inst.cid, inst.key) for inst in g.instances]
+    assert len(keys) == len(set(keys)) == 7
+    for path in (RMIN, str(doubled)):
+        results = {}
+        for method in ("engine", "oracle", "transform"):
+            code, out, _ = run(
+                capsys,
+                ["prob", NEG, "covid(p1)", "--restrict", path, "--method", method],
+            )
+            assert code == 0
+            results[method] = out
+        assert set(results.values()) == {"0.914716800\n"}, path
 
 
 def test_prob_of_a_negative_query(capsys):
@@ -243,6 +252,21 @@ def test_a_floundering_query_exits_two(capsys, tmp_path):
             "",
             "error: floundering: negative literal \\+q(X,b) is not ground\n",
         ), method
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        ("\\+covid(X)", "floundering: negative literal \\+covid(X) is not ground"),
+        ("covid(X), \\+covid(Y)", "floundering: negative literal \\+covid(Y) is not ground"),
+        ("\\+covid(X), covid(X)", "floundering: negative literal \\+covid(X) is not ground"),
+        ("\\+foo(p1)", "unknown predicate foo/1 in query"),
+        ("covid(p1), \\+foo(p1)", "unknown predicate foo/1 in query"),
+    ],
+)
+def test_explain_and_prob_reject_the_same_queries(capsys, query, message):
+    for argv in (["prob", NEG, query], ["explain", NEG, query]):
+        assert run(capsys, argv) == (2, "", f"error: {message}\n"), argv
 
 
 def ladder(n: int) -> str:
@@ -585,6 +609,12 @@ def test_explain_folded(capsys):
     assert code == 0
     assert "covid(p2) ..." in out
     assert "¬protected(p1) ..." in out
+    code, out, _ = run(
+        capsys,
+        ["explain", NEG, "covid(p1)", "--restrict", RC2, "--fold-depth", "1", "--format", "nl"],
+    )
+    assert code == 0
+    assert "\n   and p2 has covid-19 ...\n   and p1 was not protected ...\n" in out
 
 
 def test_explain_alternatives(capsys):
@@ -690,6 +720,10 @@ def test_duals_input_errors_carry_positions(capsys):
         code, out, err = run(capsys, ["duals", NEG, "--restrict", RMIN, text])
         assert (code, out) == (2, ""), text
         assert err.startswith("error: line 1, column "), text
+    # A well-formed choice that names no ground instance has no position.
+    for text in ["(c1,[p9],1)", "{{(c1,[p9],1)}}"]:
+        code, out, err = run(capsys, ["duals", NEG, text])
+        assert (code, out, err) == (2, "", "error: no ground instance c1 with values [p9]\n"), text
 
 
 def test_duals_nesting_is_bounded(capsys):
@@ -846,12 +880,24 @@ def test_empty_constants_list_exits_two(capsys):
     assert err == "error: empty --constants list\n"
 
 
-def test_bad_restriction_exits_two(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"c99": []}', "restriction names unknown clause id 'c99'"),
+        ('{"c2": [', "restriction file {} is not valid JSON: Expecting value: line 1 column 9 (char 8)"),
+        ("[]", "restriction must be an object mapping clause ids to lists"),
+        ('{"c2": {"X": "p1"}}', "restriction for c2 must be a list of objects with string values"),
+        ('{"c2": [1]}', "restriction for c2 must be a list of objects with string values"),
+        ('{"c2": [{"X": 1, "Y": "p2"}]}', "restriction for c2 must be a list of objects with string values"),
+    ],
+)
+def test_bad_restriction_exits_two(capsys, tmp_path, text, message):
+    # One error line on every subcommand that grounds, never a traceback.
     r = tmp_path / "r.json"
-    r.write_text('{"c99": []}')
-    code, _, err = run(capsys, ["prob", NEG, "covid(p1)", "--restrict", str(r)])
-    assert code == 2
-    assert err.startswith("error:")
+    r.write_text(text)
+    for argv in (["prob", NEG, "covid(p1)"], ["worlds", NEG], ["explain", NEG, "covid(p1)"]):
+        code, out, err = run(capsys, argv + ["--restrict", str(r)])
+        assert (code, out, err) == (2, "", f"error: {message.format(r)}\n"), argv
 
 
 def declared_scripts() -> dict[str, str]:

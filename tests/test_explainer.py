@@ -15,7 +15,6 @@ from lpadexpl.explainer import (
     ROr,
     and_tree,
     chq,
-    _wrap_query,
     explain,
     phrase_for,
     render_graph,
@@ -26,7 +25,15 @@ from lpadexpl.explainer import (
 )
 from lpadexpl.grounder import ground, relevant_subset
 from lpadexpl.slpdnf import Derivation, SlpdnfNode, build_tree, derivations
-from lpadexpl.syntax import is_ground_query, parse_program, parse_query
+from lpadexpl.syntax import (
+    Atom,
+    Literal,
+    apply_query,
+    is_ground_query,
+    parse_program,
+    parse_query,
+    query_vars,
+)
 
 import genprog
 from conftest import golden_text, load_families
@@ -128,14 +135,22 @@ def test_explain_wraps_negative_queries(neg_ground):
     assert render_text(proofs[0].tree) == "main\n   ¬covid(p3)\n"
 
 
-def test_explain_wrapper_keeps_the_relevant_pruning():
+def test_explain_of_a_negation_agrees_on_the_relevant_subset():
     g = ground(parse_program("f(a):0.5.\nf(b):0.4.\nh(X) :- f(X).\n"))
     q = parse_query("\\+h(a)")
     pruned = relevant_subset(g, q)
-    _, wrapped = _wrap_query(q, pruned)
-    assert len(wrapped.instances) == len(pruned.instances) < len(g.instances)
-    assert len(wrapped.derived) == len(pruned.derived) + 1
+    assert len(pruned.instances) < len(g.instances)
     assert [e.prob for e in explain(q, pruned)] == [e.prob for e in explain(q, g)]
+
+
+def test_explain_orders_a_display_rooted_goal_by_its_values():
+    # The tree binds Y first, b before a; the proofs, all of probability
+    # 0.5, come in the order of the values of X then Y, sorted by name.
+    g = ground(parse_program("f(b):0.5.\nf(a):0.5.\ng(a).\ng(b).\n"))
+    proofs = explain(parse_query("f(Y), g(X)"), g)
+    assert [str(e.tree.literal) for e in proofs] == ["main(a,a)", "main(b,a)", "main(a,b)", "main(b,b)"]
+    assert [str(c.literal) for c in proofs[1].tree.children] == ["f(b)", "g(a)"]
+    assert [e.prob for e in proofs] == [0.5] * 4
 
 
 def test_explain_wrapper_avoids_taken_names():
@@ -289,6 +304,21 @@ def test_and_tree_grounds_every_literal(pos_ground):
     assert str(and_tree(derivations(tree)[0], pos_ground).literal) == "covid(p1)"
 
 
+def assert_proof_is_ground_clauses(e, label):
+    """``assert_nodes_are_ground_clauses`` on ``e``'s tree; for a goal other
+
+    than one positive literal, on each child of the display root, which
+    must be ``main`` over the goal's values with the goal under them as its
+    children."""
+    goal, tree = e.derivation.nodes[0].query, e.tree
+    if len(goal) == 1 and goal[0].positive:
+        return assert_nodes_are_ground_clauses(tree, e.g, label)
+    sigma = e.derivation.substitution()
+    assert tree.literal == Literal(True, Atom("main", tuple(sigma[v] for v in query_vars(goal))))
+    assert tuple(child.literal for child in tree.children) == apply_query(sigma, goal), label
+    return sum(assert_nodes_are_ground_clauses(child, e.g, label) for child in tree.children)
+
+
 def assert_nodes_are_ground_clauses(tree, g, label):
     """Every positive node is the head of a ground instance or derived
 
@@ -319,13 +349,13 @@ def test_and_tree_nodes_are_ground_clauses_of_the_program():
         (families.positive_star(4), ("covid(p1)", "covid(X), contact(X,Y)")),
         (families.deep(6), ("reach(n0)", "reach(X)")),
     ]
-    cases += [((text, None), (query,)) for text, query in map(genprog.generate, range(200))]
+    cases += [((text, None), (query, "\\+" + query)) for text, query in map(genprog.generate, range(200))]
     proofs = negative = 0
     for (text, restriction), queries in cases:
         g = ground(parse_program(text), restriction=restriction)
         for query in queries:
             for e in explain(parse_query(query), g):
-                negative += assert_nodes_are_ground_clauses(e.tree, e.g, f"{query}\n{text}")
+                negative += assert_proof_is_ground_clauses(e, f"{query}\n{text}")
                 proofs += 1
     assert proofs > 100 and negative > 20, (proofs, negative)
 
@@ -336,11 +366,15 @@ def test_and_tree_rejects_a_derivation_that_leaves_a_variable(pos_ground):
         and_tree(d, pos_ground)
 
 
-def test_and_tree_rejects_conjunctive_roots(pos_ground):
+def test_and_tree_gives_a_conjunctive_goal_a_display_root(pos_ground):
+    tree = build_tree(parse_query("pcr(X), covid(X)"), pos_ground)
+    root = and_tree(derivations(tree)[0], pos_ground)
+    assert str(root.literal) == "main(p1)"
+    assert [str(c.literal) for c in root.children] == ["pcr(p1)", "covid(p1)"]
+    assert root.children[0].children == []
+    assert [str(c.literal) for c in root.children[1].children] == ["pcr(p1)"]
     tree = build_tree(parse_query("pcr(p1), pcr(p2)"), pos_ground)
-    d = derivations(tree)[0]
-    with pytest.raises(ProgramError):
-        and_tree(d, pos_ground)
+    assert render_text(and_tree(derivations(tree)[0], pos_ground)) == "main\n   pcr(p1)\n   pcr(p2)\n"
 
 
 # ---------------------------------------------------------------------------

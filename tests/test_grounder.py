@@ -5,13 +5,12 @@ import pytest
 
 from lpadexpl.cli import main
 from lpadexpl.errors import ProgramError, StratificationError
-from lpadexpl.grounder import GroundProbClause, ground, relevant_subset, stratify, theta_key
+from lpadexpl.grounder import GroundProbClause, ground, relevant_subset, stratify
 from lpadexpl.semantics import success_prob
 from lpadexpl.syntax import (
     Atom,
     Clause,
     Constant,
-    Program,
     Variable,
     apply_atom,
     apply_query,
@@ -25,6 +24,7 @@ from lpadexpl.syntax import (
 from conftest import FIXTURES, fixture_text, load_restriction
 import genprog
 import oracles
+from oracles import theta_key
 
 
 def test_ground_covid_pos(pos_ground):
@@ -166,13 +166,11 @@ def test_deep_1000_answers():
     assert success_prob(parse_query("reach(n0)"), g) == pytest.approx(0.7, abs=1e-12)
 
 
-def _positive_model(g, clauses, possible=()):
+def _positive_model(g, clauses):
     """The least model of ``clauses`` with negative literals dropped, over the
 
-    explicit heads of every instance and the ``possible`` atoms taken as
-    facts (naive iteration)."""
+    explicit heads of every instance taken as facts (naive iteration)."""
     model = {inst.head_atom(i) for inst in g.instances for i in range(1, inst.n_explicit + 1)}
-    model.update(possible)
     changed = True
     while changed:
         changed = False
@@ -183,9 +181,9 @@ def _positive_model(g, clauses, possible=()):
     return model
 
 
-def _pruned_full_grounding(g, possible=()):
+def _pruned_full_grounding(g):
     full = oracles.full_grounding(g)
-    model = _positive_model(g, full, possible)
+    model = _positive_model(g, full)
     return [c for c in full if all(lit.atom in model for lit in c.body if lit.positive)]
 
 
@@ -455,7 +453,7 @@ def test_compiled_joins_agree_with_the_full_grounding_on_wide_programs():
     # Each feature counts the programs whose grounding keeps an instance of a
     # clause with it, so that every kind of join is checked on real output.
     kept = dict.fromkeys(_join_features(Clause(Atom("p"))), 0)
-    kept.update({"pool leaves out d": 0, "restriction": 0, "possible": 0})
+    kept.update({"pool leaves out d": 0, "restriction": 0})
     for seed in range(300):
         text, restriction, constants = wide_program(seed)
         p = parse_program(text)
@@ -469,13 +467,4 @@ def test_compiled_joins_agree_with_the_full_grounding_on_wide_programs():
                     kept[feature] += present
         kept["pool leaves out d"] += bool(constants) and "d" in p.constants() and bool(heads)
         kept["restriction"] += restriction is not None and bool(heads)
-        # explain's wrapper: one clause, seeded with the atoms that can be true.
-        rng = random.Random(seed)
-        body = tuple(rng.choice([lit for c in p.derived_clauses for lit in c.body]) for _ in range(2))
-        variables = dict.fromkeys(t for lit in body for t in lit.atom.args if isinstance(t, Variable))
-        wrapper = Clause(Atom("main", tuple(variables)), body)
-        possible = tuple(g.by_head)
-        mains = ground(Program(derived_clauses=(wrapper,)), list(g.constants), None, possible)
-        assert list(mains.derived) == _pruned_full_grounding(mains, possible)
-        kept["possible"] += bool(mains.derived)
     assert min(kept.values()) > 0, kept

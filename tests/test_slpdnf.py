@@ -295,6 +295,16 @@ def test_the_walk_leaves_cycles_and_deep_branches_to_the_tree():
     assert query_diagram(parse_query("p"), wide, Diagram(wide), depth_limit=61) is not None
     with pytest.raises(DepthLimitError):
         success_prob(parse_query("p"), wide, depth_limit=60)
+    # A conjunction passes the limit too: where the rest of the goal after a
+    # non-ground literal starts past it (s30(a), s0(X)), and at a later
+    # ground literal (s0(a), s30(a)); the tree then raises.
+    rules = "".join(f"s{i}(X) :- s{i + 1}(X).\n" for i in range(60))
+    tall = ground(parse_program("r(a).\nr(b).\n" + rules + "s60(X):0.7 :- r(X).\n"))
+    for query in ("s30(a), s0(X)", "s0(a), s30(a)"):
+        assert query_diagram(parse_query(query), tall, Diagram(tall), depth_limit=92) is None
+        for prob in (success_prob, build_tree):
+            with pytest.raises(DepthLimitError, match="exceeded 92 steps"):
+                prob(parse_query(query), tall, depth_limit=92)
 
 
 def test_the_walk_flounders_and_rejects_unknown_predicates_as_the_tree_does():

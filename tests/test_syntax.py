@@ -113,7 +113,9 @@ def _parse_with(kind: str, text: str, g):
         ("program", "a:0.5.\nb:0.2.\nc: -0.1.\n", (3, 4), "unexpected character '-'"),
         ("program", "a:0.5.\nb:0.2.\n  c:0.7; d:0.6.\n", (3, 3),
          "head probabilities of clause c3 sum to 1.2999999999999998 > 1"),
+        ("program", "p(a).\nq; r.\n", (2, 2), "disjunctive heads require probability annotations"),
         ("query", "covid(p1),\n", (2, 1), "expected a predicate name, found 'end of input'"),
+        ("query", "covid(p1). x", (1, 12), "trailing text after query"),
         ("expr", "(c1,[p1],1) &\n (c1,[p1],7)", (2, 11),
          "head index 7 out of range for c1 (instance has 2 heads)"),
         ("expr", "(c1,[p1],1) #", (1, 13), "unexpected character '#'"),
