@@ -65,9 +65,16 @@ def _load_restriction(path: str | None) -> dict | None:
             raise ProgramError(f"restriction file {path} is not valid JSON: {e}") from None
 
 
+def _parse_file(path: str) -> Program:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ProgramError(f"program file {path} is not UTF-8: {e}") from None
+    return parse_program(text)
+
+
 def _load(args: argparse.Namespace) -> tuple[Program, GroundProgram]:
-    text = Path(args.file).read_text()
-    program = parse_program(text)
+    program = _parse_file(args.file)
     ok, violations = is_range_restricted(program)
     if not ok:
         raise ProgramError("not range-restricted: " + "; ".join(violations))
@@ -85,8 +92,7 @@ def _format_prob(p: float) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    text = Path(args.file).read_text()
-    program = parse_program(text)
+    program = _parse_file(args.file)
     lines = [
         f"probabilistic clauses: {len(program.prob_clauses)}",
         f"derived clauses: {len(program.derived_clauses)}",
@@ -158,9 +164,8 @@ def cmd_prob(args: argparse.Namespace) -> int:
     if args.relevant:
         g = relevant_subset(g, q)
     if args.method == "transform":
-        limit = DEFAULT_ASSIGNMENT_LIMIT if args.limit is None else args.limit
-        expr = disj(success_expressions(q, g, limit=limit))
-        p = 0.0 if expr == BOT else prob_via_transform(expr, g, limit)
+        expr = disj(success_expressions(q, g, limit=args.limit))
+        p = 0.0 if expr == BOT else prob_via_transform(expr, g, args.limit)
     else:
         p = success_prob(q, g, method=args.method, limit=args.limit)
     print(f"{p:.9f}")
@@ -276,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--limit",
         type=int,
-        default=None,
+        default=DEFAULT_ASSIGNMENT_LIMIT,
         help="most nodes the query's one decision diagram makes, for the whole "
         "tree and every proof's probability (default: 1000000)",
     )
@@ -296,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--limit",
         type=int,
-        default=None,
+        default=DEFAULT_ASSIGNMENT_LIMIT,
         help="oracle: most selections enumerated; engine: most nodes the tabled "
         "decision diagram makes, for every atom and step; transform: most nodes "
         "the query's tree makes, then the engine's limit on the choice-fact "

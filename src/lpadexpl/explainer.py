@@ -129,7 +129,7 @@ def chq(e: ChoiceExpr, g: GroundProgram, negated_atom: Atom | None = None) -> Re
     if e == TOP:
         return _TRIVIAL
     disjuncts = e.children if isinstance(e, Or) else (e,)
-    out: list[RAnd] = []
+    out: dict[RAnd, None] = {}  # first-seen order
     for d in disjuncts:
         lits: list[RLit] = []
         for negated, ac in _expr_literals(d):
@@ -139,9 +139,7 @@ def chq(e: ChoiceExpr, g: GroundProgram, negated_atom: Atom | None = None) -> Re
             lits.append(rlit)
         if not lits:
             return _TRIVIAL
-        conj_ = RAnd(tuple(lits))
-        if conj_ not in out:
-            out.append(conj_)
+        out[RAnd(tuple(lits))] = None
     return ROr(tuple(out))
 
 
@@ -227,14 +225,13 @@ def explain(
     q: Query,
     g: GroundProgram,
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
-    limit: int | None = None,
+    limit: int = DEFAULT_ASSIGNMENT_LIMIT,
 ) -> list[Explanation]:
     """All proofs of ``q`` with their probabilities, most probable first
 
     (ties keep left-to-right proof order, after a display-rooted goal's
     grouping by instance).  Each probability is the mass of
     a leaf's node in the tree's one diagram, of at most ``limit`` nodes."""
-    limit = DEFAULT_ASSIGNMENT_LIMIT if limit is None else limit
     tree = build_tree(q, g, depth_limit, limit)
     ds = derivations(tree)
     names = sorted(query_vars(q), key=lambda v: v.name)

@@ -202,7 +202,8 @@ def ground(
     atoms can all be true (see the module docstring); a variable that no
     positive body literal binds ranges over the whole pool.  Instances and
     derived clauses are ordered by source clause, then lexicographically
-    by θ.
+    by θ, except that a restricted clause's instances come in the order of
+    its restriction entries.
     """
     pool = sorted(set(constants)) if constants is not None else p.constants()
     if restriction is not None:

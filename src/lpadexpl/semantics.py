@@ -153,7 +153,7 @@ def success_prob(
     q: Query,
     g: GroundProgram,
     method: str = "engine",
-    limit: int | None = None,
+    limit: int = DEFAULT_ASSIGNMENT_LIMIT,
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
 ) -> float:
     """The probability that a query holds.
@@ -164,7 +164,6 @@ def success_prob(
     and raises ProgramError on a query that is not ground.  The two agree to
     within 1e-9.
     """
-    limit = DEFAULT_ASSIGNMENT_LIMIT if limit is None else limit
     if method == "engine":
         diagram = Diagram(g, limit, "walk")
         root = query_diagram(q, g, diagram, depth_limit)

@@ -17,10 +17,11 @@ The leftmost literal is always selected:
   negative literal raises ProgramError (floundering).
 
 An empty goal is a success leaf; a selected positive literal with no
-resolution step is a failed leaf.  ``success_expressions`` folds what the
-edges conjoined into each success leaf's expression, a DNF, in one pass when
-asked; those expressions are exactly the explanations of the query: a world
-satisfies the query iff it extends a composite choice in ``expl``.
+resolution step is a failed leaf.  The tree records each root-to-success-leaf
+branch as it is built; ``success_expressions`` folds, when asked, what each
+branch's edges conjoined into its leaf's expression, a DNF.  Those
+expressions are exactly the explanations of the query: a world satisfies the
+query iff it extends a composite choice in ``expl``.
 
 ``query_diagram`` follows the same selection rule without building the tree:
 it tables one decision diagram per ground atom and returns the node of the
@@ -77,24 +78,22 @@ class EdgeLabel:
     ``kind`` is "pos" or "neg"; ``head`` and ``body`` the ground clause a
     "pos" step resolved with (None and () for "neg"); ``expr`` what the step
     conjoined: an explicit head's atomic choice, or the DNF of a "neg"
-    step's atom not being provable, folded from the step's subsidiary tree
-    when first read.
+    step's atom not being provable.  A "neg" step keeps its subsidiary tree
+    in ``_expr`` until ``expr`` is first read, which folds that DNF.
     """
 
     kind: str
     head: Atom | None
     body: Query
-    _expr: ChoiceExpr | None = None
-    #: A "neg" step's subsidiary tree, until ``expr`` is first read.
-    _sub: SlpdnfTree | None = field(default=None, repr=False)
+    _expr: ChoiceExpr | SlpdnfTree | None = None
 
     @property
     def expr(self) -> ChoiceExpr | None:
-        sub = self._sub
-        if sub is not None:
-            not_provable = dnf(Not(disj(sub.success_expressions())))
-            self._expr, self._sub = _satisfiable(not_provable, sub.diagram), None
-        return self._expr
+        e = self._expr
+        if isinstance(e, SlpdnfTree):
+            not_provable = dnf(Not(disj(e.success_expressions())))
+            self._expr = e = _satisfiable(not_provable, e.diagram)
+        return e
 
 
 @dataclass(slots=True)
@@ -104,59 +103,6 @@ class SlpdnfNode:
     node: int
     marking: str = UNMARKED
     children: list[tuple[EdgeLabel, "SlpdnfNode"]] = field(default_factory=list)
-
-
-@dataclass(slots=True)
-class SlpdnfTree:
-    root: SlpdnfNode
-    diagram: Diagram
-    #: Subsidiary trees created while building this one, keyed by atom.
-    subs: dict[Atom, "SlpdnfTree"] = field(default_factory=dict)
-    #: The ∨ of the success leaves' nodes.
-    success: int = FALSE
-
-    def success_expressions(self) -> list[ChoiceExpr]:
-        """The success leaves' DNFs, in left-to-right order: one pass carries
-
-        each node's DNF to the children with a success leaf below.  A
-        branch's first factor is carried as it is (⊤ before it), each later
-        one takes one ``conjoin_dnf``, and ``_satisfiable`` leaves what a
-        "neg" step conjoined (a "neg" edge's own DNF is already satisfiable)."""
-        live = self._live()
-        out: list[ChoiceExpr] = []
-        #: None stands for ⊤, the DNF of a branch before its first factor.
-        stack: list[tuple[SlpdnfNode, ChoiceExpr | None]] = [(self.root, None)] if live else []
-        while stack:
-            node, expr = stack.pop()
-            if node.marking == SUCCESS:
-                out.append(TOP if expr is None else expr)
-            for edge, child in reversed(node.children):
-                if id(child) not in live:
-                    continue
-                factor = edge.expr
-                if factor is None or expr is None:
-                    child_expr = expr if factor is None else factor
-                else:
-                    child_expr = conjoin_dnf(expr, factor)
-                    if edge.kind == "neg":
-                        child_expr = _satisfiable(child_expr, self.diagram)
-                stack.append((child, child_expr))
-        return out
-
-    def _live(self) -> set[int]:
-        """The ids of the nodes with a success leaf at or below them, marked
-
-        in one post-order pass."""
-        live: set[int] = set()
-        stack: list[tuple[SlpdnfNode, bool]] = [(self.root, False)]
-        while stack:
-            node, visited = stack.pop()
-            if not visited:
-                stack.append((node, True))
-                stack += [(child, False) for _, child in node.children]
-            elif node.marking == SUCCESS or any(id(child) in live for _, child in node.children):
-                live.add(id(node))
-        return live
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,6 +126,50 @@ class Derivation:
             if edge.kind == "pos":
                 sigma.update(mgu(node.query[0].atom, edge.head))
         return sigma
+
+
+@dataclass(slots=True)
+class SlpdnfTree:
+    root: SlpdnfNode
+    diagram: Diagram
+    #: Subsidiary trees created while building this one, keyed by atom.
+    subs: dict[Atom, "SlpdnfTree"] = field(default_factory=dict)
+    #: The root-to-success-leaf branches, in left-to-right leaf order.
+    branches: list[Derivation] = field(default_factory=list)
+    #: The ∨ of the success leaves' nodes.
+    success: int = FALSE
+
+    def success_expressions(self) -> list[ChoiceExpr]:
+        """The branches' DNFs, in left-to-right order.  Each branch folds its
+
+        edges' factors onto the DNFs of the prefix it shares with the branch
+        before it, so each edge with a success leaf below is conjoined once.
+        A branch's first factor is carried as it is (⊤ before it), each
+        later one takes one ``conjoin_dnf``, and ``_satisfiable`` leaves
+        what a "neg" step conjoined (a "neg" edge's own DNF is already
+        satisfiable)."""
+        out: list[ChoiceExpr] = []
+        prev: tuple[SlpdnfNode, ...] = ()
+        #: exprs[k], the DNF at the previous branch's nodes[k]; None is ⊤.
+        exprs: list[ChoiceExpr | None] = [None]
+        for d in self.branches:
+            shared = 1
+            while shared < len(prev) and prev[shared] is d.nodes[shared]:
+                shared += 1
+            del exprs[shared:]
+            expr = exprs[-1]
+            for edge in d.edges[shared - 1 :]:
+                factor = edge.expr
+                if factor is None or expr is None:
+                    expr = expr if factor is None else factor
+                else:
+                    expr = conjoin_dnf(expr, factor)
+                    if edge.kind == "neg":
+                        expr = _satisfiable(expr, self.diagram)
+                exprs.append(expr)
+            out.append(TOP if expr is None else expr)
+            prev = d.nodes
+        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,13 +224,18 @@ class _TreeBuilder:
 
     def _expand(self, tree: SlpdnfTree) -> None:
         # Depth-first; depth = resolution steps from this tree's root.
-        stack: list[tuple[SlpdnfNode, int]] = [(tree.root, 0)]
-        successes: list[int] = []
+        stack: list[tuple[SlpdnfNode, EdgeLabel | None, int]] = [(tree.root, None, 0)]
+        # The branch down to the node last popped: edges[i] leads into nodes[i].
+        nodes: list[SlpdnfNode] = []
+        edges: list[EdgeLabel | None] = []
         while stack:
-            node, depth = stack.pop()
+            node, edge, depth = stack.pop()
+            del nodes[depth:], edges[depth:]
+            nodes.append(node)
+            edges.append(edge)
             if not node.query:
                 node.marking = SUCCESS
-                successes.append(node.node)
+                tree.branches.append(Derivation(tuple(nodes), tuple(edges[1:])))
                 continue
             if depth >= self.depth_limit:
                 raise DepthLimitError(
@@ -254,10 +249,10 @@ class _TreeBuilder:
                 self._step_negative(node, lit)
             if not node.children:
                 node.marking = FAILED
-            for _, child in reversed(node.children):
-                stack.append((child, depth + 1))
+            for e, child in reversed(node.children):
+                stack.append((child, e, depth + 1))
         # A balanced ∨ makes a fraction of the nodes of a left-to-right one.
-        tree.success = self.diagram.apply_all(False, successes)
+        tree.success = self.diagram.apply_all(False, [d.leaf.node for d in tree.branches])
 
     def _step_positive(self, node: SlpdnfNode, lit: Literal) -> None:
         diagram, rest = self.diagram, node.query[1:]
@@ -283,7 +278,7 @@ class _TreeBuilder:
             sub = SlpdnfTree(SlpdnfNode((lit.negate(),), TRUE), diagram)
             self._expand(sub)
             self.subs[lit.atom] = sub
-            self.neg_edges[lit.atom] = EdgeLabel("neg", None, (), None, sub)
+            self.neg_edges[lit.atom] = EdgeLabel("neg", None, (), sub)
         worlds = diagram.apply(True, node.node, diagram.negate(sub.success))
         if worlds == FALSE:
             return  # failed: the goal's worlds all prove the negated atom
@@ -420,21 +415,7 @@ def query_diagram(
 
 def derivations(tree: SlpdnfTree) -> list[Derivation]:
     """Root-to-success-leaf branches, in left-to-right leaf order."""
-    out: list[Derivation] = []
-    # The branch down to the node last popped: edges[i] leads into nodes[i].
-    nodes: list[SlpdnfNode] = []
-    edges: list[EdgeLabel | None] = []
-    stack = [(tree.root, None, 0)]
-    while stack:
-        node, edge, depth = stack.pop()
-        del nodes[depth:], edges[depth:]
-        nodes.append(node)
-        edges.append(edge)
-        if node.marking == SUCCESS:
-            out.append(Derivation(tuple(nodes), tuple(edges[1:])))
-        for e, child in reversed(node.children):
-            stack.append((child, e, depth + 1))
-    return out
+    return list(tree.branches)
 
 
 def answers(q: Query, g: GroundProgram, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> list[Answer]:

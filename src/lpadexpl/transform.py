@@ -23,7 +23,16 @@ from __future__ import annotations
 
 from itertools import count
 
-from .choice_algebra import BOT, TOP, And, AtomicChoice, ChoiceExpr, Not, Or
+from .choice_algebra import (
+    BOT,
+    DEFAULT_ASSIGNMENT_LIMIT,
+    TOP,
+    And,
+    AtomicChoice,
+    ChoiceExpr,
+    Not,
+    Or,
+)
 from .grounder import GroundProbClause, GroundProgram, ground
 from .semantics import success_prob
 from .syntax import (
@@ -31,8 +40,6 @@ from .syntax import (
     Clause,
     Constant,
     Literal,
-    NONE_PREDICATE,
-    PROB_SUM_TOLERANCE,
     ProbClause,
     Program,
     Query,
@@ -64,9 +71,7 @@ def trp(g: GroundProgram) -> Program:
         heads = [
             (_ch_atom(inst, i), inst.prob(i)) for i in range(1, inst.n_explicit + 1)
         ]
-        total = sum(p for _, p in heads)
-        if 1 - total > PROB_SUM_TOLERANCE:
-            heads.append((Atom(NONE_PREDICATE), 1 - total))
+        heads += inst.heads[inst.n_explicit :]  # the parser's ``none`` head, if any
         clauses.append(ProbClause(f"c{n}", tuple(heads), (), inst.n_explicit))
     return Program(tuple(clauses), (), ())
 
@@ -132,7 +137,7 @@ def trc(e: ChoiceExpr, g: GroundProgram) -> tuple[tuple[Clause, ...], Query]:
 
 
 def prob_via_transform(
-    e: ChoiceExpr, g: GroundProgram, limit: int | None = None
+    e: ChoiceExpr, g: GroundProgram, limit: int = DEFAULT_ASSIGNMENT_LIMIT
 ) -> float:
     """The expression's probability, recomputed by resolution over the
 

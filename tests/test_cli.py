@@ -866,6 +866,50 @@ def test_missing_file_exits_two(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["prob", "p(a)"], ["explain", "p(a)"], ["worlds"], ["duals", "{}"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_program_file_that_is_not_utf8_exits_two(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.lpad"
+    bad.write_bytes(b"p(a).\n\xff\xfe q.\n")
+    code, out, err = run(capsys, [argv[0], str(bad), *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: program file {bad} is not UTF-8: 'utf-8' codec can't decode "
+        "byte 0xff in position 6: invalid start byte\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, argv, out, err",
+    [
+        (
+            "p(X):0.5 :- q(X).\nq(X) :- r(X).\n",
+            ["prob", "p(a)"],
+            "",
+            "error: cannot ground clause with variables (X): no constants\n",
+        ),
+        (
+            "p(X):0.5.\nq(a).\n",
+            ["check"],
+            "probabilistic clauses: 1\nderived clauses: 1\nannotations: 0\n"
+            "range-restricted: no\n"
+            "  clause c1: head p(X) uses X not bound by a positive body literal\n"
+            "stratified: yes (1 strata)\ncheck failed\n",
+            "",
+        ),
+        ("none :- a.\n", ["check"], "", "error: clause none :- a.: predicate 'none' is reserved\n"),
+    ],
+    ids=["no-constants", "unbound-head-variable", "reserved-none-head"],
+)
+def test_program_errors_exit_two(capsys, tmp_path, text, argv, out, err):
+    bad = tmp_path / "bad.lpad"
+    bad.write_text(text)
+    assert run(capsys, [argv[0], str(bad), *argv[1:]]) == (2, out, err)
+
+
 def test_non_range_restricted_program_rejected_outside_check(capsys, tmp_path):
     bad = tmp_path / "bad.lpad"
     bad.write_text("f(a):0.5.\nq(X) :- \\+f(X).\n")
