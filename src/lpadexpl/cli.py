@@ -67,7 +67,7 @@ def _load_restriction(path: str | None) -> dict | None:
 
 def _parse_file(path: str) -> Program:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading byte-order mark
     except UnicodeDecodeError as e:
         raise ProgramError(f"program file {path} is not UTF-8: {e}") from None
     return parse_program(text)
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--limit",
-        type=int,
+        type=_int_at_least(0),
         default=DEFAULT_ASSIGNMENT_LIMIT,
         help="most nodes the query's one decision diagram makes, for the whole "
         "tree and every proof's probability (default: 1000000)",
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--limit",
-        type=int,
+        type=_int_at_least(0),
         default=DEFAULT_ASSIGNMENT_LIMIT,
         help="oracle: most selections enumerated; engine: most nodes the tabled "
         "decision diagram makes, for every atom and step; transform: most nodes "
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--limit",
-        type=int,
+        type=_int_at_least(0),
         default=10_000,
         help="maximum number of worlds to enumerate (default: 10000)",
     )

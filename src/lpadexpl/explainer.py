@@ -193,7 +193,9 @@ def and_tree(d: Derivation, g: GroundProgram) -> AndTree:
             pending += reversed(children)
         else:  # negative literal: closing child plus readable expression
             node.children = [AndTree(None)]
-            node.expr = chq(edge.expr, g, node.literal.atom)
+            # With a conjunct of ¬α, α a head of the atom, chq prunes it empty.
+            trivial = edge.negates_own_heads()
+            node.expr = _TRIVIAL if trivial else chq(edge.expr, g, node.literal.atom)
             node.has_expr = True
     return root
 

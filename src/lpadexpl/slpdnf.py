@@ -79,13 +79,16 @@ class EdgeLabel:
     "pos" step resolved with (None and () for "neg"); ``expr`` what the step
     conjoined: an explicit head's atomic choice, or the DNF of a "neg"
     step's atom not being provable.  A "neg" step keeps its subsidiary tree
-    in ``_expr`` until ``expr`` is first read, which folds that DNF.
+    in ``_expr`` until ``expr`` is first read, which folds that DNF; the
+    explainer reads it only when ``negates_own_heads`` is False, since the
+    DNF's readable text is otherwise trivially true.
     """
 
     kind: str
     head: Atom | None
     body: Query
     _expr: ChoiceExpr | SlpdnfTree | None = None
+    _own_heads: bool | None = field(default=None, init=False)  # once decided
 
     @property
     def expr(self) -> ChoiceExpr | None:
@@ -94,6 +97,35 @@ class EdgeLabel:
             not_provable = dnf(Not(disj(e.success_expressions())))
             self._expr = e = _satisfiable(not_provable, e.diagram)
         return e
+
+    def negates_own_heads(self) -> bool:
+        """Whether a "neg" step on A, its DNF unfolded, has a conjunct of
+
+        only ¬α, each α an explicit head of A.  It does when each branch of
+        the subsidiary tree starts by choosing such an α_b, which is then in
+        every conjunct of the branch's DNF, and the ¬α_b leave each instance
+        a head: the fold's product holds their set, and absorption and
+        ``_satisfiable`` keep it or a subset.  Decided once, from the
+        branches' first steps, making no diagram node; False if the DNF was
+        folded first."""
+        if self._own_heads is None:
+            sub = self._expr
+            self._own_heads = isinstance(sub, SlpdnfTree) and _own_head_negations(sub)
+        return self._own_heads
+
+
+def _own_head_negations(sub: SlpdnfTree) -> bool:
+    """Whether each branch of ``sub`` starts with an explicit head's choice,
+
+    and the negations of those choices leave each instance a head."""
+    negated: dict[tuple, set[int]] = {}
+    for d in sub.branches:
+        alpha = d.edges[0].expr
+        if alpha is None:
+            return False
+        negated.setdefault(alpha.inst, set()).add(alpha.index)
+    order, rank = sub.diagram.order, sub.diagram.rank
+    return all(len(heads) < order[rank[inst]].n_heads for inst, heads in negated.items())
 
 
 @dataclass(slots=True)

@@ -502,6 +502,22 @@ def test_explain_top_one(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["explain", NEG, "covid(p1)"], ["prob", NEG, "covid(p1)"], ["worlds", NEG]],
+    ids=lambda argv: argv[0],
+)
+def test_a_negative_limit_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--limit", "-5"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"lpadexpl {argv[0]}: error: argument --limit: must be an integer >= 0, got '-5'\n"
+    )
+
+
+@pytest.mark.parametrize(
     "option, value, low",
     [
         ("--top", "0", 1),
@@ -880,6 +896,13 @@ def test_a_program_file_that_is_not_utf8_exits_two(capsys, tmp_path, argv):
         f"error: program file {bad} is not UTF-8: 'utf-8' codec can't decode "
         "byte 0xff in position 6: invalid start byte\n"
     )
+    # A UTF-8 file that starts with a byte-order mark reads as without it.
+    plain, bom = tmp_path / "plain.lpad", tmp_path / "bom.lpad"
+    plain.write_bytes(b"p(a).\n")
+    bom.write_bytes(b"\xef\xbb\xbfp(a).\n")
+    expected = run(capsys, [argv[0], str(plain), *argv[1:]])
+    assert expected[0] == 0
+    assert run(capsys, [argv[0], str(bom), *argv[1:]]) == expected
 
 
 @pytest.mark.parametrize(

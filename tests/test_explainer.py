@@ -36,7 +36,7 @@ from lpadexpl.syntax import (
 )
 
 import genprog
-from conftest import golden_text, load_families
+from conftest import FIXTURES, golden_text, load_families
 
 
 def ac(g, cid, values, index):
@@ -222,18 +222,19 @@ def test_explain_top_builds_the_printed_trees_only(monkeypatch, capsys, tmp_path
     assert proofs > 1 and len(built) == proofs
 
 
+def _counting_dnf(monkeypatch) -> list:
+    folded, dnf = [], slpdnf.dnf
+    monkeypatch.setattr(slpdnf, "dnf", lambda e: folded.append(e) or dnf(e))
+    return folded
+
+
 def test_explain_top_folds_the_printed_negations_only(monkeypatch, capsys, tmp_path):
     # A negated atom's DNF is folded when a printed proof reads it: --top 1
-    # prints p's proof through \+c, so the DNF of \+b is never made.
+    # prints p's proof through \+c, so the DNF of \+b is never made.  b and
+    # c are derived, so neither printed negation is trivially true.
     program = tmp_path / "two.lpad"
-    program.write_text("a:0.6.\nb:0.5.\nc:0.5.\np :- a, \\+b.\np :- \\+c.\n")
-    folded, dnf = [], slpdnf.dnf
-
-    def counting_dnf(e):
-        folded.append(e)
-        return dnf(e)
-
-    monkeypatch.setattr(slpdnf, "dnf", counting_dnf)
+    program.write_text("a:0.6.\nd:0.5.\ne:0.5.\nb :- d.\nc :- e.\np :- a, \\+b.\np :- \\+c.\n")
+    folded = _counting_dnf(monkeypatch)
     assert main(["explain", str(program), "p", "--top", "1"]) == 0
     assert capsys.readouterr().out.count("proof ") == 1
     assert len(folded) == 1
@@ -241,6 +242,54 @@ def test_explain_top_folds_the_printed_negations_only(monkeypatch, capsys, tmp_p
     assert main(["explain", str(program), "p"]) == 0
     assert capsys.readouterr().out.count("proof ") == 2
     assert len(folded) == 2
+
+
+def test_a_trivially_true_negation_is_printed_without_a_fold(monkeypatch, capsys, tmp_path):
+    # Each branch of covid(p1)'s subsidiary tree starts with an explicit
+    # head covid(p1), so the printed reason is true and no DNF is folded.
+    text, restriction = load_families().star(14)
+    program, restrict = tmp_path / "star14.lpad", tmp_path / "star14.json"
+    program.write_text(text)
+    restrict.write_text(json.dumps(restriction))
+    folded = _counting_dnf(monkeypatch)
+    assert main(["explain", str(program), "\\+covid(p1)", "--restrict", str(restrict)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["proof 1", "main", "   ¬covid(p1)"] and len(lines) == 4
+    assert folded == []
+    # covid(p1)'s proofs print \+protected(p1), whose reason is not trivial.
+    neg = str(FIXTURES / "covid_neg.lpad")
+    assert main(["explain", neg, "covid(p1)"]) == 0
+    assert "¬ffp2(p1)" in capsys.readouterr().out
+    assert folded
+
+
+def test_unsatisfiable_head_negations_fold(monkeypatch, capsys, tmp_path):
+    # Both branches of a(b) start with a head of the one instance of a(X),
+    # and negating both leaves it none, so the DNF is folded: ¬r(b).
+    program = tmp_path / "dup.lpad"
+    program.write_text("r(b):0.5.\na(X):0.5; a(b):0.5 :- r(X).\np :- \\+a(b).\n")
+    folded = _counting_dnf(monkeypatch)
+    assert main(["explain", str(program), "p"]) == 0
+    assert capsys.readouterr().out == "proof 1\np\n   ¬a(b)\n      ¬r(b)\np = 0.5\n"
+    assert len(folded) == 1
+
+
+@pytest.mark.parametrize("full_heads", [False, True])
+def test_trivially_true_negations_agree_with_chq(full_heads):
+    # Wherever the rule answers true, chq of the folded DNF is true too.
+    decided = 0
+    for seed in range(500):
+        text, query = genprog.generate(seed, full_heads=full_heads)
+        g = ground(parse_program(text))
+        for q in (query, "\\+" + query):
+            tree = build_tree(parse_query(q), g)
+            for t in [tree, *tree.subs.values()]:
+                for d in t.branches:
+                    for node, edge in zip(d.nodes, d.edges):
+                        if edge.kind == "neg" and edge.negates_own_heads():
+                            decided += 1
+                            assert chq(edge.expr, g, node.query[0].atom) is None, (seed, q)
+    assert decided > 100
 
 
 def test_a_clause_stated_twice_gives_two_resolvents_and_two_proofs(capsys, tmp_path):
