@@ -58,7 +58,7 @@ def _split_constants(text: str | None) -> list[str] | None:
 def _load_restriction(path: str | None) -> dict | None:
     if path is None:
         return None
-    with open(path) as f:
+    with open(path, encoding="utf-8-sig") as f:  # drops a leading byte-order mark
         try:
             return json.load(f)
         except ValueError as e:  # a decode error, of JSON or of the text

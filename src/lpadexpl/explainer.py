@@ -193,9 +193,11 @@ def and_tree(d: Derivation, g: GroundProgram) -> AndTree:
             pending += reversed(children)
         else:  # negative literal: closing child plus readable expression
             node.children = [AndTree(None)]
-            # With a conjunct of ¬α, α a head of the atom, chq prunes it empty.
-            trivial = edge.negates_own_heads()
-            node.expr = _TRIVIAL if trivial else chq(edge.expr, g, node.literal.atom)
+            if not edge.reason:  # made once per edge, for every proof through it
+                # With a conjunct of ¬α, α a head of the atom, chq prunes it empty.
+                trivial = edge.negates_own_heads()
+                edge.reason = (_TRIVIAL if trivial else chq(edge.expr, g, node.literal.atom),)
+            node.expr = edge.reason[0]
             node.has_expr = True
     return root
 

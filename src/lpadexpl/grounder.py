@@ -35,10 +35,10 @@ stratum map drives bottom-up world evaluation.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from .errors import ProgramError, StratificationError
 from .syntax import (
@@ -619,7 +619,8 @@ def stratify(g: GroundProgram) -> dict[tuple[str, int], int]:
     for b, h in pos_edges | neg_edges:
         successors[b].add(h)
 
-    sccs = _tarjan(preds, successors)
+    in_order = strongly_connected(sorted(preds), lambda p: sorted(successors[p]))
+    sccs = [sorted(scc) for scc in in_order]
     scc_of = {p: i for i, scc in enumerate(sccs) for p in scc}
 
     for b, h in sorted(neg_edges):  # sorted, so the cycle named is the same every run
@@ -633,8 +634,9 @@ def stratify(g: GroundProgram) -> dict[tuple[str, int], int]:
         for b, h in edges:
             into.setdefault(h, []).append(b)
 
-    # Tarjan yields SCCs in reverse topological order; process dependencies
-    # first and push each predicate above its negated dependencies.
+    # Edges point to dependents, so each SCC comes after the dependents it
+    # reaches: take them reversed, dependencies first, and push each
+    # predicate above its negated dependencies.
     strata: dict[tuple[str, int], int] = {}
     for scc in reversed(sccs):
         level = 0
@@ -649,54 +651,54 @@ def stratify(g: GroundProgram) -> dict[tuple[str, int], int]:
     return strata
 
 
-def _tarjan(
-    nodes: set[tuple[str, int]],
-    successors: dict[tuple[str, int], set[tuple[str, int]]],
-) -> list[list[tuple[str, int]]]:
-    """Strongly connected components, iteratively, in reverse topological order."""
-    index: dict[tuple[str, int], int] = {}
-    lowlink: dict[tuple[str, int], int] = {}
-    on_stack: set[tuple[str, int]] = set()
-    stack: list[tuple[str, int]] = []
-    sccs: list[list[tuple[str, int]]] = []
-    counter = itertools.count()
+N = TypeVar("N")
 
-    for root in sorted(nodes):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(successors[root])))]
-        index[root] = lowlink[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
+
+def strongly_connected(
+    roots: Iterable[N], successors: Callable[[N], Iterable[N]]
+) -> Iterator[list[N]]:
+    """The strongly connected components of the graph reachable from ``roots``
+
+    (Tarjan, SIAM J. Comput. 1972), iteratively.  A component comes after
+    every component it reaches, so, with an edge from each node to what it
+    depends on, dependencies come first.  Each lists its nodes in the order
+    they were first visited; ``successors`` gives the order edges are
+    followed in, which fixes the order of everything yielded."""
+    index: dict[N, int] = {}
+    low: dict[N, int] = {}
+    stack: list[N] = []
+    position: dict[N, int] = {}  # the nodes on ``stack`` and where
+    work: list[tuple[N, Iterator[N]]] = []  # the depth-first path
+
+    def visit(node: N) -> None:
+        index[node] = low[node] = len(index)
+        position[node] = len(stack)
+        stack.append(node)
+        work.append((node, iter(successors(node))))
+
+    for root in roots:
+        if root not in index:
+            visit(root)
         while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
+            node, edges = work[-1]
+            for succ in edges:
                 if succ not in index:
-                    index[succ] = lowlink[succ] = next(counter)
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(successors[succ]))))
-                    advanced = True
+                    visit(succ)
                     break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                scc = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    scc.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(scc))
-    return sccs
+                if succ in position and index[succ] < low[node]:
+                    low[node] = index[succ]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    scc = stack[position[node] :]
+                    del stack[position[node] :]
+                    for member in scc:
+                        del position[member]
+                    yield scc
 
 
 def _negative_cycle(

@@ -12,11 +12,10 @@ reduced ordered multi-valued decision diagram, which tests only the
 instances the query's proofs mention (independence marginalizes out the
 rest).  ``slpdnf.query_diagram`` builds that diagram from one tabled diagram
 per ground atom, as PITA does for LPADs (Riguzzi & Swift, TPLP 2011),
-without the resolution tree or any DNF.  On a positive cycle or a branch
-that may pass the depth limit the walk gives up, and the resolution tree's
-own diagram sums its ``success`` node instead, which answers or raises as
-the tree does.  ``limit`` bounds the nodes the diagram makes, the walk's
-intermediate ones included; the enumerations bound selections.
+without the resolution tree or any DNF; a positive cycle is its least
+fixpoint, as in the worlds' least models, so no depth limit applies.
+``limit`` bounds the nodes the diagram makes, the table's intermediate ones
+included; the enumerations bound selections.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from .choice_algebra import DEFAULT_ASSIGNMENT_LIMIT, AtomicChoice, ChoiceExpr, Diagram, conj
 from .errors import EnumerationLimitError, ProgramError
 from .grounder import GroundProgram, ThetaKey
-from .slpdnf import DEFAULT_DEPTH_LIMIT, build_tree, query_diagram
+from .slpdnf import query_diagram
 from .syntax import Atom, Clause, NONE_PREDICATE, Query, is_ground_query, query_str
 
 #: A selection as a value: one atomic choice per instance.
@@ -154,23 +153,17 @@ def success_prob(
     g: GroundProgram,
     method: str = "engine",
     limit: int = DEFAULT_ASSIGNMENT_LIMIT,
-    depth_limit: int = DEFAULT_DEPTH_LIMIT,
 ) -> float:
     """The probability that a query holds.
 
-    ``engine`` (default) sums the query's tabled decision diagram, and the
-    resolution tree's ``success`` node where the walk gives up; ``oracle``
+    ``engine`` (default) sums the query's tabled decision diagram; ``oracle``
     enumerates every selection and sums the satisfying worlds' probabilities,
     and raises ProgramError on a query that is not ground.  The two agree to
     within 1e-9.
     """
     if method == "engine":
         diagram = Diagram(g, limit, "walk")
-        root = query_diagram(q, g, diagram, depth_limit)
-        if root is None:  # a positive cycle or a deep branch: the tree decides
-            tree = build_tree(q, g, depth_limit, limit)
-            diagram, root = tree.diagram, tree.success
-        return diagram.prob(root)
+        return diagram.prob(query_diagram(q, g, diagram))
     if method == "oracle":
         _require_ground(q, "oracle")
         message = "oracle: {count} selections exceed the enumeration limit {limit} (--limit)"

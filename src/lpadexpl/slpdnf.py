@@ -24,8 +24,11 @@ expressions are exactly the explanations of the query: a world satisfies the
 query iff it extends a composite choice in ``expl``.
 
 ``query_diagram`` follows the same selection rule without building the tree:
-it tables one decision diagram per ground atom and returns the node of the
-disjunction of the success-leaf expressions.
+it tables one decision diagram per ground atom, filled one strongly connected
+component of atoms at a time, and returns the node of the disjunction of the
+success-leaf expressions.  A positive cycle, which the tree follows until its
+depth limit, is solved there as its component's least fixpoint, so the table
+answers every stratified query.
 """
 
 from __future__ import annotations
@@ -49,12 +52,13 @@ from .choice_algebra import (
     gamma,
 )
 from .errors import DepthLimitError, ProgramError
-from .grounder import GroundProgram
+from .grounder import GroundProgram, strongly_connected
 from .syntax import (
     Atom,
     Literal,
     Query,
     Substitution,
+    apply_literal,
     apply_query,
     is_ground_atom,
     is_ground_query,
@@ -81,7 +85,9 @@ class EdgeLabel:
     step's atom not being provable.  A "neg" step keeps its subsidiary tree
     in ``_expr`` until ``expr`` is first read, which folds that DNF; the
     explainer reads it only when ``negates_own_heads`` is False, since the
-    DNF's readable text is otherwise trivially true.
+    DNF's readable text is otherwise trivially true.  A tree shares one
+    "neg" edge among all steps on its atom, so the explainer keeps its
+    readable text in ``reason``, as a 1-tuple once made.
     """
 
     kind: str
@@ -89,6 +95,7 @@ class EdgeLabel:
     body: Query
     _expr: ChoiceExpr | SlpdnfTree | None = None
     _own_heads: bool | None = field(default=None, init=False)  # once decided
+    reason: tuple = field(default=(), init=False)
 
     @property
     def expr(self) -> ChoiceExpr | None:
@@ -329,120 +336,93 @@ def build_tree(
     return _TreeBuilder(g, depth_limit, limit).build(q)
 
 
-class _Unfinished(Exception):
-    """The tabled walk met a positive cycle or a derivation that may pass the
-
-    depth limit; the tree decides those."""
-
-
-class _TabledWalk:
-    """``query_diagram``'s state.  Each atom's diagram is one generator, which
-
-    yields the atoms it needs that are not yet tabled; ``run`` keeps the
-    generators on an explicit stack and sends each one the entry it asked
-    for.  A class rather than closures, so that no reference cycle keeps a
-    finished walk's diagram alive until the garbage collector runs."""
-
-    def __init__(self, g: GroundProgram, diagram: Diagram, depth_limit: int):
-        self.g, self.diagram, self.depth_limit = g, diagram, depth_limit
-        self.table: dict[Atom, tuple[int, int]] = {}  # atom -> (node, bound on branch steps)
-        self.open_atoms: set[Atom] = set()
-
-    def run(self, q: Query) -> int | None:
-        stack = [self.goal(q, TRUE, 0)]
-        value = None
-        try:
-            while True:
-                try:
-                    atom = stack[-1].send(value)
-                except StopIteration as done:
-                    stack.pop()
-                    if not stack:
-                        return done.value[0]
-                    value = done.value
-                    continue
-                if atom in self.open_atoms or len(self.open_atoms) >= self.depth_limit:
-                    return None
-                self.open_atoms.add(atom)
-                stack.append(self.atom(atom))
-                value = None
-        except _Unfinished:
-            return None
-
-    def atom(self, atom: Atom):
-        diagram = self.diagram
-        node, most = FALSE, 0
-        for _, body, source, i in self.g.resolvents(atom):
-            start = diagram.chain([AtomicChoice(source.cid, source.key, i)], False) if i else TRUE
-            acc, steps = yield from self.goal(body, start, 0)
-            node, most = diagram.apply(False, node, acc), max(most, steps)
-        if most >= self.depth_limit:
-            raise _Unfinished
-        self.open_atoms.remove(atom)
-        self.table[atom] = entry = (node, most + 1)
-        return entry
-
-    def goal(self, goal: Query, acc: int, depth: int):
-        """(node, steps): the goal's ∧ onto ``acc``, and a bound on the
-
-        steps of its branches; ``depth`` steps precede it on its branch."""
-        g, diagram, table = self.g, self.diagram, self.table
-        if depth > self.depth_limit:
-            raise _Unfinished
-        steps = 0
-        for k, lit in enumerate(goal):
-            if acc == FALSE:
-                break
-            if not is_ground_atom(lit.atom):
-                if not lit.positive:
-                    raise _floundering(lit)
-                node, most = FALSE, 0
-                for head in dict.fromkeys(head for head, *_ in g.resolvents(lit.atom)):
-                    sigma = mgu(lit.atom, head)
-                    if sigma is None:
-                        continue
-                    sub, sub_steps = table.get(head) or (yield head)
-                    rest, rest_steps = yield from self.goal(
-                        apply_query(sigma, goal[k + 1 :]),
-                        diagram.apply(True, acc, sub),
-                        depth + steps + sub_steps,
-                    )
-                    node = diagram.apply(False, node, rest)
-                    most = max(most, sub_steps + rest_steps)
-                return node, steps + most
-            sub, sub_steps = table.get(lit.atom) or (yield lit.atom)
-            if lit.positive:
-                steps += sub_steps
-            else:
-                steps, sub = steps + 1, diagram.negate(sub)
-            if depth + steps > self.depth_limit:
-                raise _Unfinished
-            acc = diagram.apply(True, acc, sub)
-        return acc, steps
-
-
-def query_diagram(
-    q: Query, g: GroundProgram, diagram: Diagram, depth_limit: int = DEFAULT_DEPTH_LIMIT
-) -> int | None:
+def query_diagram(q: Query, g: GroundProgram, diagram: Diagram) -> int:
     """The node, in ``diagram``, of the disjunction of ``q``'s success-leaf
 
     expressions, built without the tree: D(a), the diagram of a ground atom,
     is tabled, as in PITA (Riguzzi & Swift, TPLP 2011).  D(a) is the ∨ over
     a's clauses of the clause's choice (for an explicit head) ∧ its body, and
-    D(¬a) is ¬D(a).  A goal conjoins its literals left to right and, as the
-    tree prunes at ⊥, selects none after its conjunction is FALSE; a
-    non-ground query literal takes the ∨, over the ground heads it unifies
-    with, of D(head) ∧ the rest of the goal under the unifier, and a
-    non-ground negated one flounders as in the tree.  Canonicity makes the
-    node the tree's own.
+    D(¬a) is ¬D(a).  The table is filled one strongly connected component of
+    the atoms' dependency graph at a time, dependencies first: a cyclic
+    component starts from D = FALSE and recomputes its atoms until none
+    changes, its least fixpoint, which is the least model's in every world.
+    Stratification puts each negated atom in an earlier, final component.
 
-    Returns None when the walk re-enters an atom it is still building, or
-    when a tree branch might pass ``depth_limit`` steps (each atom bounds the
-    steps of its branches); the tree then gives the answer or the error.
+    A goal conjoins its literals left to right and, as the tree prunes at ⊥,
+    selects none after its conjunction is FALSE; a non-ground query literal
+    takes the ∨, over the ground heads it unifies with, of D(head) ∧ the rest
+    of the goal under the unifier, and a non-ground negated one flounders as
+    in the tree.  Canonicity makes the node the tree's own wherever the tree
+    is finite.
     """
     g.strata  # raises StratificationError up front
     _check_known_predicates(q, g)
-    return _TabledWalk(g, diagram, depth_limit).run(q)
+    by_head = g.by_head  # ``resolvents`` of a ground atom
+    table: dict[Atom, int] = {}
+    looped: set[Atom] = set()  # the atoms in their own clauses' bodies
+
+    def untabled(atom: Atom) -> list[Atom]:
+        """The body atoms of ``atom``'s clauses not yet tabled, in order."""
+        clauses = by_head.get(atom, ())
+        out = [lit.atom for _, body, _, _ in clauses for lit in body if lit.atom not in table]
+        if atom in out:
+            looped.add(atom)
+        return out
+
+    def node_of(atom: Atom) -> int:
+        if atom not in table:
+            for scc in strongly_connected([atom], untabled):
+                if len(scc) == 1 and scc[0] not in looped:
+                    table[scc[0]] = atom_node(scc[0])
+                    continue
+                table.update(dict.fromkeys(scc, FALSE))  # the least fixpoint starts at ⊥
+                changed = True
+                while changed:
+                    changed = False
+                    for member in reversed(scc):  # the deepest first
+                        node = atom_node(member)
+                        changed |= node != table[member]
+                        table[member] = node
+        return table[atom]
+
+    def atom_node(atom: Atom) -> int:
+        node = FALSE
+        for _, body, source, i in by_head.get(atom, ()):
+            acc = diagram.chain([AtomicChoice(source.cid, source.key, i)], False) if i else TRUE
+            for lit in body:
+                if acc == FALSE:
+                    break
+                acc = conjoin(acc, lit.positive, table[lit.atom])
+            node = diagram.apply(False, node, acc)
+        return node
+
+    def conjoin(acc: int, positive: bool, node: int) -> int:
+        return diagram.apply(True, acc, node if positive else diagram.negate(node))
+
+    # The goal's branches, depth first: (the index of the next literal, the
+    # bindings of the query's variables so far, the ∧ so far).
+    stack: list[tuple[int, Substitution, int]] = [(0, {}, TRUE)]
+    leaves: list[int] = []
+    while stack:
+        start, sigma, acc = stack.pop()
+        for k in range(start, len(q)):
+            if acc == FALSE:
+                break
+            lit = apply_literal(sigma, q[k])
+            if is_ground_atom(lit.atom):
+                acc = conjoin(acc, lit.positive, node_of(lit.atom))
+                continue
+            if not lit.positive:
+                raise _floundering(lit)
+            heads = dict.fromkeys(head for head, *_ in g.resolvents(lit.atom))
+            for head in reversed(heads):
+                unifier = mgu(lit.atom, head)
+                if unifier is not None:  # heads are ground: the bindings stay ground
+                    stack.append((k + 1, sigma | unifier, diagram.apply(True, acc, node_of(head))))
+            break
+        else:
+            leaves.append(acc)
+    return diagram.apply_all(False, leaves)
 
 
 def derivations(tree: SlpdnfTree) -> list[Derivation]:

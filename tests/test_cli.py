@@ -406,8 +406,9 @@ def test_prob_of_chain_ten_within_ten_thousand_nodes(capsys, tmp_path):
 
 
 def test_prob_through_a_guarded_cycle(capsys, tmp_path):
-    # The walk re-enters p while building it; the tree prunes the cycle at
-    # the inconsistent choice c(2) after c(1), and answers.
+    # p and q form a cycle: the table takes its least fixpoint, and the tree,
+    # which the transform builds, prunes it at the inconsistent choice c(2)
+    # after c(1).
     cycle = tmp_path / "cycle.lpad"
     cycle.write_text("c(1):0.5; c(2):0.5.\np :- c(1), q.\nq :- c(2), p.\nq :- c(1).\n")
     for method in ("engine", "oracle", "transform"):
@@ -415,13 +416,27 @@ def test_prob_through_a_guarded_cycle(capsys, tmp_path):
         assert (code, out) == (0, "0.500000000\n"), method
 
 
-def test_prob_of_an_unguarded_cycle_exits_two(capsys, tmp_path):
+def test_prob_of_an_unguarded_cycle_is_its_least_fixpoint(capsys, tmp_path):
+    # The table takes loop(a)'s least fixpoint, as the oracle's least model
+    # does; the tree, which the transform builds, follows the cycle to its
+    # depth limit.
     loop = tmp_path / "loop.lpad"
     loop.write_text("loop(X) :- loop(X).\nloop(a).\n")
-    for method in ("engine", "transform"):
-        code, out, err = run(capsys, ["prob", str(loop), "loop(a)", "--method", method])
-        assert (code, out) == (2, ""), method
-        assert err == "error: derivation exceeded 10000 steps at goal: loop(a)\n"
+    for method in ("engine", "oracle"):
+        code, out, _ = run(capsys, ["prob", str(loop), "loop(a)", "--method", method])
+        assert (code, out) == (0, "1.000000000\n"), method
+    code, out, err = run(capsys, ["prob", str(loop), "loop(a)", "--method", "transform"])
+    assert (code, out) == (2, "")
+    assert err == "error: derivation exceeded 10000 steps at goal: loop(a)\n"
+
+
+def test_prob_of_a_long_conjunctive_query(capsys, tmp_path):
+    # Each non-ground literal branches the goal; the branches are kept on a
+    # list, so 1,200 of them stay off the interpreter's stack.
+    program = tmp_path / "q.lpad"
+    program.write_text("q(a):0.5.\n")
+    query = ", ".join(f"q(X{i})" for i in range(1200))
+    assert run(capsys, ["prob", str(program), query]) == (0, "0.500000000\n", "")
 
 
 def long_derived_chain(tmp_path):
@@ -471,12 +486,17 @@ def test_explain_json_of_a_long_derived_chain(capsys, tmp_path):
     assert out.endswith("}\n    }\n  ]\n}\n")
 
 
-def test_a_chain_past_the_depth_limit_exits_two(capsys, tmp_path):
+def test_a_chain_past_the_depth_limit_has_a_probability_but_no_tree(capsys, tmp_path):
     chain = tmp_path / "chain.lpad"
     chain.write_text("".join(f"s{i} :- s{i + 1}.\n" for i in range(10001)) + "s10001:0.7.\n")
-    code, out, err = run(capsys, ["prob", str(chain), "s0"])
-    assert (code, out) == (2, "")
-    assert err == "error: derivation exceeded 10000 steps at goal: s10000\n"
+    code, out, _ = run(capsys, ["prob", str(chain), "s0"])
+    assert (code, out) == (0, "0.700000000\n")
+    explain = ["explain", str(chain), "s0"]
+    transform = ["prob", str(chain), "s0", "--method", "transform"]
+    for argv in (explain, transform):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: derivation exceeded 10000 steps at goal: s10000\n"
 
 
 # ---------------------------------------------------------------------------
@@ -903,6 +923,14 @@ def test_a_program_file_that_is_not_utf8_exits_two(capsys, tmp_path, argv):
     expected = run(capsys, [argv[0], str(plain), *argv[1:]])
     assert expected[0] == 0
     assert run(capsys, [argv[0], str(bom), *argv[1:]]) == expected
+    # So does a restriction file, for the subcommands that read one.
+    if argv[0] in ("prob", "explain", "duals"):
+        args = [argv[0], NEG, *(["covid(p1)"] if argv[0] in ("prob", "explain") else argv[1:])]
+        for name, mark in (("plain.json", b""), ("bom.json", b"\xef\xbb\xbf")):
+            (tmp_path / name).write_bytes(mark + b'{"c2": [{"X": "p1", "Y": "p2"}]}\n')
+        expected = run(capsys, [*args, "--restrict", str(tmp_path / "plain.json")])
+        assert expected[0] == 0
+        assert run(capsys, [*args, "--restrict", str(tmp_path / "bom.json")]) == expected
 
 
 @pytest.mark.parametrize(

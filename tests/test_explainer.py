@@ -263,6 +263,20 @@ def test_a_trivially_true_negation_is_printed_without_a_fold(monkeypatch, capsys
     assert folded
 
 
+def test_each_negation_is_translated_once_per_explain(monkeypatch, capsys, tmp_path):
+    # Every proof of covid(p1) on star 6 prints \+protected(p1); its one
+    # edge is translated once, and every printed proof shares the text.
+    text, restriction = load_families().star(6)
+    program, restrict = tmp_path / "star6.lpad", tmp_path / "star6.json"
+    program.write_text(text)
+    restrict.write_text(json.dumps(restriction))
+    translated, chq = [], explainer.chq
+    monkeypatch.setattr(explainer, "chq", lambda *args: translated.append(args) or chq(*args))
+    assert main(["explain", str(program), "covid(p1)", "--restrict", str(restrict)]) == 0
+    assert capsys.readouterr().out.count("¬protected(p1)") > 1
+    assert len(translated) == 1
+
+
 def test_unsatisfiable_head_negations_fold(monkeypatch, capsys, tmp_path):
     # Both branches of a(b) start with a head of the one instance of a(X),
     # and negating both leaves it none, so the DNF is folded: ¬r(b).

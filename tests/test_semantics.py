@@ -7,7 +7,7 @@ import pytest
 from lpadexpl.choice_algebra import BOT, TOP, AtomicChoice, Not, conj, disj, equiv
 from lpadexpl.errors import EnumerationLimitError
 from lpadexpl.explainer import explain
-from lpadexpl.grounder import ground
+from lpadexpl.grounder import ground, strongly_connected
 from lpadexpl.semantics import (
     enumerate_selections,
     event_prob,
@@ -140,6 +140,35 @@ def test_no_proof_has_probability_zero():
             success_prob(q, g, method="oracle"), abs=1e-9
         ), seed
     assert proofs > 1000
+
+
+def _reaches_a_cycle(q, g) -> bool:
+    """Whether some ground atom the query can call depends on itself."""
+    def body_atoms(atom):
+        return [lit.atom for _, body, _, _ in g.resolvents(atom) for lit in body]
+    roots = [head for lit in q for head, *_ in g.resolvents(lit.atom)]
+    return any(
+        len(scc) > 1 or scc[0] in body_atoms(scc[0])
+        for scc in strongly_connected(roots, body_atoms)
+    )
+
+
+@pytest.mark.parametrize("full_heads", [False, True])
+def test_the_engine_matches_the_oracle_through_cycles(full_heads):
+    """On genprog seeds 0-499 with positive cycles in the derived clauses,
+
+    the engine's least fixpoint is within 1e-9 of the worlds' least models;
+    over 100 of the queries call an atom that depends on itself."""
+    cyclic = 0
+    for seed in range(500):
+        text, query_text = genprog.generate(seed, full_heads=full_heads, cycles=True)
+        g = ground(parse_program(text))
+        q = parse_query(query_text)
+        assert success_prob(q, g) == pytest.approx(
+            success_prob(q, g, method="oracle"), abs=1e-9
+        ), seed
+        cyclic += _reaches_a_cycle(q, g)
+    assert cyclic > 100
 
 
 def test_derivation_probs_without_negation(pos_ground):

@@ -277,34 +277,33 @@ def test_the_table_is_the_tree_on_random_programs(full_heads):
         assert_table_is_tree(parse_query(query_text), ground(parse_program(text)), seed)
 
 
-def test_the_walk_leaves_cycles_and_deep_branches_to_the_tree():
+def test_the_table_answers_cycles_and_deep_branches_the_tree_cannot():
+    # A guarded cycle: the tree prunes it at c(2) after c(1), and the table
+    # takes its least fixpoint.
     cycle = ground(parse_program("c(1):0.5; c(2):0.5.\np :- c(1), q.\nq :- c(2), p.\nq :- c(1).\n"))
-    assert query_diagram(parse_query("p"), cycle, Diagram(cycle)) is None
     assert success_prob(parse_query("p"), cycle) == 0.5
+    assert_table_is_tree(parse_query("p"), cycle, "cycle")
     chain = ground(parse_program("".join(f"s{i} :- s{i + 1}.\n" for i in range(60)) + "s60:0.7.\n"))
     # s0's branch selects 61 nonempty goals: s0 .. s60.
-    assert query_diagram(parse_query("s0"), chain, Diagram(chain), depth_limit=60) is None
-    assert query_diagram(parse_query("s0"), chain, Diagram(chain), depth_limit=61) is not None
+    assert success_prob(parse_query("s0"), chain) == 0.7
     with pytest.raises(DepthLimitError):
-        success_prob(parse_query("s0"), chain, depth_limit=60)
-    assert success_prob(parse_query("s0"), chain, depth_limit=61) == 0.7
+        build_tree(parse_query("s0"), chain, depth_limit=60)
+    assert build_tree(parse_query("s0"), chain, depth_limit=61).success != FALSE
     # A flat body is deep too: p's branch selects p, then f0 .. f59.
     facts = [f"f{i}" for i in range(60)]
     wide = ground(parse_program(f"p :- {', '.join(facts)}.\n" + "".join(f"{f}:0.5.\n" for f in facts)))
-    assert query_diagram(parse_query("p"), wide, Diagram(wide), depth_limit=60) is None
-    assert query_diagram(parse_query("p"), wide, Diagram(wide), depth_limit=61) is not None
+    assert success_prob(parse_query("p"), wide) == 0.5**60
     with pytest.raises(DepthLimitError):
-        success_prob(parse_query("p"), wide, depth_limit=60)
+        build_tree(parse_query("p"), wide, depth_limit=60)
     # A conjunction passes the limit too: where the rest of the goal after a
     # non-ground literal starts past it (s30(a), s0(X)), and at a later
-    # ground literal (s0(a), s30(a)); the tree then raises.
+    # ground literal (s0(a), s30(a)).
     rules = "".join(f"s{i}(X) :- s{i + 1}(X).\n" for i in range(60))
     tall = ground(parse_program("r(a).\nr(b).\n" + rules + "s60(X):0.7 :- r(X).\n"))
     for query in ("s30(a), s0(X)", "s0(a), s30(a)"):
-        assert query_diagram(parse_query(query), tall, Diagram(tall), depth_limit=92) is None
-        for prob in (success_prob, build_tree):
-            with pytest.raises(DepthLimitError, match="exceeded 92 steps"):
-                prob(parse_query(query), tall, depth_limit=92)
+        assert success_prob(parse_query(query), tall) == 0.7
+        with pytest.raises(DepthLimitError, match="exceeded 92 steps"):
+            build_tree(parse_query(query), tall, depth_limit=92)
 
 
 def test_the_walk_flounders_and_rejects_unknown_predicates_as_the_tree_does():
