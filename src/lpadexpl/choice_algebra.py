@@ -37,6 +37,7 @@ import itertools
 import math
 import operator
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import EnumerationLimitError, LpadError
@@ -795,18 +796,26 @@ def render_composite(k: CompositeChoice, g: GroundProgram) -> str:
 
 
 def render_composite_set(ks, g: GroundProgram) -> str:
+    """The text of ``composite_set_chunks``, joined."""
+    return "".join(composite_set_chunks(ks, g))
+
+
+def composite_set_chunks(ks, g: GroundProgram) -> Iterator[str]:
     """``render_composite`` of each set, the sets ordered by their sorted
 
-    atomic choices' sort keys.  The sets are read as masks over one literal
-    table (``ChoiceSets`` already are), sorted by ``order_key``, and each is
-    written from its bytes, top first: a byte's atomic choices are rendered
-    once, as one text fragment per byte value met at that position."""
+    atomic choices' sort keys, in pieces of at most 4,096 sets, so
+    that a caller can write the text without holding all of it.  The sets
+    are read as masks over one literal table (``ChoiceSets`` already are),
+    sorted by ``order_key``, and each is written from its bytes, top first:
+    a byte's atomic choices are rendered once, as one text fragment per byte
+    value met at that position."""
     if not isinstance(ks, ChoiceSets):
         ks = list(ks)
         table = _Literals({ac for k in ks for ac in k})
         ks = ChoiceSets(table, [sum(table.pos[ac][0] for ac in k) for k in ks])
     if not ks.masks:
-        return "{}"
+        yield "{}"
+        return
     table = ks.table
     present = functools.reduce(operator.or_, ks.masks)
     texts = [
@@ -819,7 +828,11 @@ def render_composite_set(ks, g: GroundProgram) -> str:
         "".join(map(fragment, fragments, m.to_bytes(nbytes, "big")))[1:]
         for m in sorted(ks.masks, key=table.order_key)
     )
-    return "{{" + "},{".join(rows) + "}}"
+    opening = "{{"
+    while chunk := list(itertools.islice(rows, 4096)):
+        yield opening + "},{".join(chunk)
+        opening = "},{"
+    yield "}}"
 
 
 #: The positions of each byte value's set bits, top bit first.

@@ -23,13 +23,14 @@ from pathlib import Path
 from .choice_algebra import (
     BOT,
     DEFAULT_ASSIGNMENT_LIMIT,
+    composite_set_chunks,
     disj,
     dual_sets as duals,
     gamma,
     parse_composite_set_text,
     parse_expr_text,
     render_composite,
-    render_composite_set,
+    render_composite_set,  # noqa: F401  (perfbench/tracer.py wraps it by name)
 )
 from .errors import LpadError, ProgramError, StratificationError
 from .explainer import explain, render_graph, render_nl, render_text, to_json, to_record
@@ -196,7 +197,9 @@ def cmd_duals(args: argparse.Namespace) -> int:
         ks = parse_composite_set_text(text, g)
     else:
         ks = gamma(parse_expr_text(text, g), g)
-    print(render_composite_set(duals(ks, g), g))
+    for chunk in composite_set_chunks(duals(ks, g), g):
+        sys.stdout.write(chunk)
+    sys.stdout.write("\n")
     return 0
 
 

@@ -35,12 +35,7 @@ from .choice_algebra import (
 from .errors import ProgramError
 # ``ground`` stays importable from here: perfbench/tracer.py wraps it by name.
 from .grounder import GroundProgram, ground  # noqa: F401
-from .slpdnf import (
-    DEFAULT_DEPTH_LIMIT,
-    Derivation,
-    build_tree,
-    derivations,
-)
+from .slpdnf import Derivation, build_tree, derivations
 from .syntax import (
     Annotation,
     Atom,
@@ -225,24 +220,19 @@ class Explanation:
         return and_tree(self.derivation, self.g)
 
 
-def explain(
-    q: Query,
-    g: GroundProgram,
-    depth_limit: int = DEFAULT_DEPTH_LIMIT,
-    limit: int = DEFAULT_ASSIGNMENT_LIMIT,
-) -> list[Explanation]:
+def explain(q: Query, g: GroundProgram, limit: int = DEFAULT_ASSIGNMENT_LIMIT) -> list[Explanation]:
     """All proofs of ``q`` with their probabilities, most probable first
 
     (ties keep left-to-right proof order, after a display-rooted goal's
     grouping by instance).  Each probability is the mass of
     a leaf's node in the tree's one diagram, of at most ``limit`` nodes."""
-    tree = build_tree(q, g, depth_limit, limit)
+    tree = build_tree(q, g, limit)
     ds = derivations(tree)
     names = sorted(query_vars(q), key=lambda v: v.name)
     if names and (len(q) != 1 or not q[0].positive):
         # A display-rooted goal's proofs come grouped by its instance: by
         # the values of its variables, taken in sorted-name order.
-        ds.sort(key=lambda d: [d.substitution()[v].name for v in names])
+        ds.sort(key=lambda d: [t.name for t in map(d.substitution().__getitem__, names)])
     items = [Explanation(tree.diagram.prob(d.leaf.node), d, g) for d in ds]
     return sorted(items, key=lambda e: e.prob, reverse=True)
 

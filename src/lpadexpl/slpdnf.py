@@ -17,23 +17,26 @@ The leftmost literal is always selected:
   negative literal raises ProgramError (floundering).
 
 An empty goal is a success leaf; a selected positive literal with no
-resolution step is a failed leaf.  The tree records each root-to-success-leaf
-branch as it is built; ``success_expressions`` folds, when asked, what each
-branch's edges conjoined into its leaf's expression, a DNF.  Those
-expressions are exactly the explanations of the query: a world satisfies the
-query iff it extends a composite choice in ``expl``.
+resolution step is a failed leaf, and so is a goal that contains, as a
+multiset, the goal of an ancestor that selected the same literal (the loop
+check), which makes every tree finite.  The tree records each
+root-to-success-leaf branch as it is built; ``success_expressions`` folds,
+when asked, what each branch's edges conjoined into its leaf's expression, a
+DNF.  Those expressions are exactly the explanations of the query: a world
+satisfies the query iff it extends a composite choice in ``expl``.
 
 ``query_diagram`` follows the same selection rule without building the tree:
 it tables one decision diagram per ground atom, filled one strongly connected
 component of atoms at a time, and returns the node of the disjunction of the
-success-leaf expressions.  A positive cycle, which the tree follows until its
-depth limit, is solved there as its component's least fixpoint, so the table
-answers every stratified query.
+success-leaf expressions.  A positive cycle, which the tree cuts by its loop
+check, is solved there as its component's least fixpoint, so the table
+answers every stratified query, and in the same worlds as the tree.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .choice_algebra import (
@@ -60,6 +63,7 @@ from .syntax import (
     Substitution,
     apply_literal,
     apply_query,
+    atom_vars,
     is_ground_atom,
     is_ground_query,
     mgu,
@@ -67,7 +71,7 @@ from .syntax import (
     query_vars,
 )
 
-DEFAULT_DEPTH_LIMIT = 10_000
+DEPTH_LIMIT = 10_000  # steps on one branch: the loop check makes trees finite, this caps output
 
 #: Node markings.  Inner nodes stay "unmarked"; leaves get one of the rest.
 UNMARKED = "unmarked"
@@ -243,9 +247,8 @@ def _satisfiable(e: ChoiceExpr, diagram: Diagram) -> ChoiceExpr:
 
 
 class _TreeBuilder:
-    def __init__(self, g: GroundProgram, depth_limit: int, limit: float):
+    def __init__(self, g: GroundProgram, limit: float):
         self.g = g
-        self.depth_limit = depth_limit
         self.diagram = Diagram(g, limit, "tree")
         self.subs: dict[Atom, SlpdnfTree] = {}
         #: Each negated atom's edge, keyed like ``subs``: it carries the
@@ -267,8 +270,13 @@ class _TreeBuilder:
         # The branch down to the node last popped: edges[i] leads into nodes[i].
         nodes: list[SlpdnfNode] = []
         edges: list[EdgeLabel | None] = []
+        # Per literal selected on that branch: (depth, shortest goal's length so far).
+        selected: defaultdict[Literal, list[tuple[int, int]]] = defaultdict(list)
         while stack:
             node, edge, depth = stack.pop()
+            for gone in nodes[depth:]:
+                if gone.query:
+                    selected[gone.query[0]].pop()
             del nodes[depth:], edges[depth:]
             nodes.append(node)
             edges.append(edge)
@@ -276,16 +284,22 @@ class _TreeBuilder:
                 node.marking = SUCCESS
                 tree.branches.append(Derivation(tuple(nodes), tuple(edges[1:])))
                 continue
-            if depth >= self.depth_limit:
+            if depth >= DEPTH_LIMIT:
                 raise DepthLimitError(
-                    f"derivation exceeded {self.depth_limit} steps "
-                    f"at goal: {query_str(node.query)}"
+                    f"derivation exceeded {DEPTH_LIMIT} steps at goal: {query_str(node.query)}"
                 )
             lit = node.query[0]
-            if lit.positive:
-                self._step_positive(node, lit)
-            else:
-                self._step_negative(node, lit)
+            # The loop check (Bol, Apt & Klop, TCS 1991): a goal that contains,
+            # as a multiset, the goal of an ancestor that selected the same
+            # literal fails; no world's shortest refutation passes through it.
+            above, n = selected[lit], len(node.query)
+            shortest = above[-1][1] if above else n + 1
+            looped = shortest <= n and any(
+                Counter(nodes[d].query) <= Counter(node.query) for d, _ in above
+            )
+            above.append((depth, min(shortest, n)))
+            if not looped:
+                (self._step_positive if lit.positive else self._step_negative)(node, lit)
             if not node.children:
                 node.marking = FAILED
             for e, child in reversed(node.children):
@@ -295,6 +309,12 @@ class _TreeBuilder:
 
     def _step_positive(self, node: SlpdnfNode, lit: Literal) -> None:
         diagram, rest = self.diagram, node.query[1:]
+        # Heads are ground, so each unifier binds every variable of ``lit``:
+        # the rest of the goal is substituted only when one of them occurs there.
+        substitute = False
+        if not lit.atom.ground:
+            bound = set(atom_vars(lit.atom))
+            substitute = any(t in bound for later in rest for t in later.atom.args)
         for head, body, source, i in self.g.resolvents(lit.atom):
             sigma = mgu(lit.atom, head)
             if sigma is None:
@@ -305,7 +325,7 @@ class _TreeBuilder:
                 worlds = diagram.apply(True, worlds, diagram.chain([choice], False))
                 if worlds == FALSE:
                     continue
-            child_query = body + (apply_query(sigma, rest) if sigma else rest)
+            child_query = body + (apply_query(sigma, rest) if substitute else rest)
             edge = EdgeLabel("pos", head, body, choice)
             node.children.append((edge, SlpdnfNode(child_query, worlds)))
 
@@ -324,16 +344,14 @@ class _TreeBuilder:
         node.children.append((self.neg_edges[lit.atom], SlpdnfNode(node.query[1:], worlds)))
 
 
-def build_tree(
-    q: Query, g: GroundProgram, depth_limit: int = DEFAULT_DEPTH_LIMIT, limit: float = math.inf
-) -> SlpdnfTree:
+def build_tree(q: Query, g: GroundProgram, limit: float = math.inf) -> SlpdnfTree:
     """Build the full tree for ``q`` (subsidiary trees included, shared by
 
     atom) over one decision diagram of at most ``limit`` nodes.  Requires a
     stratified ground program; raises :class:`DepthLimitError` when a
-    branch exceeds ``depth_limit`` steps.
+    branch exceeds ``DEPTH_LIMIT`` steps.
     """
-    return _TreeBuilder(g, depth_limit, limit).build(q)
+    return _TreeBuilder(g, limit).build(q)
 
 
 def query_diagram(q: Query, g: GroundProgram, diagram: Diagram) -> int:
@@ -353,7 +371,7 @@ def query_diagram(q: Query, g: GroundProgram, diagram: Diagram) -> int:
     takes the ∨, over the ground heads it unifies with, of D(head) ∧ the rest
     of the goal under the unifier, and a non-ground negated one flounders as
     in the tree.  Canonicity makes the node the tree's own wherever the tree
-    is finite.
+    is built within ``DEPTH_LIMIT`` steps.
     """
     g.strata  # raises StratificationError up front
     _check_known_predicates(q, g)
@@ -430,11 +448,11 @@ def derivations(tree: SlpdnfTree) -> list[Derivation]:
     return list(tree.branches)
 
 
-def answers(q: Query, g: GroundProgram, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> list[Answer]:
+def answers(q: Query, g: GroundProgram) -> list[Answer]:
     """One answer per success leaf: the steps' bindings restricted to
 
     the query's variables, plus the leaf expression."""
-    tree = build_tree(q, g, depth_limit)
+    tree = build_tree(q, g)
     qvars = {v.name for v in query_vars(q)}
     result = []
     for d, expr in zip(derivations(tree), tree.success_expressions()):
@@ -446,15 +464,11 @@ def answers(q: Query, g: GroundProgram, depth_limit: int = DEFAULT_DEPTH_LIMIT) 
     return result
 
 
-def success_expressions(
-    q: Query, g: GroundProgram, depth_limit: int = DEFAULT_DEPTH_LIMIT, limit: float = math.inf
-) -> list[ChoiceExpr]:
-    return build_tree(q, g, depth_limit, limit).success_expressions()
+def success_expressions(q: Query, g: GroundProgram, limit: float = math.inf) -> list[ChoiceExpr]:
+    return build_tree(q, g, limit).success_expressions()
 
 
-def expl(
-    q: Query, g: GroundProgram, depth_limit: int = DEFAULT_DEPTH_LIMIT
-) -> frozenset[CompositeChoice]:
+def expl(q: Query, g: GroundProgram) -> frozenset[CompositeChoice]:
     """The explanations of a ground query: the union of the composite-choice
 
     sets of all success-leaf expressions.  A world satisfies the query iff
@@ -462,7 +476,7 @@ def expl(
     """
     if not is_ground_query(q):
         raise ProgramError(f"explanations require a ground query, got {query_str(q)}")
-    tree = build_tree(q, g, depth_limit)
+    tree = build_tree(q, g)
     out: set[CompositeChoice] = set()
     for expr in tree.success_expressions():
         out |= gamma(expr, g)

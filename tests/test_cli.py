@@ -418,16 +418,27 @@ def test_prob_through_a_guarded_cycle(capsys, tmp_path):
 
 def test_prob_of_an_unguarded_cycle_is_its_least_fixpoint(capsys, tmp_path):
     # The table takes loop(a)'s least fixpoint, as the oracle's least model
-    # does; the tree, which the transform builds, follows the cycle to its
-    # depth limit.
+    # does; the tree, which the transform builds, prunes the goal loop(a)
+    # below loop(a) by its loop check.
     loop = tmp_path / "loop.lpad"
     loop.write_text("loop(X) :- loop(X).\nloop(a).\n")
-    for method in ("engine", "oracle"):
+    for method in ("engine", "oracle", "transform"):
         code, out, _ = run(capsys, ["prob", str(loop), "loop(a)", "--method", method])
         assert (code, out) == (0, "1.000000000\n"), method
-    code, out, err = run(capsys, ["prob", str(loop), "loop(a)", "--method", "transform"])
-    assert (code, out) == (2, "")
-    assert err == "error: derivation exceeded 10000 steps at goal: loop(a)\n"
+
+
+def test_a_cycle_that_calls_its_head_twice_has_a_tree(capsys, tmp_path):
+    # d1_2's first clause doubles its goal on each pass round the cycle;
+    # the loop check prunes the goal d1_2, d1_2 below d1_2.
+    program = tmp_path / "d.lpad"
+    program.write_text("p1_1(a):0.5.\nd1_2 :- d1_2, d1_2.\nd1_2 :- p1_1(a), p1_1(a).\n")
+    assert run(capsys, ["explain", str(program), "d1_2"]) == (
+        0, "proof 1\nd1_2\n   p1_1(a)\n   p1_1(a)\np = 0.5\n", ""
+    )
+    for method in ("engine", "oracle", "transform"):
+        assert run(capsys, ["prob", str(program), "d1_2", "--method", method]) == (
+            0, "0.500000000\n", ""
+        ), method
 
 
 def test_prob_of_a_long_conjunctive_query(capsys, tmp_path):

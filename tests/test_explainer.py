@@ -153,6 +153,23 @@ def test_explain_orders_a_display_rooted_goal_by_its_values():
     assert [e.prob for e in proofs] == [0.5] * 4
 
 
+def test_explain_orders_a_long_goal_from_one_substitution_per_proof(monkeypatch):
+    # Sorting by 1,201 variables' values reads each proof's bindings once.
+    calls = []
+    substitution = Derivation.substitution
+
+    def counted(self):
+        calls.append(self)
+        return substitution(self)
+
+    monkeypatch.setattr(Derivation, "substitution", counted)
+    g = ground(parse_program("q(a):0.5.\nr(b).\nr(a).\n"))
+    proofs = explain(parse_query(", ".join(f"q(X{i})" for i in range(1200)) + ", r(Y)"), g)
+    assert len(calls) == len(proofs) == 2
+    assert [e.tree.literal.atom.args[-1].name for e in proofs] == ["a", "b"]
+    assert [e.prob for e in proofs] == [0.5, 0.5]
+
+
 def test_explain_wrapper_avoids_taken_names():
     g = ground(parse_program("f(a):0.5.\nmain :- f(a).\n"))
     proofs = explain(parse_query("main, main"), g)

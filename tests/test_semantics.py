@@ -19,6 +19,7 @@ from lpadexpl.semantics import (
 )
 from lpadexpl.slpdnf import build_tree, success_expressions
 from lpadexpl.syntax import parse_program, parse_query
+from lpadexpl.transform import prob_via_transform
 
 from conftest import load_restriction
 import genprog
@@ -157,17 +158,25 @@ def _reaches_a_cycle(q, g) -> bool:
 def test_the_engine_matches_the_oracle_through_cycles(full_heads):
     """On genprog seeds 0-499 with positive cycles in the derived clauses,
 
-    the engine's least fixpoint is within 1e-9 of the worlds' least models;
-    over 100 of the queries call an atom that depends on itself."""
+    for each query and the query with ``\\+`` prepended: the engine's least
+    fixpoint and the transform of the loop-checked tree are within 1e-9 of
+    the worlds' least models, and ``explain`` gives proofs exactly when that
+    answer is above 0, none of them more probable than it; over 100 of the
+    queries call an atom that depends on itself."""
     cyclic = 0
     for seed in range(500):
         text, query_text = genprog.generate(seed, full_heads=full_heads, cycles=True)
         g = ground(parse_program(text))
-        q = parse_query(query_text)
-        assert success_prob(q, g) == pytest.approx(
-            success_prob(q, g, method="oracle"), abs=1e-9
-        ), seed
-        cyclic += _reaches_a_cycle(q, g)
+        query = parse_query(query_text)
+        for q in (query, parse_query("\\+" + query_text)):
+            expected = success_prob(q, g, method="oracle")
+            assert success_prob(q, g) == pytest.approx(expected, abs=1e-9), seed
+            transformed = prob_via_transform(disj(success_expressions(q, g)), g)
+            assert transformed == pytest.approx(expected, abs=1e-9), seed
+            probs = [e.prob for e in explain(q, g)]
+            assert bool(probs) == (expected > 0), seed
+            assert all(p <= expected + 1e-9 for p in probs), seed
+        cyclic += _reaches_a_cycle(query, g)
     assert cyclic > 100
 
 

@@ -6,6 +6,7 @@ import pytest
 from lpadexpl import slpdnf
 from lpadexpl.choice_algebra import FALSE, Diagram, Or, conj, conjoin_dnf, disj, dnf, gamma, render_expr
 from lpadexpl.errors import DepthLimitError, ProgramError
+from lpadexpl.explainer import explain
 from lpadexpl.grounder import ground
 from lpadexpl.semantics import event_prob, success_prob
 from lpadexpl.slpdnf import (
@@ -18,7 +19,7 @@ from lpadexpl.slpdnf import (
     query_diagram,
     success_expressions,
 )
-from lpadexpl.syntax import Literal, parse_program, parse_query
+from lpadexpl.syntax import Literal, apply_query, parse_program, parse_query
 
 from conftest import load_families
 import genprog
@@ -175,10 +176,37 @@ def test_negation_of_undefined_predicate_succeeds():
     assert expl(parse_query("p"), g2) == frozenset({frozenset()})
 
 
-def test_depth_limit():
-    g = ground(parse_program("loop(X) :- loop(X).\nloop(a).\n"))
-    with pytest.raises(DepthLimitError):
-        build_tree(parse_query("loop(a)"), g, depth_limit=50)
+def test_depth_limit(monkeypatch):
+    # A cycle ends in a failed leaf: loop(a)'s first clause gives the goal
+    # loop(a) again, which the loop check prunes.
+    loop = ground(parse_program("loop(X) :- loop(X).\nloop(a).\n"))
+    tree = build_tree(parse_query("loop(a)"), loop)
+    assert [child.marking for _, child in tree.root.children] == [FAILED, SUCCESS]
+    assert [e.prob for e in explain(parse_query("loop(a)"), loop)] == [1.0]
+    # The limit guards an acyclic chain: s0's branch selects s0 .. s50.
+    g = ground(parse_program("".join(f"s{i} :- s{i + 1}.\n" for i in range(50)) + "s50.\n"))
+    monkeypatch.setattr(slpdnf, "DEPTH_LIMIT", 50)
+    with pytest.raises(DepthLimitError, match="^derivation exceeded 50 steps at goal: s50$"):
+        build_tree(parse_query("s0"), g)
+    monkeypatch.setattr(slpdnf, "DEPTH_LIMIT", 51)
+    assert build_tree(parse_query("s0"), g).success != FALSE
+
+
+def test_a_step_substitutes_the_rest_of_the_goal_only_where_it_binds_a_variable(monkeypatch):
+    substituted = []
+
+    def counted(sigma, q):
+        substituted.append(q)
+        return apply_query(sigma, q)
+
+    monkeypatch.setattr(slpdnf, "apply_query", counted)
+    g = ground(parse_program("q(a):0.5.\nr(a,b).\n"))
+    tree = build_tree(parse_query(", ".join(f"q(X{i})" for i in range(1200))), g)
+    assert len(tree.branches) == 1 and substituted == []
+    # q(X) binds X, which r(X,Y) reads; r(a,Y) binds Y, which q(Z) does not.
+    [answer] = answers(parse_query("q(X), r(X,Y), q(Z)"), g)
+    assert answer.substitution == (("X", "a"), ("Y", "b"), ("Z", "a"))
+    assert substituted == [parse_query("r(X,Y), q(Z)")]
 
 
 def test_derivation_substitution(pos_ground):
@@ -270,14 +298,18 @@ def test_the_table_is_the_tree_on_the_families():
         assert_table_is_tree(parse_query(query), g, (text.count("\n"), query))
 
 
-@pytest.mark.parametrize("full_heads", [False, True])
-def test_the_table_is_the_tree_on_random_programs(full_heads):
+@pytest.mark.parametrize(
+    "full_heads, cycles",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-cycles", "True-cycles"],
+)
+def test_the_table_is_the_tree_on_random_programs(full_heads, cycles):
     for seed in range(500):
-        text, query_text = genprog.generate(seed, full_heads=full_heads)
+        text, query_text = genprog.generate(seed, full_heads=full_heads, cycles=cycles)
         assert_table_is_tree(parse_query(query_text), ground(parse_program(text)), seed)
 
 
-def test_the_table_answers_cycles_and_deep_branches_the_tree_cannot():
+def test_the_table_answers_cycles_and_deep_branches_the_tree_cannot(monkeypatch):
     # A guarded cycle: the tree prunes it at c(2) after c(1), and the table
     # takes its least fixpoint.
     cycle = ground(parse_program("c(1):0.5; c(2):0.5.\np :- c(1), q.\nq :- c(2), p.\nq :- c(1).\n"))
@@ -286,24 +318,28 @@ def test_the_table_answers_cycles_and_deep_branches_the_tree_cannot():
     chain = ground(parse_program("".join(f"s{i} :- s{i + 1}.\n" for i in range(60)) + "s60:0.7.\n"))
     # s0's branch selects 61 nonempty goals: s0 .. s60.
     assert success_prob(parse_query("s0"), chain) == 0.7
+    monkeypatch.setattr(slpdnf, "DEPTH_LIMIT", 60)
     with pytest.raises(DepthLimitError):
-        build_tree(parse_query("s0"), chain, depth_limit=60)
-    assert build_tree(parse_query("s0"), chain, depth_limit=61).success != FALSE
+        build_tree(parse_query("s0"), chain)
+    monkeypatch.setattr(slpdnf, "DEPTH_LIMIT", 61)
+    assert build_tree(parse_query("s0"), chain).success != FALSE
     # A flat body is deep too: p's branch selects p, then f0 .. f59.
     facts = [f"f{i}" for i in range(60)]
     wide = ground(parse_program(f"p :- {', '.join(facts)}.\n" + "".join(f"{f}:0.5.\n" for f in facts)))
     assert success_prob(parse_query("p"), wide) == 0.5**60
+    monkeypatch.setattr(slpdnf, "DEPTH_LIMIT", 60)
     with pytest.raises(DepthLimitError):
-        build_tree(parse_query("p"), wide, depth_limit=60)
+        build_tree(parse_query("p"), wide)
     # A conjunction passes the limit too: where the rest of the goal after a
     # non-ground literal starts past it (s30(a), s0(X)), and at a later
     # ground literal (s0(a), s30(a)).
     rules = "".join(f"s{i}(X) :- s{i + 1}(X).\n" for i in range(60))
     tall = ground(parse_program("r(a).\nr(b).\n" + rules + "s60(X):0.7 :- r(X).\n"))
+    monkeypatch.setattr(slpdnf, "DEPTH_LIMIT", 92)
     for query in ("s30(a), s0(X)", "s0(a), s30(a)"):
         assert success_prob(parse_query(query), tall) == 0.7
         with pytest.raises(DepthLimitError, match="exceeded 92 steps"):
-            build_tree(parse_query(query), tall, depth_limit=92)
+            build_tree(parse_query(query), tall)
 
 
 def test_the_walk_flounders_and_rejects_unknown_predicates_as_the_tree_does():
