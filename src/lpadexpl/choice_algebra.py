@@ -870,20 +870,21 @@ class _ExprParser(_Parser):
     def atomic(self) -> AtomicChoice:
         """``( cid , [values] , index )``."""
         self.expect("(")
-        cid = self.expect("ident").text
+        cid = self.expect("ident")
         self.expect(",")
-        vals = tuple(v for v in self.expect("bracket").text[1:-1].split(",") if v)
+        vals = tuple(v for v in self.expect("bracket")[1:-1].split(",") if v)
         self.expect(",")
-        if self.cur.kind != "number" or not self.cur.text.isdigit():
-            self.fail(f"expected a head index, found {self.cur.text or 'end of input'!r}")
+        text = self.texts[self.i]
+        if self.kinds[self.i] != "number" or not text.isdigit():
+            self.fail(f"expected a head index, found {text or 'end of input'!r}")
         inst = self.g.instance_by_values(cid, vals)
-        idx = int(self.cur.text)
+        idx = int(text)
         if not 1 <= idx <= inst.n_heads:
             self.fail(
                 f"head index {idx} out of range for {inst.cid} "
                 f"(instance has {inst.n_heads} heads)"
             )
-        self.advance()
+        self.i += 1
         self.expect(")")
         return AtomicChoice(inst.cid, inst.key, idx)
 
@@ -891,35 +892,35 @@ class _ExprParser(_Parser):
     # ``depth`` counts the ``~`` and grouping ``(`` around the current point
     def parse_expr(self, depth: int = 0) -> ChoiceExpr:
         parts = [self.parse_conj(depth)]
-        while self.cur.kind == "|":
-            self.advance()
+        while self.kinds[self.i] == "|":
+            self.i += 1
             parts.append(self.parse_conj(depth))
         return disj(parts) if len(parts) > 1 else parts[0]
 
     def parse_conj(self, depth: int) -> ChoiceExpr:
         parts = [self.parse_unary(depth)]
-        while self.cur.kind == "&":
-            self.advance()
+        while self.kinds[self.i] == "&":
+            self.i += 1
             parts.append(self.parse_unary(depth))
         return conj(parts) if len(parts) > 1 else parts[0]
 
     def parse_unary(self, depth: int) -> ChoiceExpr:
-        tok, ahead = self.cur, self.tokens[self.i + 1 : self.i + 3]
-        if tok.kind == "(" and [t.kind for t in ahead] == ["ident", ","]:
+        i, kind, text = self.i, self.kinds[self.i], self.texts[self.i]
+        if kind == "(" and self.kinds[i + 1 : i + 3] == ["ident", ","]:
             return self.atomic()
-        if tok.kind in ("~", "("):
+        if kind in ("~", "("):
             if depth == MAX_EXPR_DEPTH:
                 self.fail(f"choice expression nests deeper than the limit {MAX_EXPR_DEPTH}")
-            self.advance()
-            if tok.kind == "~":
+            self.i += 1
+            if kind == "~":
                 return Not(self.parse_unary(depth + 1))
             inner = self.parse_expr(depth + 1)
             self.expect(")")
             return inner
-        if tok.kind == "ident" and tok.text in ("top", "bot"):
-            self.advance()
-            return TOP if tok.text == "top" else BOT
-        self.fail(f"expected a choice expression, found {tok.text or 'end of input'!r}")
+        if kind == "ident" and text in ("top", "bot"):
+            self.i += 1
+            return TOP if text == "top" else BOT
+        self.fail(f"expected a choice expression, found {text or 'end of input'!r}")
 
     def parse_composite_set(self) -> frozenset[CompositeChoice]:
         return frozenset(self.braced(self.parse_composite))
@@ -930,17 +931,17 @@ class _ExprParser(_Parser):
     def braced(self, item) -> list:
         """``{}`` or ``{ item , ... , item }``."""
         self.expect("{")
-        out = [] if self.cur.kind == "}" else [item()]
-        while self.cur.kind == ",":
-            self.advance()
+        out = [] if self.kinds[self.i] == "}" else [item()]
+        while self.kinds[self.i] == ",":
+            self.i += 1
             out.append(item())
         self.expect("}")
         return out
 
     def parse_all(self, parse, what: str):
         result = parse()
-        if self.cur.kind != "eof":
-            self.fail(f"trailing text in {what}: {self.cur.text!r}")
+        if self.kinds[self.i] != "eof":
+            self.fail(f"trailing text in {what}: {self.texts[self.i]!r}")
         return result
 
 

@@ -429,6 +429,10 @@ def _ground_derived(
     #: [its positive body atoms not yet possible, the clause, its kept instances]
     waiting: dict[Atom, list[list]] = {}
     for c in clauses:
+        if not c.body and c.head.ground:
+            found.append({(): c})
+            kept_heads.append(c.head)
+            continue
         variables = clause_vars(c)
         if variables:
             if not values:
@@ -528,11 +532,14 @@ def _ground_derived(
 
     # The full product's order: by clause, then by θ, that is by the names
     # θ maps the clause's variables to, since the pool is sorted.
-    return tuple(
-        clause
-        for kept in found
-        for _, clause in sorted(kept.items(), key=lambda item: [v.name for v in item[0]])
-    )
+    out: list[Clause] = []
+    for kept in found:
+        if len(kept) < 2:
+            out += kept.values()
+        else:
+            by_theta = sorted(kept.items(), key=lambda item: [v.name for v in item[0]])
+            out += [clause for _, clause in by_theta]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +619,10 @@ def stratify(g: GroundProgram) -> dict[tuple[str, int], int]:
     for inst in {inst.cid: inst for inst in g.instances}.values():
         add_clause([a for a, _ in inst.heads], inst.body)
     for c in g.source.derived_clauses:
-        add_clause([c.head], c.body)
+        if c.body:
+            add_clause([c.head], c.body)
+        else:
+            preds.add(c.head.pred)
 
     # Dependency graph: edge b -> h when h's clause mentions b in its body.
     successors: dict[tuple[str, int], set[tuple[str, int]]] = {p: set() for p in preds}

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import LpadSyntaxError, ProgramError
 
@@ -224,20 +223,10 @@ class Program:
 
     def constants(self) -> list[str]:
         """Every constant mentioned anywhere, sorted by name."""
-        names: set[str] = set()
-        for c in self.prob_clauses:
-            for a, _ in c.heads:
-                names.update(t.name for t in a.args if isinstance(t, Constant))
-            _collect_query_constants(c.body, names)
-        for c in self.derived_clauses:
-            names.update(t.name for t in c.head.args if isinstance(t, Constant))
-            _collect_query_constants(c.body, names)
-        return sorted(names)
-
-
-def _collect_query_constants(q: Query, into: set[str]) -> None:
-    for lit in q:
-        into.update(t.name for t in lit.atom.args if isinstance(t, Constant))
+        atoms = [a for c in self.prob_clauses for a, _ in c.heads]
+        atoms += [c.head for c in self.derived_clauses]
+        atoms += [lit.atom for c in self.prob_clauses + self.derived_clauses for lit in c.body]
+        return sorted({t.name for a in atoms for t in a.args if isinstance(t, Constant)})
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +352,8 @@ def is_range_restricted(p: Program) -> tuple[bool, list[str]]:
                     "not bound by a positive body literal"
                 )
     for c in p.derived_clauses:
+        if c.head.ground:
+            continue
         pos_vars = _positive_body_vars(c.body)
         missing = [v.name for v in atom_vars(c.head) if v not in pos_vars]
         if missing:
@@ -386,92 +377,86 @@ def _positive_body_vars(q: Query) -> set[Variable]:
 # Parsing
 # ---------------------------------------------------------------------------
 
-#: One match per token.  Whitespace and comments are skipped as the prefix
-#: of the token they precede; the last two branches match the end of the
-#: input and a character that starts no token.  The branches are tried in
-#: order, the most frequent first; only ``neck`` must precede ``punct``.
+#: One match per token: the whitespace and comments before it, then its
+#: text, empty at the end of the input.  A character that starts no token
+#: matches alone, and so do an unterminated bracket or string and a
+#: backslash without ``+``.  The most frequent tokens come first.
 _TOKEN_RE = re.compile(
     r"""
-    (?:\s+|%(?!!read)[^\n]*)*
-    (?:
-      (?P<ident>[a-z][A-Za-z0-9_]*)
-    | (?P<neck>:-)
-    | (?P<punct>[().,;:~&|{}])
-    | (?P<var>[A-Z_][A-Za-z0-9_]*)
-    | (?P<number>\d+\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-    | (?P<negation>\\\+)
-    | (?P<bracket>\[[A-Za-z0-9_,]*\])
-    | (?P<string>"(?:[^"\\\n]|\\.)*")
-    | (?P<read>%!read\w*)
-    | (?P<eof>\Z)
-    | (?P<error>.)
+    (\s*(?:%(?!!read)[^\n]*\s*)*)
+    (
+      [A-Za-z_][A-Za-z0-9_]*
+    | [(),.;&|~{}]
+    | :-?
+    | \d+(?:\.\d+)?(?:[eE][+-]?\d+)?
+    | \[[A-Za-z0-9_,]*\]
+    | "(?:[^"\\\n]|\\.)*"
+    | %!read\w*
+    | \\\+
+    | .
+    | \Z
     )
     """,
     re.VERBOSE,
 )
 
+#: The kind of each token whose text fixes its kind; a punctuation token's
+#: kind is its text.
+_KIND_OF_TEXT = {c: c for c in "().,;:~&|{}"} | {
+    ":-": "neck",
+    "\\+": "negation",
+    "": "eof",
+    "[": "error",
+    '"': "error",
+    "\\": "error",
+}
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    #: The offset of the token's first character in the source text.
-    start: int
+#: The kind of any other token, by its first character.
+_KIND_OF_FIRST = (
+    dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "ident")
+    | dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_", "var")
+    | dict.fromkeys("0123456789", "number")
+    | {"[": "bracket", '"': "string", "%": "read"}
+)
 
-
-#: Makes a token from a (kind, text, start) tuple without the Python-level
-#: ``_Token.__new__``.
-_new_token = tuple.__new__
-
-
-def _position(text: str, offset: int) -> tuple[int, int]:
-    """The 1-based line and column of ``offset`` in ``text``."""
-    line_start = text.rfind("\n", 0, offset) + 1
-    return text.count("\n", 0, offset) + 1, offset - line_start + 1
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of ``text``, ending with one ``eof`` token; a punctuation
-
-    token's kind is its text."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        tok_text = m[kind]
-        start = m.start(kind)
-        if kind == "error":
-            raise LpadSyntaxError(f"unexpected character {tok_text!r}", *_position(text, start))
-        tokens.append(_new_token(_Token, (tok_text if kind == "punct" else kind, tok_text, start)))
-        if kind == "eof":
-            break
-    return tokens
+#: The kinds of the tokens that are constants.
+_CONSTANT_KINDS = frozenset(("ident", "number", "bracket"))
 
 
 class _Parser:
+    """A recursive-descent parser over the tokens of ``text``.
+
+    The tokens are three parallel sequences: ``kinds``, ``texts``, and
+    ``gaps``, the whitespace and comments before each token.  ``i`` indexes
+    the current token.  The input ends at the first token of kind ``eof``,
+    whose text is empty."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.gaps, self.texts = zip(*_TOKEN_RE.findall(text))
+        kinds = [_KIND_OF_TEXT.get(t) or _KIND_OF_FIRST.get(t[0], "error") for t in self.texts]
+        self.kinds = kinds
+        if "error" in kinds:
+            self.i = kinds.index("error")
+            self.fail(f"unexpected character {self.texts[self.i]!r}")
         self.i = 0
-        self.cur = self.tokens[0]
 
-    def advance(self) -> _Token:
-        t = self.cur
-        self.i += 1
-        self.cur = self.tokens[self.i]
-        return t
+    def expect(self, kind: str) -> str:
+        i = self.i
+        if self.kinds[i] != kind:
+            self.fail(f"expected {kind!r}, found {self.texts[i] or 'end of input'!r}")
+        self.i = i + 1
+        return self.texts[i]
 
-    def expect(self, kind: str) -> _Token:
-        if self.cur.kind != kind:
-            self.fail(f"expected {kind!r}, found {self.cur.text or 'end of input'!r}")
-        return self.advance()
+    def fail(self, message: str):
+        """Raise a syntax error at the current token."""
+        offset = sum(map(len, self.gaps[: self.i + 1])) + sum(map(len, self.texts[: self.i]))
+        line = self.text.count("\n", 0, offset) + 1
+        raise LpadSyntaxError(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def fail(self, message: str, tok: _Token | None = None):
-        """Raise a syntax error at ``tok``, by default the current token."""
-        start = (self.cur if tok is None else tok).start
-        raise LpadSyntaxError(message, *_position(self.text, start))
-
-    def same_line(self, a: _Token, b: _Token) -> bool:
-        """Whether token ``b`` starts on the line of the earlier token ``a``."""
-        return self.text.find("\n", a.start, b.start) < 0
+    def same_line(self, a: int, b: int) -> bool:
+        """Whether token ``b`` is on the line of the earlier token ``a``."""
+        return not any("\n" in gap for gap in self.gaps[a + 1 : b + 1])
 
     # -- grammar ------------------------------------------------------------
 
@@ -479,8 +464,9 @@ class _Parser:
         prob: list[ProbClause] = []
         derived: list[Clause] = []
         annotations: list[Annotation] = []
-        while self.cur.kind != "eof":
-            if self.cur.kind == "read":
+        kinds = self.kinds
+        while kinds[self.i] != "eof":
+            if kinds[self.i] == "read":
                 annotations.append(self.parse_directive())
                 continue
             self.parse_clause(prob, derived)
@@ -490,27 +476,30 @@ class _Parser:
 
     def parse_directive(self) -> Annotation:
         """``%!read <literal> as: "<template>"``, all on the line of ``%!read``."""
-        keyword = self.advance()
-        if keyword.text == "%!read":
+        kinds, texts = self.kinds, self.texts
+        keyword = self.i
+        self.i += 1
+        if texts[keyword] == "%!read":
             pattern = self.parse_literal()
-            if self.cur.text == "as" and self.tokens[self.i + 1].kind == ":":
-                self.advance()
-                self.advance()
-                template = self.cur
-                if template.kind == "string" and self.same_line(keyword, template):
-                    self.advance()
-                    if self.cur.kind == "eof" or not self.same_line(keyword, self.cur):
-                        text = template.text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+            if texts[self.i] == "as" and kinds[self.i + 1] == ":":
+                self.i += 2
+                template = self.i
+                if kinds[template] == "string" and self.same_line(keyword, template):
+                    self.i += 1
+                    if kinds[self.i] == "eof" or not self.same_line(keyword, self.i):
+                        text = texts[template][1:-1].replace('\\"', '"').replace("\\\\", "\\")
                         return Annotation(pattern, text)
         self.fail('malformed %!read directive (expected, on one line: %!read <literal> as: "...")')
 
     def parse_clause(self, prob: list[ProbClause], derived: list[Clause]) -> None:
-        first_tok = self.cur
+        first = self.i
         head = self.parse_atom()
-        if self.cur.kind == ":":
-            heads = [(head, self.parse_annotation_prob())]
-            while self.cur.kind == ";":
-                self.advance()
+        kinds = self.kinds
+        if kinds[self.i] == ":":
+            self.i += 1
+            heads = [(head, self.parse_prob())]
+            while kinds[self.i] == ";":
+                self.i += 1
                 a = self.parse_atom()
                 self.expect(":")
                 heads.append((a, self.parse_prob()))
@@ -518,83 +507,75 @@ class _Parser:
             cid = f"c{len(prob) + 1}"
             total = sum(p for _, p in heads)
             if total > 1 + PROB_SUM_TOLERANCE:
-                self.fail(f"head probabilities of clause {cid} sum to {total!r} > 1", first_tok)
+                self.i = first
+                self.fail(f"head probabilities of clause {cid} sum to {total!r} > 1")
             n_explicit = len(heads)
             if 1 - total > PROB_SUM_TOLERANCE:
                 heads.append((Atom(NONE_PREDICATE), 1 - total))
             prob.append(ProbClause(cid, tuple(heads), body, n_explicit))
-        elif self.cur.kind == ";":
+        elif kinds[self.i] == ";":
             self.fail("disjunctive heads require probability annotations")
         else:
-            body = self.parse_optional_body()
-            derived.append(Clause(head, body))
-
-    def parse_annotation_prob(self) -> float:
-        self.expect(":")
-        return self.parse_prob()
+            derived.append(Clause(head, self.parse_optional_body()))
 
     def parse_prob(self) -> float:
         """A probability: the number syntax has no sign, so it is never negative."""
-        tok = self.expect("number")
-        return float(tok.text)
+        return float(self.expect("number"))
 
     def parse_optional_body(self) -> Query:
-        if self.cur.kind == ".":
-            self.advance()
+        kinds = self.kinds
+        if kinds[self.i] == ".":
+            self.i += 1
             return ()
         self.expect("neck")
         lits = [self.parse_literal()]
-        while self.cur.kind == ",":
-            self.advance()
+        while kinds[self.i] == ",":
+            self.i += 1
             lits.append(self.parse_literal())
         self.expect(".")
         return tuple(lits)
 
     def parse_literal(self) -> Literal:
-        if self.cur.kind == "negation":
-            self.advance()
+        if self.kinds[self.i] == "negation":
+            self.i += 1
             return Literal(False, self.parse_atom())
         return Literal(True, self.parse_atom())
 
     def parse_atom(self) -> Atom:
-        tok = self.cur
-        if tok.kind != "ident":
-            self.fail(f"expected a predicate name, found {tok.text or 'end of input'!r}")
-        self.advance()
+        """A predicate name and, in parentheses, its comma-separated terms."""
+        kinds, texts, i = self.kinds, self.texts, self.i
+        if kinds[i] != "ident":
+            self.fail(f"expected a predicate name, found {texts[i] or 'end of input'!r}")
+        if kinds[i + 1] != "(":
+            self.i = i + 1
+            return Atom(texts[i])
         args: list[Term] = []
-        if self.cur.kind == "(":
-            self.advance()
-            args.append(self.parse_term())
-            while self.cur.kind == ",":
-                self.advance()
-                args.append(self.parse_term())
-            self.expect(")")
-        return Atom(tok.text, tuple(args))
-
-    def parse_term(self) -> Term:
-        tok = self.cur
-        if tok.kind in ("ident", "number", "bracket"):
-            self.advance()
-            return Constant(tok.text)
-        if tok.kind == "var":
-            self.advance()
-            return Variable(tok.text)
-        self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
-        raise AssertionError("unreachable")
+        k = i + 2
+        while True:
+            kind = kinds[k]
+            if kind == "var":
+                args.append(Variable(texts[k]))
+            elif kind in _CONSTANT_KINDS:
+                args.append(Constant(texts[k]))
+            else:
+                self.i = k
+                self.fail(f"expected a term, found {texts[k] or 'end of input'!r}")
+            k += 1
+            if kinds[k] != ",":
+                break
+            k += 1
+        self.i = k
+        self.expect(")")
+        return Atom(texts[i], tuple(args))
 
 
 def _validate(p: Program) -> None:
     for c in p.prob_clauses:
-        for a, _ in c.explicit_heads:
-            if a.predicate == NONE_PREDICATE:
-                raise ProgramError(
-                    f"clause {c.cid}: predicate {NONE_PREDICATE!r} is reserved"
-                )
-        _check_reserved(c.body, c.cid)
+        if NONE_PREDICATE in [a.predicate for a, _ in c.explicit_heads] or _mentions_none(c.body):
+            raise ProgramError(f"clause {c.cid}: predicate {NONE_PREDICATE!r} is reserved")
     for c in p.derived_clauses:
-        if c.head.predicate == NONE_PREDICATE:
+        if c.head.predicate == NONE_PREDICATE or (c.body and _mentions_none(c.body)):
             raise ProgramError(f"clause {c}: predicate {NONE_PREDICATE!r} is reserved")
-        _check_reserved(c.body, str(c))
     overlap = {
         f"{name}/{arity}"
         for name, arity in p.prob_predicates() & p.derived_predicates()
@@ -606,10 +587,8 @@ def _validate(p: Program) -> None:
         )
 
 
-def _check_reserved(q: Query, where: str) -> None:
-    for lit in q:
-        if lit.atom.predicate == NONE_PREDICATE:
-            raise ProgramError(f"clause {where}: predicate {NONE_PREDICATE!r} is reserved")
+def _mentions_none(q: Query) -> bool:
+    return any(lit.atom.predicate == NONE_PREDICATE for lit in q)
 
 
 def parse_program(text: str) -> Program:
@@ -627,16 +606,15 @@ def parse_query(text: str) -> Query:
     """Parse a comma-separated literal conjunction (optional trailing dot)."""
     p = _Parser(text)
     lits = [p.parse_literal()]
-    while p.cur.kind == ",":
-        p.advance()
+    while p.kinds[p.i] == ",":
+        p.i += 1
         lits.append(p.parse_literal())
-    if p.cur.kind == ".":
-        p.advance()
-    if p.cur.kind != "eof":
+    if p.kinds[p.i] == ".":
+        p.i += 1
+    if p.kinds[p.i] != "eof":
         p.fail("trailing text after query")
-    for lit in lits:
-        if lit.atom.predicate == NONE_PREDICATE:
-            raise ProgramError(f"predicate {NONE_PREDICATE!r} is reserved")
+    if _mentions_none(lits):
+        raise ProgramError(f"predicate {NONE_PREDICATE!r} is reserved")
     return tuple(lits)
 
 

@@ -1,9 +1,10 @@
 import pickle
+import random
 
 import pytest
 
 from lpadexpl.choice_algebra import parse_composite_set_text, parse_expr_text
-from lpadexpl.errors import LpadSyntaxError, ProgramError
+from lpadexpl.errors import LpadError, LpadSyntaxError, ProgramError
 from lpadexpl.syntax import (
     Atom,
     Clause,
@@ -20,7 +21,8 @@ from lpadexpl.syntax import (
     query_str,
 )
 
-from conftest import fixture_text
+import genprog
+from conftest import fixture_text, load_families
 
 
 def test_parse_covid_programs():
@@ -121,6 +123,10 @@ def _parse_with(kind: str, text: str, g):
         ("expr", "(c1,[p1],1) #", (1, 13), "unexpected character '#'"),
         ("set", "{{(c1,[p1],1)},{(c1,[p1],x)}}", (1, 26), "expected a head index, found 'x'"),
         ("set", "{{(c1,[p1],1)}}\n}", (2, 1), "trailing text in composite-choice set: '}'"),
+        ("program", "p([a b]).", (1, 3), "unexpected character '['"),
+        ("program", 'p.\n%!read p as: "unterminated\n', (2, 14), "unexpected character '\"'"),
+        ("program", "p :- \\ q.", (1, 6), "unexpected character '\\\\'"),
+        ("program", "p(é).", (1, 3), "unexpected character 'é'"),
     ],
 )
 def test_syntax_error_positions(kind, text, position, message, neg_ground_full):
@@ -130,12 +136,62 @@ def test_syntax_error_positions(kind, text, position, message, neg_ground_full):
     assert str(e.value) == f"line {position[0]}, column {position[1]}: {message}"
 
 
+def _roundtrip_programs():
+    """The covid fixture, every family program the benchmark's catalogues
+
+    load, and genprog seeds 0-199 under each generator setting."""
+    yield fixture_text("covid_neg.lpad")
+    families = load_families()
+    for n in (2, 3):
+        yield families.chain(n)[0]
+    for n in (3, 4):
+        yield families.star(n)[0]
+    for n in range(3, 9):
+        yield families.positive_star(n)[0]
+    for n in range(20, 41, 5):
+        yield families.deep(n)[0]
+    for full_heads in (False, True):
+        for cycles in (False, True):
+            for seed in range(200):
+                yield genprog.generate(seed, full_heads=full_heads, cycles=cycles)[0]
+
+
 def test_roundtrip_through_printer():
-    p = parse_program(fixture_text("covid_neg.lpad"))
-    again = parse_program(print_program(p))
-    assert again.prob_clauses == p.prob_clauses
-    assert again.derived_clauses == p.derived_clauses
-    assert again.annotations == p.annotations
+    for text in _roundtrip_programs():
+        p = parse_program(text)
+        again = parse_program(print_program(p))
+        assert again.prob_clauses == p.prob_clauses
+        assert again.derived_clauses == p.derived_clauses
+        assert again.annotations == p.annotations
+
+
+def test_whitespace_and_comments_may_split_an_atom():
+    assert parse_program("p(a,\t% c\n b).") == parse_program("p(a,b).")
+
+
+#: Fragments for token soups: tokens of every kind, the texts that start a
+#: token without completing one, whitespace, comments and stray characters.
+_SOUP = (
+    "p", "q", "as", "top", "bot", "none", "c1", "c4", "X", "_", "Y1", "0.5", "1", "2", "7",
+    "1e3", "0.25e-1", "(", ")", ",", ".", ";", ":", "~", "&", "|", "{", "}", ":-", "\\+",
+    "[p1]", "[]", "[p1,p2]", "[", "]", '"A is young"', '"a \\" b"', '"', "\\", "%!read",
+    "%!readx", "% note\n", "%", " ", "\n", "\t", "\r\n", "é", "$", "-", "\u00a0",
+    "p(a).", "(c1,[p1],1)", "(c4,[p1],1)", "{(c1,[p1],1)}",
+)
+
+
+def test_token_soups_raise_only_lpad_errors(neg_ground_full):
+    """Random token sequences either parse or raise an ``LpadError``, in
+
+    each of the four parsers."""
+    rng = random.Random(0)
+    for _ in range(8000):
+        text = "".join(rng.choice(_SOUP) for _ in range(rng.randint(0, 12)))
+        for kind in ("program", "query", "expr", "set"):
+            try:
+                _parse_with(kind, text, neg_ground_full)
+            except LpadError:
+                pass
 
 
 def test_malformed_directive_reports_position():
