@@ -6,7 +6,8 @@ head counts).  A *composite choice* is a consistent set of atomic choices; a
 *selection* picks a head for every instance; the worlds of a composite choice
 are those of the selections extending it.
 
-Choice expressions close atomic choices under ¬, ∧, ∨ (with ⊥ and ⊤).  The
+Choice expressions close atomic choices under ¬, ∧, ∨; ⊤ and ⊥ are the
+empty ∧ and the empty ∨, so every walk treats them as its ∧ and ∨.  The
 meaning ``gamma(C)`` is a set of composite choices whose worlds are the
 worlds satisfying ``C``; negation goes through ``duals`` (minimal hitting
 sets of the complemented composite choices).  Up to world equivalence the
@@ -59,20 +60,6 @@ class ChoiceExpr:
         return _render(self, str)
 
 
-@dataclass(frozen=True, slots=True)
-class _Bottom(ChoiceExpr):
-    """⊥: no world satisfies it."""
-
-
-@dataclass(frozen=True, slots=True)
-class _Top(ChoiceExpr):
-    """⊤: every world satisfies it."""
-
-
-BOT = _Bottom()
-TOP = _Top()
-
-
 @functools.cache
 def _natural(text: str) -> tuple:
     """Sort key treating digit runs numerically, so c2 < c10."""
@@ -121,6 +108,10 @@ class Or(ChoiceExpr):
     children: tuple[ChoiceExpr, ...]
 
 
+#: ⊤, which every world satisfies, and ⊥, which none does.
+TOP, BOT = And(()), Or(())
+
+
 #: A composite choice.
 CompositeChoice = frozenset[AtomicChoice]
 
@@ -129,26 +120,24 @@ CompositeChoice = frozenset[AtomicChoice]
 # Canonical ordering and constructors
 # ---------------------------------------------------------------------------
 
-_KIND_RANK = {_Bottom: 0, _Top: 1, AtomicChoice: 2, Not: 3, And: 4, Or: 5}
+_KIND_RANK = {Not: 3, And: 4, Or: 5}
 
 
 def expr_key(e: ChoiceExpr) -> tuple:
-    """Canonical total order: units, then literals by (clause id, θ, head
+    """Canonical total order: literals by (clause id, θ, head index, sign),
 
-    index, sign), then compound nodes by kind and structure."""
+    then compound nodes, ⊤ and ⊥ among them, by kind and structure."""
     if isinstance(e, AtomicChoice):
         return (1, e.sort_key(), 0, ())
     if isinstance(e, Not) and isinstance(e.child, AtomicChoice):
         return (1, e.child.sort_key(), 1, ())
-    if isinstance(e, (_Bottom, _Top)):
-        return (0, _KIND_RANK[type(e)], 0, ())
     if isinstance(e, Not):
         return (2, _KIND_RANK[Not], 0, (expr_key(e.child),))
     return (2, _KIND_RANK[type(e)], 0, tuple(expr_key(c) for c in e.children))
 
 
-def _flatten(cls, unit: ChoiceExpr, children) -> ChoiceExpr:
-    """``conj`` (``cls`` And, ``unit`` ⊤) or ``disj`` (Or, ⊥)."""
+def _flatten(cls, children) -> ChoiceExpr:
+    """``conj`` (``cls`` And) or ``disj`` (Or); none left is ⊤ or ⊥."""
     flat: list[ChoiceExpr] = []
     for c in children:
         if isinstance(c, cls):
@@ -156,8 +145,6 @@ def _flatten(cls, unit: ChoiceExpr, children) -> ChoiceExpr:
         else:
             flat.append(c)
     unique = sorted(set(flat), key=expr_key)
-    if not unique:
-        return unit
     if len(unique) == 1:
         return unique[0]
     return cls(tuple(unique))
@@ -165,12 +152,12 @@ def _flatten(cls, unit: ChoiceExpr, children) -> ChoiceExpr:
 
 def conj(children) -> ChoiceExpr:
     """∧ with flattening, canonical order, and structural idempotence."""
-    return _flatten(And, TOP, children)
+    return _flatten(And, children)
 
 
 def disj(children) -> ChoiceExpr:
     """∨ with flattening, canonical order, and structural idempotence."""
-    return _flatten(Or, BOT, children)
+    return _flatten(Or, children)
 
 
 def _subexpressions(e: ChoiceExpr):
@@ -360,14 +347,11 @@ class _Literals:
     def dnf(self, family) -> ChoiceExpr:
         """The canonical DNF of an absorbed family: literal conjuncts first,
         then conjunctions, each group by its literals' ranks, as ``disj``
-        of ``conj`` orders them."""
-        if not family:
-            return BOT
-        if 0 in family:
-            return TOP
+        of ``conj`` orders them.  No set is ⊥, Or(()), and the empty set
+        alone is ⊤, And(())."""
         masks = sorted(family, key=lambda m: (m.bit_count() > 1, self.order_key(m)))
-        conjuncts = [And(c) if len(c := self.members(m)) > 1 else c[0] for m in masks]
-        return conjuncts[0] if len(conjuncts) == 1 else Or(tuple(conjuncts))
+        terms = [And(c) if len(c := self.members(m)) != 1 else c[0] for m in masks]
+        return terms[0] if len(terms) == 1 else Or(tuple(terms))
 
 
 #: The family denoting ⊤: the empty conjunction alone.
@@ -498,10 +482,6 @@ def gamma(e: ChoiceExpr, g: GroundProgram) -> frozenset[CompositeChoice]:
 
 
 def _gamma(e: ChoiceExpr, table: _Literals) -> dict[int, tuple[int, int]]:
-    if isinstance(e, _Bottom):
-        return {}
-    if isinstance(e, _Top):
-        return _UNIT
     if isinstance(e, AtomicChoice):
         b, conflict, drop = table.pos[e]
         return {b: (conflict, drop)}
@@ -536,8 +516,6 @@ def _literal_sets(e: ChoiceExpr, negated: bool, table: _Literals) -> dict[int, t
     if isinstance(e, AtomicChoice):
         b, conflict, drop = (table.neg if negated else table.pos)[e]
         return {b: (conflict, drop)}
-    if isinstance(e, (_Bottom, _Top)):
-        return _UNIT if isinstance(e, _Top) != negated else {}
     if not isinstance(e, (And, Or)):
         raise TypeError(f"not a choice expression: {e!r}")
     if isinstance(e, And) != negated:  # a conjunction under this polarity
@@ -569,16 +547,16 @@ def conjoin_dnf(e: ChoiceExpr, f: ChoiceExpr) -> ChoiceExpr:
 
     read as sets over one table of their literals, are joined pairwise, then
     absorbed once more."""
-    e_sets, f_sets = _conjunct_sets(e), _conjunct_sets(f)
+    e_sets, f_sets = conjuncts(e), conjuncts(f)
     table = _Literals.of(e_sets + f_sets)
     joined = _conjoin(table.family(e_sets), table.family(f_sets), "dnf", table.guarded)
     return table.dnf(_absorb(joined, 0))
 
 
-def _conjunct_sets(e: ChoiceExpr) -> list[tuple[ChoiceExpr, ...]]:
-    """The conjuncts of a DNF as tuples of literals."""
-    if isinstance(e, (_Bottom, _Top)):
-        return [()] if isinstance(e, _Top) else []
+def conjuncts(e: ChoiceExpr) -> list[tuple[ChoiceExpr, ...]]:
+    """The conjuncts of a DNF as tuples of literals: ⊤'s is the empty one,
+
+    and ⊥ has none."""
     return [
         c.children if isinstance(c, And) else (c,)
         for c in (e.children if isinstance(e, Or) else (e,))
@@ -643,8 +621,6 @@ class Diagram:
         ``apply_all`` combines the rest."""
         if isinstance(e, Not):
             return self.compile(e.child, not negated)
-        if isinstance(e, (_Bottom, _Top)):
-            return int(isinstance(e, _Top) != negated)
         if isinstance(e, AtomicChoice):
             return self.chain([e], negated)
         conjoin = isinstance(e, And) != negated
@@ -770,19 +746,20 @@ def render_expr(e: ChoiceExpr, g: GroundProgram) -> str:
 
 
 def _render(e: ChoiceExpr, atomic) -> str:
-    """``render_expr``'s syntax, with ``atomic`` writing each atomic choice."""
-    if isinstance(e, _Bottom):
-        return "bot"
-    if isinstance(e, _Top):
-        return "top"
+    """``render_expr``'s syntax, with ``atomic`` writing each atomic choice;
+
+    ⊤ and ⊥, the empty ∧ and ∨, are ``top`` and ``bot``, never bracketed."""
     if isinstance(e, AtomicChoice):
         return atomic(e)
+    if isinstance(e, (And, Or)) and not e.children:
+        return "top" if isinstance(e, And) else "bot"
     if isinstance(e, Not):
         inner = _render(e.child, atomic)
-        return f"~({inner})" if isinstance(e.child, (And, Or)) else f"~{inner}"
+        bracket = isinstance(e.child, (And, Or)) and e.child.children
+        return f"~({inner})" if bracket else f"~{inner}"
     if isinstance(e, And):
         return " & ".join(
-            f"({_render(c, atomic)})" if isinstance(c, Or) else _render(c, atomic)
+            f"({_render(c, atomic)})" if isinstance(c, Or) and c.children else _render(c, atomic)
             for c in e.children
         )
     if isinstance(e, Or):

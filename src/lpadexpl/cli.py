@@ -107,13 +107,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         failed = True
         lines.append("range-restricted: no")
         lines.extend(f"  {v}" for v in violations)
-    g = ground(program)
     try:
-        strata = g.strata
+        strata = ground(program).strata
         lines.append(f"stratified: yes ({max(strata.values(), default=0) + 1} strata)")
-    except StratificationError as e:
+    except ProgramError as e:
         failed = True
-        lines.append("stratified: no")
+        unstratified = isinstance(e, StratificationError)  # else grounding failed
+        lines.append("stratified: no" if unstratified else "stratified: not checked")
         lines.append(f"  {e}")
     lines.append("check failed" if failed else "check passed")
     print("\n".join(lines))

@@ -24,12 +24,10 @@ from functools import cached_property
 
 from .choice_algebra import (
     DEFAULT_ASSIGNMENT_LIMIT,
-    And,
     AtomicChoice,
     ChoiceExpr,
     Not,
-    Or,
-    TOP,
+    conjuncts,
     head_label,
 )
 from .errors import ProgramError
@@ -89,20 +87,6 @@ ReadableExpr = None | ROr
 _TRIVIAL: ReadableExpr = None
 
 
-def _expr_literals(e: ChoiceExpr) -> list[tuple[bool, AtomicChoice]]:
-    """The ±literals of one DNF conjunct."""
-    parts = e.children if isinstance(e, And) else (e,)
-    out: list[tuple[bool, AtomicChoice]] = []
-    for p in parts:
-        if isinstance(p, AtomicChoice):
-            out.append((False, p))
-        elif isinstance(p, Not) and isinstance(p.child, AtomicChoice):
-            out.append((True, p.child))
-        else:
-            raise ProgramError(f"expression is not in normal form: {p}")
-    return out
-
-
 def _readable_lit(negated: bool, ac: AtomicChoice, g: GroundProgram) -> RLit:
     inst = g.instance(ac.cid, ac.key)
     atom = inst.head_atom(ac.index)
@@ -119,15 +103,17 @@ def chq(e: ChoiceExpr, g: GroundProgram, negated_atom: Atom | None = None) -> Re
 
     Occurrences of ¬``negated_atom`` are pruned (inside the explanation of
     why ``negated_atom`` fails they carry no information); a conjunct pruned
-    empty makes the whole expression trivially true, returned as None.
+    empty, ⊤'s among them, makes the whole expression trivially true,
+    returned as None.
     """
-    if e == TOP:
-        return _TRIVIAL
-    disjuncts = e.children if isinstance(e, Or) else (e,)
     out: dict[RAnd, None] = {}  # first-seen order
-    for d in disjuncts:
+    for literals in conjuncts(e):
         lits: list[RLit] = []
-        for negated, ac in _expr_literals(d):
+        for lit in literals:
+            negated = isinstance(lit, Not)
+            ac = lit.child if negated else lit
+            if not isinstance(ac, AtomicChoice):
+                raise ProgramError(f"expression is not in normal form: {lit}")
             rlit = _readable_lit(negated, ac, g)
             if negated and rlit.atom is not None and rlit.atom == negated_atom:
                 continue

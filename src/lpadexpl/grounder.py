@@ -601,61 +601,42 @@ def stratify(g: GroundProgram) -> dict[tuple[str, int], int]:
     kept.  Raises :class:`StratificationError` (carrying the offending
     cycle) when the predicate dependency graph has a cycle through negation.
     """
-    preds: set[tuple[str, int]] = set()
-    pos_edges: set[tuple[tuple[str, int], tuple[str, int]]] = set()
-    neg_edges: set[tuple[tuple[str, int], tuple[str, int]]] = set()
+    #: Each predicate's body predicates, each True when it occurs negated.
+    deps: dict[tuple[str, int], dict[tuple[str, int], bool]] = {}
 
     def add_clause(heads: list[Atom], body: Query) -> None:
-        head_preds = [a.pred for a in heads if a.predicate != NONE_PREDICATE]
-        preds.update(head_preds)
         for lit in body:
-            preds.add(lit.atom.pred)
-            for hp in head_preds:
-                edge = (lit.atom.pred, hp)
-                (pos_edges if lit.positive else neg_edges).add(edge)
+            deps.setdefault(lit.atom.pred, {})
+        for head in heads:
+            if head.predicate != NONE_PREDICATE:
+                into = deps.setdefault(head.pred, {})
+                for lit in body:
+                    into[lit.atom.pred] = into.get(lit.atom.pred, False) or not lit.positive
 
     # Every instance of a clause has its predicates, so one instance per
     # clause id gives its edges; a clause without instances adds none.
     for inst in {inst.cid: inst for inst in g.instances}.values():
         add_clause([a for a, _ in inst.heads], inst.body)
     for c in g.source.derived_clauses:
-        if c.body:
-            add_clause([c.head], c.body)
-        else:
-            preds.add(c.head.pred)
+        add_clause([c.head], c.body)
 
-    # Dependency graph: edge b -> h when h's clause mentions b in its body.
-    successors: dict[tuple[str, int], set[tuple[str, int]]] = {p: set() for p in preds}
-    for b, h in pos_edges | neg_edges:
-        successors[b].add(h)
-
-    in_order = strongly_connected(sorted(preds), lambda p: sorted(successors[p]))
-    sccs = [sorted(scc) for scc in in_order]
+    # Each component comes after the components it depends on.
+    sccs = [sorted(scc) for scc in strongly_connected(sorted(deps), lambda p: sorted(deps[p]))]
     scc_of = {p: i for i, scc in enumerate(sccs) for p in scc}
 
-    for b, h in sorted(neg_edges):  # sorted, so the cycle named is the same every run
+    negative = sorted((b, h) for h, body in deps.items() for b, neg in body.items() if neg)
+    for b, h in negative:  # sorted, so the cycle named is the same every run
         if scc_of[b] == scc_of[h]:
-            raise StratificationError(_negative_cycle(b, h, sccs[scc_of[b]], successors))
+            raise StratificationError(_negative_cycle(b, h, sccs[scc_of[b]], deps))
 
-    # Body predicates by head, so each edge is visited once below.
-    pos_into: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    neg_into: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for edges, into in ((pos_edges, pos_into), (neg_edges, neg_into)):
-        for b, h in edges:
-            into.setdefault(h, []).append(b)
-
-    # Edges point to dependents, so each SCC comes after the dependents it
-    # reaches: take them reversed, dependencies first, and push each
-    # predicate above its negated dependencies.
+    # A component sits at or above its positive dependencies and above its
+    # negative ones, all in lower components by now.
     strata: dict[tuple[str, int], int] = {}
-    for scc in reversed(sccs):
-        level = 0
-        for p in scc:
-            for b in pos_into.get(p, ()):
-                if scc_of[b] != scc_of[p]:
-                    level = max(level, strata[b])
-            for b in neg_into.get(p, ()):
-                level = max(level, strata[b] + 1)
+    for i, scc in enumerate(sccs):
+        level = max(
+            (strata[b] + neg for p in scc for b, neg in deps[p].items() if scc_of[b] != i),
+            default=0,
+        )
         for p in scc:
             strata[p] = level
     return strata
@@ -715,12 +696,12 @@ def _negative_cycle(
     b: tuple[str, int],
     h: tuple[str, int],
     scc: list[tuple[str, int]],
-    successors: dict[tuple[str, int], set[tuple[str, int]]],
+    deps: dict[tuple[str, int], dict[tuple[str, int], bool]],
 ) -> list[str]:
-    """A predicate path h -> ... -> b inside the SCC, closed by the negative
+    """A predicate path h -> ... -> b inside the SCC (sorted), each step to a
 
-    edge b -> h, rendered as names."""
-    members = set(scc)
+    predicate whose body holds the one before, closed by b's negative
+    occurrence in h's body, rendered as names."""
     parents: dict[tuple[str, int], tuple[str, int]] = {}
     frontier = [h]
     seen = {h}
@@ -728,8 +709,8 @@ def _negative_cycle(
         node = frontier.pop(0)
         if node == b:
             break
-        for succ in sorted(successors[node]):
-            if succ in members and succ not in seen:
+        for succ in scc:
+            if node in deps[succ] and succ not in seen:
                 seen.add(succ)
                 parents[succ] = node
                 frontier.append(succ)

@@ -48,8 +48,9 @@ from .choice_algebra import (
     CompositeChoice,
     Diagram,
     Not,
-    Or,
+    conj,
     conjoin_dnf,
+    conjuncts,
     disj,
     dnf,
     gamma,
@@ -193,8 +194,8 @@ class SlpdnfTree:
         satisfiable)."""
         out: list[ChoiceExpr] = []
         prev: tuple[SlpdnfNode, ...] = ()
-        #: exprs[k], the DNF at the previous branch's nodes[k]; None is ⊤.
-        exprs: list[ChoiceExpr | None] = [None]
+        #: exprs[k], the DNF at the previous branch's nodes[k].
+        exprs: list[ChoiceExpr] = [TOP]
         for d in self.branches:
             shared = 1
             while shared < len(prev) and prev[shared] is d.nodes[shared]:
@@ -203,14 +204,14 @@ class SlpdnfTree:
             expr = exprs[-1]
             for edge in d.edges[shared - 1 :]:
                 factor = edge.expr
-                if factor is None or expr is None:
+                if factor is None or expr == TOP:
                     expr = expr if factor is None else factor
                 else:
                     expr = conjoin_dnf(expr, factor)
                     if edge.kind == "neg":
                         expr = _satisfiable(expr, self.diagram)
                 exprs.append(expr)
-            out.append(TOP if expr is None else expr)
+            out.append(expr)
             prev = d.nodes
         return out
 
@@ -241,9 +242,9 @@ def _satisfiable(e: ChoiceExpr, diagram: Diagram) -> ChoiceExpr:
 
     ``dnf`` and ``conjoin_dnf`` keep a conjunct that negates every head of
     one instance; only negations make one, so positive steps need no pass."""
-    conjuncts = e.children if isinstance(e, Or) else (e,)
-    kept = [c for c in conjuncts if diagram.compile(c) != FALSE]
-    return e if len(kept) == len(conjuncts) else disj(kept)
+    sets = conjuncts(e)
+    kept = [s for s in sets if diagram.chain(s, False) != FALSE]
+    return e if len(kept) == len(sets) else disj(map(conj, kept))
 
 
 class _TreeBuilder:

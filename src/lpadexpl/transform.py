@@ -26,7 +26,6 @@ from itertools import count
 from .choice_algebra import (
     BOT,
     DEFAULT_ASSIGNMENT_LIMIT,
-    TOP,
     And,
     AtomicChoice,
     ChoiceExpr,
@@ -85,7 +84,7 @@ def trc(e: ChoiceExpr, g: GroundProgram) -> tuple[tuple[Clause, ...], Query]:
     """Auxiliary derived clauses plus the plain query over ``ch`` atoms that
 
     holds exactly in the worlds of ``e``.  Every predicate it names is
-    defined: ⊥ is the negation of a fresh fact."""
+    defined: ⊥, the empty ∨, is the negation of a fresh fact."""
     clauses: list[Clause] = []
     names = count(1)
 
@@ -93,8 +92,6 @@ def trc(e: ChoiceExpr, g: GroundProgram) -> tuple[tuple[Clause, ...], Query]:
         return Atom(f"{AUX_PREFIX}{next(names)}")
 
     def query(e: ChoiceExpr) -> Query:
-        if e == TOP:
-            return ()
         if e == BOT:
             head = fresh()
             clauses.append(Clause(head, ()))

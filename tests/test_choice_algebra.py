@@ -7,9 +7,11 @@ import pytest
 from lpadexpl.choice_algebra import (
     BOT,
     TOP,
+    And,
     AtomicChoice,
     Diagram,
     Not,
+    Or,
     complement_atomic,
     conj,
     conjoin_dnf,
@@ -170,6 +172,16 @@ def test_dnf_units(neg_ground):
     assert dnf(conj([a, BOT])) == BOT
     assert dnf(disj([a, TOP])) == TOP
     assert dnf(disj([a, BOT])) == a
+
+
+def test_units_are_the_empty_conjunction_and_disjunction(neg_ground):
+    x = ac(neg_ground, "c6", ("p1",), 1)
+    assert TOP == And(())
+    assert BOT == Or(())
+    assert conj([TOP, x]) == x
+    assert disj([BOT, x]) == x
+    assert render_expr(conj([x, BOT]), neg_ground) == "(c6,[p1],1) & bot"
+    assert str(Not(TOP)) == "~top"
 
 
 def test_dnf_same_instance_conflicts(neg_ground):

@@ -752,6 +752,21 @@ def test_duals_of_an_expression(capsys):
     assert (code, out) == (0, "{{(c5,[p1],2)},{(c6,[p1],1)}}\n")
 
 
+@pytest.mark.parametrize(
+    "text, out",
+    [
+        ("top", "{}"),
+        ("bot", "{{}}"),
+        ("~top", "{{}}"),
+        ("(c1,[p1],1) | top", "{}"),
+        ("(c1,[p1],1) & bot", "{{}}"),
+    ],
+)
+def test_duals_of_the_units(capsys, text, out):
+    # Nothing is left outside ⊤, and everything outside ⊥.
+    assert run(capsys, ["duals", NEG, text]) == (0, out + "\n", "")
+
+
 def test_duals_skips_an_inconsistent_composite_choice(capsys):
     # Two heads of one instance cover no world, so nothing is left to
     # complement: the set and the equivalent expression both give {{}}.
@@ -963,8 +978,18 @@ def test_a_program_file_that_is_not_utf8_exits_two(capsys, tmp_path, argv):
             "",
         ),
         ("none :- a.\n", ["check"], "", "error: clause none :- a.: predicate 'none' is reserved\n"),
+        (
+            "p(X) :- q.\nq.\n",
+            ["check"],
+            "probabilistic clauses: 0\nderived clauses: 2\nannotations: 0\n"
+            "range-restricted: no\n"
+            "  clause for p/1: head uses X not bound by a positive body literal\n"
+            "stratified: not checked\n"
+            "  cannot ground clause with variables (X): no constants\ncheck failed\n",
+            "",
+        ),
     ],
-    ids=["no-constants", "unbound-head-variable", "reserved-none-head"],
+    ids=["no-constants", "unbound-head-variable", "reserved-none-head", "check-without-constants"],
 )
 def test_program_errors_exit_two(capsys, tmp_path, text, argv, out, err):
     bad = tmp_path / "bad.lpad"

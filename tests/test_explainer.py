@@ -6,7 +6,7 @@ import random
 import pytest
 
 from lpadexpl import explainer, slpdnf
-from lpadexpl.choice_algebra import TRUE, AtomicChoice, Diagram, Not, conj
+from lpadexpl.choice_algebra import BOT, TOP, TRUE, AtomicChoice, Diagram, Not, conj
 from lpadexpl.cli import main
 from lpadexpl.errors import ProgramError
 from lpadexpl.explainer import (
@@ -84,6 +84,21 @@ def test_text_rendering_with_alternatives_matches_golden(neg_proofs):
 def test_nl_rendering_with_alternatives_matches_golden(neg_proofs, neg_program):
     out = render_nl(neg_proofs[1].tree, neg_program.annotations, alternatives=True)
     assert out == golden_text("nl_proof2_alts.txt")
+
+
+def test_nl_rendering_folded_matches_golden(neg_proofs, neg_program):
+    out = render_nl(neg_proofs[1].tree, neg_program.annotations, depth_limit=1)
+    assert out == golden_text("nl_proof2_folded.txt")
+
+
+def test_graph_rendering_with_alternatives_matches_golden(neg_proofs):
+    out = render_graph(neg_proofs[1].tree, alternatives=True)
+    assert out == golden_text("graph_proof2_alts.txt")
+
+
+def test_json_rendering_with_alternatives_matches_golden(neg_proofs):
+    out = to_json(to_record(neg_proofs[1].tree, alternatives=True))
+    assert out == golden_text("json_proof2_alts.txt")
 
 
 def test_text_rendering_of_the_direct_proof(neg_proofs):
@@ -499,6 +514,11 @@ def test_chq_alternatives_list_sibling_heads(neg_ground_min):
     out = chq(Not(ac(g, "c3", ["p1"], 1)), g)
     r = out.children[0].children[0]
     assert r.alternatives == ("surgical(p1)", "cloth(p1)", "none")
+
+
+def test_chq_of_the_units(neg_ground_min):
+    assert chq(TOP, neg_ground_min) is None
+    assert chq(BOT, neg_ground_min) == ROr(())
 
 
 def test_chq_rejects_non_normal_form(neg_ground_min):
