@@ -39,20 +39,24 @@ import math
 import operator
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import EnumerationLimitError, LpadError
 from .grounder import GroundProgram, ThetaKey
 from .syntax import NONE_PREDICATE, _HashConsed, _Parser
 
-#: The default bound on the head assignments one enumeration may visit, and
-#: on the nodes a decision diagram of ``semantics.event_prob``,
+#: The default bound on the selections one enumeration may visit, and on
+#: the nodes a decision diagram of ``semantics.event_prob``,
 #: ``success_prob`` or ``explain`` may make.
 DEFAULT_ASSIGNMENT_LIMIT = 1_000_000
 
 
 class ChoiceExpr:
-    """Base class for choice expressions; leaves are atomic choices."""
+    """Base class for choice expressions; leaves are atomic choices.
+
+    Every node is hash-consed, so ``==`` and ``hash`` are object identity,
+    and holds in ``order`` its canonical sort key, made once from its
+    children's: literals by (clause id, θ, head index, sign), then compound
+    nodes, ⊤ and ⊥ among them, by kind (¬, ∧, ∨) and children's keys."""
 
     __slots__ = ()
 
@@ -71,10 +75,7 @@ def _natural(text: str) -> tuple:
 
 
 class AtomicChoice(ChoiceExpr, _HashConsed):
-    """The choice ``(cid, θ, index)``; hash-consed, so equal choices are one
-
-    object.  ``inst`` is its instance's ``(cid, θ)`` and ``order`` its sort
-    key, both made once."""
+    """The choice ``(cid, θ, index)``; ``inst`` is its instance's ``(cid, θ)``."""
 
     __slots__ = ("cid", "key", "index", "inst", "order")
     _fields = ("cid", "key", "index")
@@ -82,30 +83,49 @@ class AtomicChoice(ChoiceExpr, _HashConsed):
     def __new__(cls, cid: str, key: ThetaKey, index: int) -> "AtomicChoice":
         k = (cid, key, index)
         return cls._table.get(k) or cls._intern(
-            k, cid, key, index, (cid, key), (_natural(cid), key, index)
+            k, cid, key, index, (cid, key), (1, (_natural(cid), key, index), 0, ())
         )
-
-    def sort_key(self) -> tuple:
-        return self.order
 
     def __str__(self) -> str:
         theta = ",".join(f"{v}/{c}" for v, c in self.key)
         return f"({self.cid},{{{theta}}},{self.index})"
 
 
-@dataclass(frozen=True, slots=True)
-class Not(ChoiceExpr):
-    child: ChoiceExpr
+class Not(ChoiceExpr, _HashConsed):
+    """¬child; ¬α sorts right after α."""
+
+    __slots__ = ("child", "order")
+    _fields = ("child",)
+
+    def __new__(cls, child: ChoiceExpr) -> "Not":
+        order = child.order
+        return cls._table.get(child) or cls._intern(
+            child, child, (1, order[1], 1, ()) if child.__class__ is AtomicChoice else (2, 3, 0, (order,))
+        )
 
 
-@dataclass(frozen=True, slots=True)
-class And(ChoiceExpr):
-    children: tuple[ChoiceExpr, ...]
+class _Connective(ChoiceExpr, _HashConsed):
+    """∧ or ∨ of ``children``, keyed by the children tuple; ``_kind`` ranks
+    it among compound nodes."""
+
+    __slots__ = ()
+    _fields = ("children",)
+    _kind: int
+
+    def __new__(cls, children: tuple[ChoiceExpr, ...]) -> "_Connective":
+        return cls._table.get(children) or cls._intern(
+            children, children, (2, cls._kind, 0, tuple(c.order for c in children))
+        )
 
 
-@dataclass(frozen=True, slots=True)
-class Or(ChoiceExpr):
-    children: tuple[ChoiceExpr, ...]
+class And(_Connective):
+    __slots__ = ("children", "order")
+    _kind = 4
+
+
+class Or(_Connective):
+    __slots__ = ("children", "order")
+    _kind = 5
 
 
 #: ⊤, which every world satisfies, and ⊥, which none does.
@@ -117,23 +137,8 @@ CompositeChoice = frozenset[AtomicChoice]
 
 
 # ---------------------------------------------------------------------------
-# Canonical ordering and constructors
+# Constructors
 # ---------------------------------------------------------------------------
-
-_KIND_RANK = {Not: 3, And: 4, Or: 5}
-
-
-def expr_key(e: ChoiceExpr) -> tuple:
-    """Canonical total order: literals by (clause id, θ, head index, sign),
-
-    then compound nodes, ⊤ and ⊥ among them, by kind and structure."""
-    if isinstance(e, AtomicChoice):
-        return (1, e.sort_key(), 0, ())
-    if isinstance(e, Not) and isinstance(e.child, AtomicChoice):
-        return (1, e.child.sort_key(), 1, ())
-    if isinstance(e, Not):
-        return (2, _KIND_RANK[Not], 0, (expr_key(e.child),))
-    return (2, _KIND_RANK[type(e)], 0, tuple(expr_key(c) for c in e.children))
 
 
 def _flatten(cls, children) -> ChoiceExpr:
@@ -144,7 +149,7 @@ def _flatten(cls, children) -> ChoiceExpr:
             flat.extend(c.children)
         else:
             flat.append(c)
-    unique = sorted(set(flat), key=expr_key)
+    unique = sorted(set(flat), key=operator.attrgetter("order"))
     if len(unique) == 1:
         return unique[0]
     return cls(tuple(unique))
@@ -227,7 +232,7 @@ def hits(sets) -> list[CompositeChoice]:
     preserved (picks from overlapping inputs can collapse to the same set).
     ``hits([])`` is ``[∅]``: the empty pick.
     """
-    ordered = [sorted(s, key=lambda ac: ac.sort_key()) for s in sets]
+    ordered = [sorted(s, key=operator.attrgetter("order")) for s in sets]
     return [frozenset(pick) for pick in itertools.product(*ordered)]
 
 
@@ -249,18 +254,11 @@ def mins_set(ks) -> frozenset[CompositeChoice]:
 #: step raises EnumerationLimitError instead of exhausting memory.
 CONJOIN_LIMIT = 250_000
 
-_ORDER = operator.attrgetter("order")
-
-
-def _literal_order(lit: ChoiceExpr) -> tuple:
-    """α and ¬α in ``expr_key``'s order: by sort key, α first."""
-    return (lit.child.order, 1) if lit.__class__ is Not else (lit.order, 0)
-
 
 class _Literals:
     """The literal table of one kernel call: one bit per literal α or ¬α.
 
-    Ranked by (sort key, sign), ``expr_key``'s order, the first literal
+    Ranked by their ``order`` (α right before ¬α), the first literal
     takes the highest bit, so a set is an int whose bits read from the top
     list its literals in order, and bits below the last rank stay unused up
     to a whole byte.  ``pos[α]`` and ``neg[α]`` give α's and ¬α's
@@ -273,12 +271,8 @@ class _Literals:
 
     __slots__ = ("literals", "width", "pos", "neg", "guarded")
 
-    def __init__(self, positive, negative=()):
-        negative = set(negative)
-        self.literals = literals = sorted(set(positive), key=_ORDER)
-        if negative:
-            literals += map(Not, negative)
-            literals.sort(key=_literal_order)
+    def __init__(self, literals):
+        self.literals = literals = sorted(set(literals), key=operator.attrgetter("order"))
         self.width = width = (len(literals) + 7) // 8 * 8
         pos, neg, heads, nots = {}, {}, {}, {}  # α's and ¬α's bits; by instance
         for r, lit in enumerate(literals):
@@ -300,15 +294,6 @@ class _Literals:
         self.guarded = 0
         for inst in nots:
             self.guarded |= heads.get(inst, 0)
-
-    @classmethod
-    def of(cls, sets) -> "_Literals":
-        """The table of the literals in ``sets``."""
-        literals = {lit for s in sets for lit in s}
-        return cls(
-            (lit for lit in literals if isinstance(lit, AtomicChoice)),
-            (lit.child for lit in literals if isinstance(lit, Not)),
-        )
 
     def family(self, sets) -> dict[int, tuple[int, int]]:
         """The consistent ones of ``sets`` (of literals) as
@@ -402,7 +387,7 @@ def _conjoin(acc, factor, op: str, guarded: int = 0) -> dict[int, tuple[int, int
 def otimes(k1, k2) -> frozenset[CompositeChoice]:
     """Pairwise unions, reduced to their consistent minimal elements."""
     k1, k2 = list(k1), list(k2)
-    table = _Literals.of(k1 + k2)
+    table = _Literals(lit for k in k1 + k2 for lit in k)
     return frozenset(ChoiceSets(table, _conjoin(table.family(k1), table.family(k2), "otimes")))
 
 
@@ -538,7 +523,7 @@ def dnf(e: ChoiceExpr) -> ChoiceExpr:
     absorption after each step), then absorbs once more.
     """
     leaves = _leaves(e)  # α under an odd number of ¬ is ¬α in the NNF
-    table = _Literals([ac for ac, nots in leaves if not nots % 2], [ac for ac, nots in leaves if nots % 2])
+    table = _Literals(Not(ac) if nots % 2 else ac for ac, nots in leaves)
     return table.dnf(_absorb(_literal_sets(e, False, table), 0))
 
 
@@ -548,7 +533,7 @@ def conjoin_dnf(e: ChoiceExpr, f: ChoiceExpr) -> ChoiceExpr:
     read as sets over one table of their literals, are joined pairwise, then
     absorbed once more."""
     e_sets, f_sets = conjuncts(e), conjuncts(f)
-    table = _Literals.of(e_sets + f_sets)
+    table = _Literals(lit for c in e_sets + f_sets for lit in c)
     joined = _conjoin(table.family(e_sets), table.family(f_sets), "dnf", table.guarded)
     return table.dnf(_absorb(joined, 0))
 
@@ -582,9 +567,10 @@ class Diagram:
 
     (Bryant, IEEE TC 1986), as PITA builds for LPADs (Riguzzi & Swift, TPLP
     2011).  Every node other than FALSE and TRUE tests one instance, in
-    ``expr_key``'s (clause id, θ) order, and has one child per head.  A
-    unique table shares equal nodes, and a node whose children are all one
-    child is that child, so world-equivalent expressions compile to one node.  Past ``limit`` nodes
+    (clause id, θ) order, as atomic choices' ``order`` sorts them, and has
+    one child per head.  A unique table shares equal nodes, and a node whose
+    children are all one child is that child, so world-equivalent
+    expressions compile to one node.  Past ``limit`` nodes
     (by default, never), raises EnumerationLimitError naming ``stage`` and the
     ``--limit``: ``walk`` for ``slpdnf.query_diagram``'s diagram, ``tree`` for
     ``slpdnf.build_tree``'s, and ``event_prob`` for ``semantics.event_prob``'s.
@@ -768,7 +754,7 @@ def _render(e: ChoiceExpr, atomic) -> str:
 
 
 def render_composite(k: CompositeChoice, g: GroundProgram) -> str:
-    acs = sorted(k, key=lambda ac: ac.sort_key())
+    acs = sorted(k, key=operator.attrgetter("order"))
     return "{" + ",".join(render_atomic(ac, g) for ac in acs) + "}"
 
 

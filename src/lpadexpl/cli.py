@@ -61,9 +61,12 @@ def _load_restriction(path: str | None) -> dict | None:
         return None
     with open(path, encoding="utf-8-sig") as f:  # drops a leading byte-order mark
         try:
-            return json.load(f)
+            restriction = json.load(f)
         except ValueError as e:  # a decode error, of JSON or of the text
             raise ProgramError(f"restriction file {path} is not valid JSON: {e}") from None
+    if not isinstance(restriction, dict):  # ``null`` too, which ``ground`` reads as none
+        raise ProgramError("restriction must be an object mapping clause ids to lists")
+    return restriction
 
 
 def _parse_file(path: str) -> Program:

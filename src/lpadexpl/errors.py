@@ -38,9 +38,10 @@ class StratificationError(ProgramError):
 
 
 class EnumerationLimitError(LpadError):
-    """An enumeration (selections, assignments, mentioned instances) would
+    """A computation would pass its size bound: the selections one
 
-    exceed its configured limit."""
+    enumeration visits, the nodes of a decision diagram, or the sets of one
+    conjoin step."""
 
 
 class DepthLimitError(LpadError):

@@ -35,6 +35,7 @@ from .errors import ProgramError
 from .grounder import GroundProgram, ground  # noqa: F401
 from .slpdnf import Derivation, build_tree, derivations
 from .syntax import (
+    NONE_PREDICATE,
     Annotation,
     Atom,
     Literal,
@@ -95,7 +96,7 @@ def _readable_lit(negated: bool, ac: AtomicChoice, g: GroundProgram) -> RLit:
         for j in range(1, inst.n_heads + 1)
         if j != ac.index
     )
-    return RLit(negated, None if atom.predicate == "none" else atom, alternatives)
+    return RLit(negated, None if atom.predicate == NONE_PREDICATE else atom, alternatives)
 
 
 def chq(e: ChoiceExpr, g: GroundProgram, negated_atom: Atom | None = None) -> ReadableExpr:

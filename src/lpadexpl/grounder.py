@@ -35,6 +35,7 @@ stratum map drives bottom-up world evaluation.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 from operator import itemgetter
@@ -175,10 +176,7 @@ class GroundProgram:
         return stratify(self)
 
     def selection_count(self) -> int:
-        n = 1
-        for inst in self.instances:
-            n *= inst.n_heads
-        return n
+        return math.prod(inst.n_heads for inst in self.instances)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def _weighted_selections(g: GroundProgram, limit: int, message: str):
     varying fastest; past ``limit`` selections, raise EnumerationLimitError
     with ``message`` formatted by count and limit before yielding any."""
     insts = g.instances
-    count = math.prod(inst.n_heads for inst in insts)
+    count = g.selection_count()
     if count > limit:
         raise EnumerationLimitError(message.format(count=count, limit=limit))
     for heads in itertools.product(*(range(1, inst.n_heads + 1) for inst in insts)):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 from lpadexpl.choice_algebra import (
     BOT,
@@ -74,11 +75,29 @@ def eval_expr(e, assignment: dict[tuple[str, ThetaKey], int]) -> bool:
     raise TypeError(f"not a choice expression: {e!r}")
 
 
+def expr_key(e) -> tuple:
+    """The canonical order, recomputed from the structure: literals by
+    (clause id with digit runs read as numbers, θ, head index, sign), then
+    ¬, ∧ and ∨ nodes, in that order, by their children's keys."""
+    if isinstance(e, Not) and isinstance(e.child, AtomicChoice):
+        return (1, _choice_key(e.child), 1, ())
+    if isinstance(e, AtomicChoice):
+        return (1, _choice_key(e), 0, ())
+    if isinstance(e, Not):
+        return (2, 3, 0, (expr_key(e.child),))
+    return (2, 4 if isinstance(e, And) else 5, 0, tuple(expr_key(c) for c in e.children))
+
+
+def _choice_key(ac: AtomicChoice) -> tuple:
+    cid = tuple(int(part) if part.isdigit() else part for part in re.split(r"(\d+)", ac.cid) if part)
+    return (cid, ac.key, ac.index)
+
+
 def composite_set_text(ks, g: GroundProgram) -> str:
     """The text of a composite-choice set by definition: each set rendered by
 
     ``render_composite``, the sets ordered by their sorted atomic choices' sort keys."""
-    ordered = sorted(ks, key=lambda k: tuple(sorted(ac.sort_key() for ac in k)))
+    ordered = sorted(ks, key=lambda k: tuple(sorted(ac.order for ac in k)))
     return "{" + ",".join(render_composite(k, g) for k in ordered) + "}"
 
 

@@ -332,6 +332,22 @@ def test_dnf_matches_reference(arena):
         assert dnf(e) == oracles.dnf_reference(e), e
 
 
+def test_the_order_slot_is_the_reference_key(arena):
+    """Each node's ``order`` slot, made from its children's when it is
+    built, is the recursive reference key on 2,000 seeded raw expressions,
+    so sorting by either gives one order; ``conj`` and ``disj`` keep it."""
+    atoms = arena_atoms(arena)
+    rng = random.Random(70)
+    exprs = [random_expr(rng, atoms, 3) for _ in range(2000)]
+    for e in exprs:
+        assert e.order == oracles.expr_key(e), e
+    assert sorted(set(exprs), key=lambda e: e.order) == sorted(set(exprs), key=oracles.expr_key)
+    for e, f in zip(exprs[::2], exprs[1::2]):
+        for x in (conj([e, f]), disj([e, f])):
+            if isinstance(x, (And, Or)) and x not in (e, f):  # a node it made
+                assert list(x.children) == sorted(x.children, key=oracles.expr_key), x
+
+
 def test_conjoin_dnf_is_the_dnf_of_the_conjunction(arena):
     """conjoin_dnf, one kernel step over two DNFs, equals dnf of their
 

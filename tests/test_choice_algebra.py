@@ -66,6 +66,55 @@ def test_atomic_choices_are_hash_consed(neg_ground):
     assert pickle.loads(pickle.dumps(parsed)) is parsed
 
 
+def test_not_and_or_are_hash_consed(neg_ground):
+    a = ac(neg_ground, "c1", ["p1"], 1)
+    b = ac(neg_ground, "c4", ["p1"], 1)
+    assert And((a, b)) is And((a, b)) and Or((a, b)) is Or((a, b))
+    assert And((a, b)) is not Or((a, b))
+    assert Not(a) is Not(a)
+    assert TOP is And(()) and BOT is Or(())
+    assert conj([TOP, a]) is a and disj([BOT, a]) is a
+    assert conj([b, Not(a)]) is And((Not(a), b))
+
+
+def test_not_and_or_keep_the_value_protocol(neg_ground):
+    a = ac(neg_ground, "c1", ["p1"], 1)
+    e = Or((Not(And((a, TOP))), BOT))
+    assert repr(TOP) == "And(children=())" and repr(BOT) == "Or(children=())"
+    assert repr(Not(a)) == f"Not(child={a!r})"
+    for x in (TOP, BOT, Not(a), e):
+        assert pickle.loads(pickle.dumps(x)) is x
+    with pytest.raises(AttributeError):
+        e.children = ()
+    with pytest.raises(AttributeError):
+        Not(a).child = TOP
+    with pytest.raises(AttributeError):
+        TOP.order = ()
+
+
+def test_a_deep_expression_raises_no_recursion_error(neg_ground):
+    """``==`` and ``hash`` are identity and a node's key is made from its
+    children's, so a 3,000-deep expression builds, compares and hashes."""
+    a = ac(neg_ground, "c1", ["p1"], 1)
+    b = ac(neg_ground, "c4", ["p1"], 1)
+
+    def deep(leaf):
+        e = leaf
+        for _ in range(1500):  # two levels a step
+            e = Not(conj([e, b]))
+        return e
+
+    e = deep(a)
+    depth, x = 1, e
+    while not isinstance(x, AtomicChoice):  # a compound child sorts last
+        x, depth = x.child if isinstance(x, Not) else x.children[-1], depth + 1
+    assert depth == 3001
+    assert deep(a) == e and hash(deep(a)) == hash(e) and deep(b) != e
+    assert conj([e, a]) is And((a, e)) and conj([a, e, a]) is conj([e, a])
+    assert disj([e, Not(b)]) is Or((Not(b), e)) and disj([e, e]) is e
+    assert len({e, deep(a), deep(b)}) == 2
+
+
 def test_atomic_choice_carries_its_instance(neg_ground):
     a = ac(neg_ground, "c2", ("p1", "p2"), 1)
     assert a.inst == ("c2", a.key)
@@ -343,7 +392,7 @@ def _rendered_by_sort_key_lists(ks, g):
         for a in k:
             entry = seen.get(a)
             if entry is None:
-                entry = seen[a] = (a.sort_key(), render_atomic(a, g))
+                entry = seen[a] = (a.order, render_atomic(a, g))
             entries.append(entry)
         entries.sort(key=itemgetter(0))
         rows.append(entries)
@@ -430,7 +479,7 @@ def test_kernel_agrees_with_brute_force_coverage_on_positive_star(n):
     assert gamma(e, g) == ks
     assert gamma(Not(e), g) == d
     assert oracles.extensions(oracles.conjuncts(dnf(Not(e))), g) == missed
-    first = sorted(ks, key=lambda k: sorted(a.sort_key() for a in k))[: len(ks) // 2 + 1]
+    first = sorted(ks, key=lambda k: sorted(a.order for a in k))[: len(ks) // 2 + 1]
     e1, e2 = disj(conj(k) for k in first), disj(conj(k) for k in ks - set(first))
     assert otimes(gamma(Not(e1), g), gamma(Not(e2), g)) == d
     both = conjoin_dnf(dnf(Not(e1)), dnf(Not(e2)))

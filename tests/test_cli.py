@@ -1017,6 +1017,7 @@ def test_empty_constants_list_exits_two(capsys):
         ('{"c99": []}', "restriction names unknown clause id 'c99'"),
         ('{"c2": [', "restriction file {} is not valid JSON: Expecting value: line 1 column 9 (char 8)"),
         ("[]", "restriction must be an object mapping clause ids to lists"),
+        ("null", "restriction must be an object mapping clause ids to lists"),
         ('{"c2": {"X": "p1"}}', "restriction for c2 must be a list of objects with string values"),
         ('{"c2": [1]}', "restriction for c2 must be a list of objects with string values"),
         ('{"c2": [{"X": 1, "Y": "p2"}]}', "restriction for c2 must be a list of objects with string values"),
