@@ -191,6 +191,34 @@ def _leaves(e: ChoiceExpr) -> list[tuple[AtomicChoice, int]]:
     return leaves
 
 
+def fold_dag(step, root):
+    """The value ``step`` gives ``root``, as a recursive walk would, without
+
+    recursion.  ``step(key)`` is a generator: it yields, one at a time, the
+    keys whose values it needs, is sent each value, and returns its own.  A
+    key's value is made once and memoised, keys being hashable (expressions
+    by identity), so a DAG costs its distinct keys, each child taken in the
+    order it is asked for: the walk's post-order, shared nodes visited once."""
+    memo: dict = {}
+    stack = [(root, step(root))]
+    value = None
+    while True:
+        key, walk = stack[-1]
+        try:
+            request = walk.send(value)
+        except StopIteration as done:
+            value = memo[key] = done.value
+            stack.pop()
+            if not stack:
+                return value
+            continue
+        if request in memo:
+            value = memo[request]
+        else:
+            stack.append((request, step(request)))
+            value = None
+
+
 def node_count(e: ChoiceExpr) -> int:
     return sum(1 for _ in _subexpressions(e))
 
@@ -573,7 +601,8 @@ class Diagram:
     expressions compile to one node.  Past ``limit`` nodes
     (by default, never), raises EnumerationLimitError naming ``stage`` and the
     ``--limit``: ``walk`` for ``slpdnf.query_diagram``'s diagram, ``tree`` for
-    ``slpdnf.build_tree``'s, and ``event_prob`` for ``semantics.event_prob``'s.
+    ``slpdnf.build_tree``'s, ``event_prob`` for ``semantics.event_prob``'s,
+    and ``transform`` for the engine's on a choice-fact program.
     """
 
     def __init__(self, g: GroundProgram, limit: float = math.inf, stage: str = "diagram"):
@@ -604,14 +633,23 @@ class Diagram:
         """The node of ``e`` (of ¬e when ``negated``): ¬ flips the polarity on
 
         the way down, the literals of a conjunction become one ``chain``, and
-        ``apply_all`` combines the rest."""
+        ``apply_all`` combines the rest.  Each (subexpression, polarity) is
+        compiled once, children in order, with an explicit stack."""
+        return fold_dag(self._compile_step, (e, negated))
+
+    def _compile_step(self, key: tuple[ChoiceExpr, bool]):
+        e, negated = key
         if isinstance(e, Not):
-            return self.compile(e.child, not negated)
+            return (yield e.child, not negated)
         if isinstance(e, AtomicChoice):
             return self.chain([e], negated)
         conjoin = isinstance(e, And) != negated
-        literals = [c for c in e.children if conjoin and _is_literal(c)]
-        nodes = [self.compile(c, negated) for c in e.children if not (conjoin and _is_literal(c))]
+        literals, nodes = [], []
+        for c in e.children:
+            if conjoin and _is_literal(c):
+                literals.append(c)
+            else:
+                nodes.append((yield c, negated))
         if literals:
             nodes.append(self.chain(literals, negated))
         return self.apply_all(conjoin, nodes)

@@ -24,7 +24,6 @@ from .choice_algebra import (
     BOT,
     DEFAULT_ASSIGNMENT_LIMIT,
     composite_set_chunks,
-    disj,
     dual_sets as duals,
     gamma,
     parse_composite_set_text,
@@ -36,7 +35,8 @@ from .errors import LpadError, ProgramError, StratificationError
 from .explainer import explain, render_graph, render_nl, render_text, to_json, to_record
 from .grounder import GroundProgram, ground, relevant_subset
 from .semantics import success_prob, worlds_table
-from .slpdnf import success_expressions
+from .slpdnf import query_expression
+from .slpdnf import success_expressions  # noqa: F401  (perfbench/tracer.py wraps it by name)
 from .syntax import (
     Program,
     is_range_restricted,
@@ -168,7 +168,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
     if args.relevant:
         g = relevant_subset(g, q)
     if args.method == "transform":
-        expr = disj(success_expressions(q, g, limit=args.limit))
+        expr = query_expression(q, g, args.limit)
         p = 0.0 if expr == BOT else prob_via_transform(expr, g, args.limit)
     else:
         p = success_prob(q, g, method=args.method, limit=args.limit)
@@ -309,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_at_least(0),
         default=DEFAULT_ASSIGNMENT_LIMIT,
         help="oracle: most selections enumerated; engine: most nodes the tabled "
-        "decision diagram makes, for every atom and step; transform: most nodes "
-        "the query's tree makes, then the engine's limit on the choice-fact "
+        "decision diagram makes, for every atom and step; transform: most "
+        "unfoldings of atoms in cyclic components while the query's choice "
+        "expression is built, then the engine's limit on the choice-fact "
         "program (default: 1000000 for all)",
     )
     p.add_argument(

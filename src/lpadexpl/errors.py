@@ -40,8 +40,8 @@ class StratificationError(ProgramError):
 class EnumerationLimitError(LpadError):
     """A computation would pass its size bound: the selections one
 
-    enumeration visits, the nodes of a decision diagram, or the sets of one
-    conjoin step."""
+    enumeration visits, the nodes of a decision diagram, the sets of one
+    conjoin step, or the unfoldings of atoms in cyclic components."""
 
 
 class DepthLimitError(LpadError):

@@ -78,9 +78,7 @@ def world_of(selection: Selection, g: GroundProgram) -> World:
     for inst in g.instances:
         index = chosen.get((inst.cid, inst.key))
         if index is None:
-            raise EnumerationLimitError(
-                f"selection does not cover instance {inst.cid} {inst.values_str()}"
-            )
+            raise ProgramError(f"selection does not cover instance {inst.cid} {inst.values_str()}")
         head = inst.head_atom(index)
         if head.predicate != NONE_PREDICATE:
             clauses.append(Clause(head, inst.body))
@@ -153,16 +151,17 @@ def success_prob(
     g: GroundProgram,
     method: str = "engine",
     limit: int = DEFAULT_ASSIGNMENT_LIMIT,
+    stage: str = "walk",
 ) -> float:
     """The probability that a query holds.
 
-    ``engine`` (default) sums the query's tabled decision diagram; ``oracle``
-    enumerates every selection and sums the satisfying worlds' probabilities,
-    and raises ProgramError on a query that is not ground.  The two agree to
-    within 1e-9.
+    ``engine`` (default) sums the query's tabled decision diagram, whose
+    limit error names ``stage``; ``oracle`` enumerates every selection and
+    sums the satisfying worlds' probabilities, and raises ProgramError on a
+    query that is not ground.  The two agree to within 1e-9.
     """
     if method == "engine":
-        diagram = Diagram(g, limit, "walk")
+        diagram = Diagram(g, limit, stage)
         return diagram.prob(query_diagram(q, g, diagram))
     if method == "oracle":
         _require_ground(q, "oracle")

@@ -31,6 +31,10 @@ component of atoms at a time, and returns the node of the disjunction of the
 success-leaf expressions.  A positive cycle, which the tree cuts by its loop
 check, is solved there as its component's least fixpoint, so the table
 answers every stratified query, and in the same worlds as the tree.
+``query_expression`` walks the same table with choice expressions as its
+values, E(a) shared by every caller of a; a cyclic component is unfolded
+along each path instead, cut by the loop check, as equal expressions need
+not be one node and no fixpoint can be detected.
 """
 
 from __future__ import annotations
@@ -40,14 +44,17 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .choice_algebra import (
+    BOT,
     FALSE,
     TOP,
     TRUE,
+    And,
     AtomicChoice,
     ChoiceExpr,
     CompositeChoice,
     Diagram,
     Not,
+    Or,
     conj,
     conjoin_dnf,
     conjuncts,
@@ -55,7 +62,7 @@ from .choice_algebra import (
     dnf,
     gamma,
 )
-from .errors import DepthLimitError, ProgramError
+from .errors import DepthLimitError, EnumerationLimitError, ProgramError
 from .grounder import GroundProgram, strongly_connected
 from .syntax import (
     Atom,
@@ -355,93 +362,304 @@ def build_tree(q: Query, g: GroundProgram, limit: float = math.inf) -> SlpdnfTre
     return _TreeBuilder(g, limit).build(q)
 
 
+class _Tabling:
+    """The walk that ``query_diagram`` and ``query_expression`` share: a table
+
+    of one value per ground atom, filled one strongly connected component of
+    the atoms' dependency graph at a time, dependencies first, as in PITA
+    (Riguzzi & Swift, TPLP 2011), and the goal's branches over it.  A
+    subclass gives the values' algebra: ``true``, the accumulator a derived
+    clause or a goal starts from, ``choice`` the one an explicit head starts
+    from, ``conjoin`` a body literal's value onto an accumulator, ``false``
+    the accumulator that prunes the rest of a goal, ``either`` the ∨ of
+    accumulators, and ``solve`` the table entries of a cyclic component.
+    Stratification puts each negated atom in an earlier, final component."""
+
+    true: object
+    false: object
+
+    def __init__(self, g: GroundProgram):
+        g.strata  # raises StratificationError up front
+        self.g = g
+        self.by_head = g.by_head  # ``resolvents`` of a ground atom
+        self.table: dict[Atom, object] = {}
+        self.looped: set[Atom] = set()  # the atoms in their own clauses' bodies
+
+    def untabled(self, atom: Atom) -> list[Atom]:
+        """The body atoms of ``atom``'s clauses not yet tabled, in order."""
+        table = self.table
+        clauses = self.by_head.get(atom, ())
+        out = [lit.atom for _, body, _, _ in clauses for lit in body if lit.atom not in table]
+        if atom in out:
+            self.looped.add(atom)
+        return out
+
+    def lookup(self, atom: Atom):
+        """The value of ``atom``, tabling what it depends on first."""
+        table = self.table
+        if atom not in table:
+            for scc in strongly_connected([atom], self.untabled):
+                if len(scc) == 1 and scc[0] not in self.looped:
+                    table[scc[0]] = self.atom_value(scc[0])
+                else:
+                    self.solve(scc)
+        return table[atom]
+
+    def atom_value(self, atom: Atom):
+        """The ∨ over ``atom``'s clauses of the clause's choice ∧ its body;
+
+        a clause selects no literal after its accumulator is ``false``."""
+        clauses = self.by_head.get(atom)
+        if not clauses:
+            return self.false
+        choice, conjoin, true, false = self.choice, self.conjoin, self.true, self.false
+        table = self.table
+        accs = []
+        for _, body, source, i in clauses:
+            acc = choice(source, i) if i else true
+            for lit in body:
+                if acc == false:
+                    break
+                acc = conjoin(acc, lit.positive, table[lit.atom])
+            accs.append(acc)
+        return self.either(accs)
+
+    def refuted(self, acc) -> bool:
+        """Whether a goal's accumulator holds in no world, where ``false``
+
+        alone does not show it."""
+        return False
+
+    def leaves(self, q: Query) -> list:
+        """The accumulators of the goal's branches, depth first.  A goal
+
+        conjoins its literals left to right and selects none after its
+        accumulator is ``false``; a non-ground query literal takes, per
+        ground head it unifies with, the head's value ∧ the rest of the goal
+        under the unifier, and a non-ground negated one flounders as in the
+        tree."""
+        _check_known_predicates(q, self.g)
+        conjoin, false = self.conjoin, self.false
+        # Per branch: the index of the next literal, the bindings of the
+        # query's variables so far, the accumulator so far.
+        stack: list[tuple[int, Substitution, object]] = [(0, {}, self.true)]
+        leaves = []
+        while stack:
+            start, sigma, acc = stack.pop()
+            for k in range(start, len(q)):
+                if acc == false:
+                    break
+                lit = apply_literal(sigma, q[k])
+                if is_ground_atom(lit.atom):
+                    acc = conjoin(acc, lit.positive, self.lookup(lit.atom))
+                    continue
+                if not lit.positive:
+                    if self.refuted(acc):
+                        break
+                    raise _floundering(lit)
+                heads = dict.fromkeys(head for head, *_ in self.g.resolvents(lit.atom))
+                for head in reversed(heads):
+                    unifier = mgu(lit.atom, head)
+                    if unifier is not None:  # heads are ground: the bindings stay ground
+                        stack.append((k + 1, sigma | unifier, conjoin(acc, True, self.lookup(head))))
+                break
+            else:
+                leaves.append(acc)
+        return leaves
+
+
+class _DiagramTabling(_Tabling):
+    """Values and accumulators are nodes of one ``Diagram``; a cyclic
+
+    component starts from FALSE and recomputes its atoms until none changes,
+    its least fixpoint, which is the least model's in every world."""
+
+    true, false = TRUE, FALSE
+
+    def __init__(self, g: GroundProgram, diagram: Diagram):
+        super().__init__(g)
+        self.chain, self.apply, self.negate = diagram.chain, diagram.apply, diagram.negate
+
+    def choice(self, source, i: int) -> int:
+        return self.chain([AtomicChoice(source.cid, source.key, i)], False)
+
+    def conjoin(self, acc: int, positive: bool, node: int) -> int:
+        return self.apply(True, acc, node if positive else self.negate(node))
+
+    def either(self, accs: list[int]) -> int:
+        """The ∨ of ``accs`` folded left to right (FALSE ∨ a is a)."""
+        if not accs:
+            return FALSE
+        node, apply = accs[0], self.apply
+        for acc in accs[1:]:
+            node = apply(False, node, acc)
+        return node
+
+    def solve(self, scc: list[Atom]) -> None:
+        table = self.table
+        table.update(dict.fromkeys(scc, FALSE))  # the least fixpoint starts at ⊥
+        changed = True
+        while changed:
+            changed = False
+            for member in reversed(scc):  # the deepest first
+                node = self.atom_value(member)
+                changed |= node != table[member]
+                table[member] = node
+
+
 def query_diagram(q: Query, g: GroundProgram, diagram: Diagram) -> int:
     """The node, in ``diagram``, of the disjunction of ``q``'s success-leaf
 
     expressions, built without the tree: D(a), the diagram of a ground atom,
-    is tabled, as in PITA (Riguzzi & Swift, TPLP 2011).  D(a) is the ∨ over
-    a's clauses of the clause's choice (for an explicit head) ∧ its body, and
-    D(¬a) is ¬D(a).  The table is filled one strongly connected component of
-    the atoms' dependency graph at a time, dependencies first: a cyclic
-    component starts from D = FALSE and recomputes its atoms until none
-    changes, its least fixpoint, which is the least model's in every world.
-    Stratification puts each negated atom in an earlier, final component.
-
-    A goal conjoins its literals left to right and, as the tree prunes at ⊥,
-    selects none after its conjunction is FALSE; a non-ground query literal
-    takes the ∨, over the ground heads it unifies with, of D(head) ∧ the rest
-    of the goal under the unifier, and a non-ground negated one flounders as
-    in the tree.  Canonicity makes the node the tree's own wherever the tree
-    is built within ``DEPTH_LIMIT`` steps.
+    is tabled.  D(a) is the ∨ over a's clauses of the clause's choice (for
+    an explicit head) ∧ its body, and D(¬a) is ¬D(a); a positive cycle is
+    its component's least fixpoint.  Canonicity makes the node the tree's
+    own wherever the tree is built within ``DEPTH_LIMIT`` steps.
     """
-    g.strata  # raises StratificationError up front
-    _check_known_predicates(q, g)
-    by_head = g.by_head  # ``resolvents`` of a ground atom
-    table: dict[Atom, int] = {}
-    looped: set[Atom] = set()  # the atoms in their own clauses' bodies
+    return diagram.apply_all(False, _DiagramTabling(g, diagram).leaves(q))
 
-    def untabled(atom: Atom) -> list[Atom]:
-        """The body atoms of ``atom``'s clauses not yet tabled, in order."""
-        clauses = by_head.get(atom, ())
-        out = [lit.atom for _, body, _, _ in clauses for lit in body if lit.atom not in table]
-        if atom in out:
-            looped.add(atom)
-        return out
 
-    def node_of(atom: Atom) -> int:
-        if atom not in table:
-            for scc in strongly_connected([atom], untabled):
-                if len(scc) == 1 and scc[0] not in looped:
-                    table[scc[0]] = atom_node(scc[0])
-                    continue
-                table.update(dict.fromkeys(scc, FALSE))  # the least fixpoint starts at ⊥
-                changed = True
-                while changed:
-                    changed = False
-                    for member in reversed(scc):  # the deepest first
-                        node = atom_node(member)
-                        changed |= node != table[member]
-                        table[member] = node
-        return table[atom]
+class _Pending:
+    """The table entry of an atom of a cyclic component not yet unfolded."""
 
-    def atom_node(atom: Atom) -> int:
-        node = FALSE
-        for _, body, source, i in by_head.get(atom, ()):
-            acc = diagram.chain([AtomicChoice(source.cid, source.key, i)], False) if i else TRUE
+    __slots__ = ("atom",)
+
+    def __init__(self, atom: Atom):
+        self.atom = atom
+
+
+class _ExpressionTabling(_Tabling):
+    """Values are choice expressions, made of plain hash-consed ``And``,
+
+    ``Or`` and ``Not`` nodes and never flattened; a clause's accumulator is
+    the tuple of its conjuncts, ⊤ ones dropped, or ⊥ once a literal is ⊥.
+    A cyclic component has no fixpoint to detect, as equal expressions need
+    not be one node, so each of its atoms is tabled as ``_Pending`` and
+    unfolded when first conjoined (see ``unfold``), and only then tabled."""
+
+    true, false = (), BOT
+
+    def __init__(self, g: GroundProgram, limit: float):
+        super().__init__(g)
+        self.limit = limit
+        self.unfoldings = 0
+        #: The component of each atom of a cyclic component.
+        self.component: dict[Atom, list[Atom]] = {}
+        self.diagram: Diagram | None = None  # for ``refuted``, made when needed
+
+    def choice(self, source, i: int) -> tuple:
+        return (AtomicChoice(source.cid, source.key, i),)
+
+    def conjoin(self, acc, positive: bool, e: ChoiceExpr | _Pending):
+        if e.__class__ is _Pending:
+            e = self.unfold(e.atom)
+        if not positive:
+            e = BOT if e is TOP else TOP if e is BOT else Not(e)
+        if e is BOT:
+            return BOT
+        return acc if e is TOP else acc + (e,)
+
+    @staticmethod
+    def close(acc) -> ChoiceExpr:
+        """The conjunction an accumulator stands for."""
+        if acc is BOT:
+            return BOT
+        return And(acc) if len(acc) > 1 else acc[0] if acc else TOP
+
+    def either(self, accs: list) -> ChoiceExpr:
+        disjuncts = tuple(e for e in map(self.close, accs) if e is not BOT)
+        if TOP in disjuncts:
+            return TOP
+        return disjuncts[0] if len(disjuncts) == 1 else Or(disjuncts)
+
+    def solve(self, scc: list[Atom]) -> None:
+        for member in scc:
+            self.table[member] = _Pending(member)
+            self.component[member] = scc
+
+    def refuted(self, acc) -> bool:
+        if self.diagram is None:
+            self.diagram = Diagram(self.g, self.limit, "unfold")
+        return self.diagram.compile(self.close(acc)) == FALSE
+
+    def clauses(self, atom: Atom):
+        """``atom_value`` as a generator: it yields each body atom it selects
+
+        and is sent that atom's value."""
+        choice, conjoin = self.choice, self.conjoin
+        accs = []
+        for _, body, source, i in self.by_head.get(atom, ()):
+            acc = choice(source, i) if i else ()
             for lit in body:
-                if acc == FALSE:
+                if acc is BOT:
                     break
-                acc = conjoin(acc, lit.positive, table[lit.atom])
-            node = diagram.apply(False, node, acc)
-        return node
+                acc = conjoin(acc, lit.positive, (yield lit.atom))
+            accs.append(acc)
+        return self.either(accs)
 
-    def conjoin(acc: int, positive: bool, node: int) -> int:
-        return diagram.apply(True, acc, node if positive else diagram.negate(node))
+    def unfold(self, root: Atom) -> ChoiceExpr:
+        """E(root) for an atom of a cyclic component, depth first with an
 
-    # The goal's branches, depth first: (the index of the next literal, the
-    # bindings of the query's variables so far, the ∧ so far).
-    stack: list[tuple[int, Substitution, int]] = [(0, {}, TRUE)]
-    leaves: list[int] = []
-    while stack:
-        start, sigma, acc = stack.pop()
-        for k in range(start, len(q)):
-            if acc == FALSE:
-                break
-            lit = apply_literal(sigma, q[k])
-            if is_ground_atom(lit.atom):
-                acc = conjoin(acc, lit.positive, node_of(lit.atom))
+        explicit stack: an atom of the component on the current path is cut
+        to ⊥ (the loop check of Bol, Apt & Klop, TCS 1991, which the tree
+        applies too: some proof of an atom true in a world repeats no atom
+        along a branch), one off it is unfolded again below it, and an
+        untabled one of an earlier cyclic component is unfolded with a path
+        of its own.  Only the values of unfoldings entered from outside
+        their component are tabled, as only they do not depend on the path.
+        Each unfolding counts against ``limit``."""
+        table, component = self.table, self.component
+        path: list[tuple[Atom, object]] = []  # (atom, its ``clauses``)
+        on_path: set[Atom] = set()
+
+        def enter(atom: Atom) -> None:
+            self.unfoldings += 1
+            if self.unfoldings > self.limit:
+                raise EnumerationLimitError(
+                    f"unfold: {self.unfoldings} unfoldings of atoms in cyclic components "
+                    f"exceed the limit {self.limit} (--limit)"
+                )
+            path.append((atom, self.clauses(atom)))
+            on_path.add(atom)
+
+        enter(root)
+        e = None  # what the innermost unfolding is sent next
+        while True:
+            atom, walk = path[-1]
+            try:
+                below = walk.send(e)
+            except StopIteration as done:
+                e = done.value
+                path.pop()
+                on_path.discard(atom)
+                if not path or component[path[-1][0]] is not component[atom]:
+                    table[atom] = e
+                if not path:
+                    return e
                 continue
-            if not lit.positive:
-                raise _floundering(lit)
-            heads = dict.fromkeys(head for head, *_ in g.resolvents(lit.atom))
-            for head in reversed(heads):
-                unifier = mgu(lit.atom, head)
-                if unifier is not None:  # heads are ground: the bindings stay ground
-                    stack.append((k + 1, sigma | unifier, diagram.apply(True, acc, node_of(head))))
-            break
-        else:
-            leaves.append(acc)
-    return diagram.apply_all(False, leaves)
+            e = table[below]
+            if e.__class__ is _Pending:
+                if below in on_path:
+                    e = BOT  # positive: a negated atom is in an earlier component
+                else:
+                    enter(below)
+                    e = None
+
+
+def query_expression(q: Query, g: GroundProgram, limit: float = math.inf) -> ChoiceExpr:
+    """E(q), a choice expression that holds in exactly the worlds of ``q``'s
+
+    success-leaf expressions, built without the tree or any DNF: E(a), of a
+    ground atom, is tabled once, shared by every expression that calls it.
+    E(a) is the ∨ over a's clauses of the clause's choice (for an explicit
+    head) ∧ the E of each body literal, ¬a as ``Not``, a clause being cut at
+    a ⊥ literal; the goal and the table's order are ``query_diagram``'s.
+    Raises EnumerationLimitError past ``limit`` unfoldings of atoms in
+    cyclic components (stage ``unfold``); a floundering check may also
+    compile a goal's conjunction into a diagram of at most ``limit`` nodes.
+    """
+    walk = _ExpressionTabling(g, limit)
+    return walk.either(walk.leaves(q))
 
 
 def derivations(tree: SlpdnfTree) -> list[Derivation]:
@@ -465,8 +683,8 @@ def answers(q: Query, g: GroundProgram) -> list[Answer]:
     return result
 
 
-def success_expressions(q: Query, g: GroundProgram, limit: float = math.inf) -> list[ChoiceExpr]:
-    return build_tree(q, g, limit).success_expressions()
+def success_expressions(q: Query, g: GroundProgram) -> list[ChoiceExpr]:
+    return build_tree(q, g).success_expressions()
 
 
 def expl(q: Query, g: GroundProgram) -> frozenset[CompositeChoice]:

@@ -12,10 +12,15 @@ plus auxiliary derived clauses: ⊤ ↦ the empty query, an atomic choice ↦ it
 ``ch`` literal (a none-indexed choice, having no ``ch`` atom, becomes the
 negated explicit ``ch`` atoms of its instance), ∧ ↦ the concatenated
 queries, ¬ of an explicit-head choice ↦ the negated ``ch`` literal.  Each ⊥,
-∨ and other ¬ gets one fresh ``aux`` predicate: ⊥ one fact, which the query
-negates, ∨ one clause per disjunct, ¬ one clause whose head the query
-negates.  So the expression's probability can be recomputed by running the
-ordinary machinery on the transformed program — ``prob_via_transform`` does
+∨, ∧ inside an ∧, and other ¬ gets one fresh ``aux`` predicate: ⊥ one fact,
+which the query negates, ∨ one clause per disjunct, the inner ∧ one clause
+for its conjunction, ¬ one clause whose head the query negates.  The
+expression may be a DAG, such as ``slpdnf.query_expression``'s E(q), whose
+atoms share their expressions: ``trc`` translates each node once, memoised
+by identity, with an explicit stack, so a shared node gets one ``aux``
+predicate and the translation is linear in the distinct nodes.  So the
+expression's probability can be recomputed by running the ordinary
+machinery on the transformed program — ``prob_via_transform`` does
 exactly that, on the expression as given, and agrees with ``event_prob``.
 """
 
@@ -31,6 +36,7 @@ from .choice_algebra import (
     ChoiceExpr,
     Not,
     Or,
+    fold_dag,
 )
 from .grounder import GroundProbClause, GroundProgram, ground
 from .semantics import success_prob
@@ -84,14 +90,23 @@ def trc(e: ChoiceExpr, g: GroundProgram) -> tuple[tuple[Clause, ...], Query]:
     """Auxiliary derived clauses plus the plain query over ``ch`` atoms that
 
     holds exactly in the worlds of ``e``.  Every predicate it names is
-    defined: ⊥, the empty ∨, is the negation of a fresh fact."""
+    defined: ⊥, the empty ∨, is the negation of a fresh fact.  Each node of
+    the expression, which may be a DAG, is translated once (memoised by
+    identity), with an explicit stack, so a shared subexpression gets one
+    aux predicate; an ∧ inside an ∧ gets one too, so no conjunction's
+    literals are copied into another's."""
     clauses: list[Clause] = []
     names = count(1)
 
     def fresh() -> Atom:
         return Atom(f"{AUX_PREFIX}{next(names)}")
 
-    def query(e: ChoiceExpr) -> Query:
+    def step(key: tuple[ChoiceExpr, bool]):
+        e, nested = key
+        if nested:  # an ∧ inside an ∧: one clause for its conjunction
+            head = fresh()
+            clauses.append(Clause(head, (yield e, False)))
+            return (Literal(True, head),)
         if e == BOT:
             head = fresh()
             clauses.append(Clause(head, ()))
@@ -106,25 +121,27 @@ def trc(e: ChoiceExpr, g: GroundProgram) -> tuple[tuple[Clause, ...], Query]:
                 Literal(False, _ch_atom(inst, i)) for i in range(1, inst.n_explicit + 1)
             )
         if isinstance(e, And):
-            return tuple(lit for c in e.children for lit in query(c))
+            query: list[Literal] = []
+            for c in e.children:
+                query += (yield c, isinstance(c, And))
+            return tuple(query)
         if isinstance(e, Or):
             head = fresh()
             for c in e.children:
-                clauses.append(Clause(head, query(c)))
+                clauses.append(Clause(head, (yield c, False)))
             return (Literal(True, head),)
         if isinstance(e, Not):
             child = e.child
-            if (
-                isinstance(child, AtomicChoice)
-                and child.index <= g.instance(child.cid, child.key).n_explicit
-            ):
-                return (query(child)[0].negate(),)
+            if isinstance(child, AtomicChoice):
+                inst = g.instance(child.cid, child.key)
+                if child.index <= inst.n_explicit:
+                    return (Literal(False, _ch_atom(inst, child.index)),)
             head = fresh()
-            clauses.append(Clause(head, query(child)))
+            clauses.append(Clause(head, (yield child, False)))
             return (Literal(False, head),)
         raise TypeError(f"not a choice expression: {e!r}")
 
-    q = query(e)  # fills clauses
+    q = fold_dag(step, (e, False))  # fills clauses
     return tuple(clauses), q
 
 
@@ -140,9 +157,9 @@ def prob_via_transform(
 
     choice-fact program — an independent route that must agree with
     ``event_prob``.  ``limit`` bounds the engine's decision diagram, as in
-    ``success_prob``."""
+    ``success_prob``, under the stage name ``transform``."""
     program = trp(g)
     aux, query = trc(e, g)
     combined = Program(program.prob_clauses, aux, ())
-    return success_prob(query, ground(combined), method="engine", limit=limit)
+    return success_prob(query, ground(combined), "engine", limit, stage="transform")
 

@@ -33,6 +33,7 @@ from lpadexpl.choice_algebra import (
 )
 from lpadexpl.errors import LpadError
 from lpadexpl.grounder import ground
+from lpadexpl.semantics import event_prob
 from lpadexpl.slpdnf import success_expressions
 from lpadexpl.syntax import parse_program, parse_query
 
@@ -320,6 +321,72 @@ def test_diagram_negation_swaps_the_terminals():
         node = diagram.compile(e)
         assert diagram.negate(node) == diagram.compile(Not(e)), seed
         assert diagram.negate(diagram.negate(node)) == node, seed
+
+
+def recursive_compile(diagram, e, negated=False):
+    """The recursive ``Diagram.compile`` that the explicit stack replaced."""
+    if isinstance(e, Not):
+        return recursive_compile(diagram, e.child, not negated)
+    if isinstance(e, AtomicChoice):
+        return diagram.chain([e], negated)
+    conjoin = isinstance(e, And) != negated
+
+    def literal(c):
+        return isinstance(c, AtomicChoice) or isinstance(c, Not) and isinstance(c.child, AtomicChoice)
+
+    literals = [c for c in e.children if conjoin and literal(c)]
+    nodes = [recursive_compile(diagram, c, negated) for c in e.children if not (conjoin and literal(c))]
+    if literals:
+        nodes.append(diagram.chain(literals, negated))
+    return diagram.apply_all(conjoin, nodes)
+
+
+def test_compile_makes_the_recursive_walks_nodes_in_its_order(neg_ground_min):
+    """On 300 seeded raw DAGs, shared nodes among them, ``compile`` returns
+
+    the recursive walk's node and makes the same nodes in the same order, so
+    every ``--limit`` boundary stays where it was."""
+    g = neg_ground_min
+    atoms = [AtomicChoice(i.cid, i.key, h) for i in g.instances for h in range(1, i.n_heads + 1)]
+    rng = random.Random(29)
+    for n in range(300):
+        pool = atoms + [TOP, BOT]
+        for _ in range(rng.randrange(1, 9)):
+            op = rng.randrange(3)
+            if op == 0:
+                pool.append(Not(rng.choice(pool)))
+            else:
+                kids = tuple(rng.choice(pool[-8:] + atoms) for _ in range(rng.randrange(1, 4)))
+                pool.append((And if op == 1 else Or)(kids))
+        reference, diagram = Diagram(g), Diagram(g)
+        for negated in (False, True):
+            assert diagram.compile(pool[-1], negated) == recursive_compile(reference, pool[-1], negated), n
+            assert diagram.nodes == reference.nodes, n
+
+
+def test_a_10000_deep_expression_goes_through_event_prob(neg_ground):
+    a = ac(neg_ground, "c1", ("p1",), 1)
+    b = ac(neg_ground, "c4", ("p1",), 1)
+    e = a
+    for _ in range(5000):  # two levels a step: ¬(e ∧ b) twice is a ∨ ¬b
+        e = Not(conj([e, b]))
+    p = event_prob(e, neg_ground)
+    assert p == event_prob(disj([a, Not(b)]), neg_ground)
+
+
+def test_a_shared_dag_compiles_once_per_node():
+    """60 levels, each naming the one below twice: 2^60 nodes as a tree."""
+    g = ground(parse_program("a:0.5.\n" + "".join(f"x{i}:0.3.\ny{i}:0.4.\n" for i in range(60))))
+    a, *xy = [AtomicChoice(inst.cid, inst.key, 1) for inst in g.instances]
+    e, flat = a, [a]
+    for x, y in zip(xy[::2], xy[1::2]):
+        e = Or((And((e, x)), And((e, y))))
+        flat.append(disj([x, y]))
+    diagram = Diagram(g)
+    node, flat_node = diagram.compile(e), diagram.compile(conj(flat))
+    assert node == flat_node  # (a repr of e, on failure, would never end)
+    p, flat_p = event_prob(e, g), event_prob(conj(flat), g)
+    assert p == flat_p == pytest.approx(0.5 * 0.58**60, rel=1e-12)
 
 
 def test_equiv_tautology(neg_ground):

@@ -206,11 +206,12 @@ def test_limit_errors_name_their_stage(capsys):
         2,
         "error: tree: 6 nodes in the decision diagram exceed the limit 5 (--limit)\n",
     )
-    # transform builds the query's tree first, within the same --limit.
+    # transform builds the query's choice expression, which unfolds no atom
+    # on this acyclic program, then bounds the choice-fact program's diagram.
     code, _, err = run(capsys, ["prob", NEG, "covid(p1)", "--method", "transform", "--limit", "5"])
     assert (code, err) == (
         2,
-        "error: tree: 6 nodes in the decision diagram exceed the limit 5 (--limit)\n",
+        "error: transform: 6 nodes in the decision diagram exceed the limit 5 (--limit)\n",
     )
 
 
@@ -406,9 +407,9 @@ def test_prob_of_chain_ten_within_ten_thousand_nodes(capsys, tmp_path):
 
 
 def test_prob_through_a_guarded_cycle(capsys, tmp_path):
-    # p and q form a cycle: the table takes its least fixpoint, and the tree,
-    # which the transform builds, prunes it at the inconsistent choice c(2)
-    # after c(1).
+    # p and q form a cycle: the table takes its least fixpoint, the tree
+    # prunes it at the inconsistent choice c(2) after c(1), and the
+    # transform's unfolding cuts p below p by the loop check.
     cycle = tmp_path / "cycle.lpad"
     cycle.write_text("c(1):0.5; c(2):0.5.\np :- c(1), q.\nq :- c(2), p.\nq :- c(1).\n")
     for method in ("engine", "oracle", "transform"):
@@ -418,8 +419,8 @@ def test_prob_through_a_guarded_cycle(capsys, tmp_path):
 
 def test_prob_of_an_unguarded_cycle_is_its_least_fixpoint(capsys, tmp_path):
     # The table takes loop(a)'s least fixpoint, as the oracle's least model
-    # does; the tree, which the transform builds, prunes the goal loop(a)
-    # below loop(a) by its loop check.
+    # does; the transform's unfolding, like the tree, cuts loop(a) below
+    # loop(a) by the loop check.
     loop = tmp_path / "loop.lpad"
     loop.write_text("loop(X) :- loop(X).\nloop(a).\n")
     for method in ("engine", "oracle", "transform"):
@@ -502,12 +503,36 @@ def test_a_chain_past_the_depth_limit_has_a_probability_but_no_tree(capsys, tmp_
     chain.write_text("".join(f"s{i} :- s{i + 1}.\n" for i in range(10001)) + "s10001:0.7.\n")
     code, out, _ = run(capsys, ["prob", str(chain), "s0"])
     assert (code, out) == (0, "0.700000000\n")
-    explain = ["explain", str(chain), "s0"]
+    # The transform builds no tree: its choice expression has no depth limit.
     transform = ["prob", str(chain), "s0", "--method", "transform"]
-    for argv in (explain, transform):
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (2, ""), argv
-        assert err == "error: derivation exceeded 10000 steps at goal: s10000\n"
+    assert run(capsys, transform) == (0, "0.700000000\n", "")
+    code, out, err = run(capsys, ["explain", str(chain), "s0"])
+    assert (code, out) == (2, "")
+    assert err == "error: derivation exceeded 10000 steps at goal: s10000\n"
+
+
+def test_the_transform_of_a_long_choice_chain_is_the_engines(capsys, tmp_path):
+    chain = tmp_path / "choices.lpad"
+    n = 10_000
+    chain.write_text("".join(f"s{i} :- c{i}, s{i + 1}.\nc{i}:0.9.\n" for i in range(n)) + f"s{n}:0.7.\n")
+    engine = run(capsys, ["prob", str(chain), "s0"])
+    assert engine[0] == 0
+    assert run(capsys, ["prob", str(chain), "s0", "--method", "transform"]) == engine
+
+
+def test_a_cyclic_unfolding_past_the_limit_exits_two(capsys, tmp_path):
+    cycle = tmp_path / "cycle.lpad"
+    cycle.write_text(
+        "reach(X) :- goal(X).\nreach(X) :- edge(X,Y), reach(Y).\n"
+        "edge(a,b):0.5.\nedge(b,a):0.5.\nedge(b,c):0.5.\ngoal(c).\n"
+    )
+    argv = ["prob", str(cycle), "reach(a)", "--method", "transform"]
+    assert run(capsys, argv) == (0, "0.250000000\n", "")
+    assert run(capsys, argv + ["--limit", "1"]) == (
+        2,
+        "",
+        "error: unfold: 2 unfoldings of atoms in cyclic components exceed the limit 1 (--limit)\n",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from lpadexpl.choice_algebra import BOT, TOP, AtomicChoice, Not, conj, disj, equiv
-from lpadexpl.errors import EnumerationLimitError
+from lpadexpl.errors import EnumerationLimitError, ProgramError
 from lpadexpl.explainer import explain
 from lpadexpl.grounder import ground, strongly_connected
 from lpadexpl.semantics import (
@@ -65,8 +65,10 @@ def test_world_prob_of_all_first_heads(neg_ground_min):
 
 def test_world_of_rejects_incomplete_selection(neg_ground_min):
     partial = frozenset(list(all_first_heads(neg_ground_min))[:3])
-    with pytest.raises(EnumerationLimitError):
+    # A malformed input, not a size bound that was passed.
+    with pytest.raises(ProgramError, match=r"selection does not cover instance c\d+ \[") as info:
         world_of(partial, neg_ground_min)
+    assert not isinstance(info.value, EnumerationLimitError)
 
 
 def test_event_prob_units_are_exact(pos_ground):

@@ -4,8 +4,8 @@ import math
 import pytest
 
 from lpadexpl import slpdnf
-from lpadexpl.choice_algebra import FALSE, Diagram, Or, conj, conjoin_dnf, disj, dnf, gamma, render_expr
-from lpadexpl.errors import DepthLimitError, ProgramError
+from lpadexpl.choice_algebra import BOT, FALSE, TOP, And, Diagram, Or, conj, conjoin_dnf, disj, dnf, gamma, render_expr
+from lpadexpl.errors import DepthLimitError, EnumerationLimitError, ProgramError
 from lpadexpl.explainer import explain
 from lpadexpl.grounder import ground
 from lpadexpl.semantics import event_prob, success_prob
@@ -17,6 +17,7 @@ from lpadexpl.slpdnf import (
     derivations,
     expl,
     query_diagram,
+    query_expression,
     success_expressions,
 )
 from lpadexpl.syntax import Literal, apply_query, parse_program, parse_query
@@ -450,3 +451,111 @@ def test_success_expressions_conjoin_once_per_edge_factor(monkeypatch):
     exprs = tree.success_expressions()
     assert len(exprs) == 2**5
     assert 0 < len(calls) <= factors
+
+
+def assert_expression_is_table(q, g, label):
+    """E(q), compiled in the walk's own diagram, is the walk's node."""
+    diagram = Diagram(g)
+    node = query_diagram(q, g, diagram)
+    assert diagram.compile(query_expression(q, g)) == node, label
+
+
+def test_the_expression_is_the_table_on_the_fixtures(pos_ground, neg_ground, neg_ground_full, neg_ground_min):
+    for g in (pos_ground, neg_ground, neg_ground_full, neg_ground_min):
+        for text in fixture_queries(g):
+            assert_expression_is_table(parse_query(text), g, text)
+    g = neg_ground
+    for text in ["covid(X), \\+protected(X)", "contact(X,Y), covid(Y), \\+covid(X)", "covid(p1), covid(p2)"]:
+        assert_expression_is_table(parse_query(text), g, text)
+
+
+def test_the_expression_is_the_table_on_the_families():
+    families = load_families()
+    cases = [(families.deep(n), "reach(n0)") for n in (5, 50)]
+    for n in range(2, 9):
+        cases += [(families.positive_star(n), "covid(p1)")]
+        for family in (families.chain, families.star):
+            cases += [(family(n), "covid(p1)"), (family(n), "\\+covid(p1)")]
+    for (text, restriction), query in cases:
+        g = ground(parse_program(text), restriction=restriction)
+        assert_expression_is_table(parse_query(query), g, (text.count("\n"), query))
+
+
+@pytest.mark.parametrize(
+    "full_heads, cycles",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-cycles", "True-cycles"],
+)
+def test_the_expression_is_the_table_on_random_programs(full_heads, cycles):
+    for seed in range(500):
+        text, query_text = genprog.generate(seed, full_heads=full_heads, cycles=cycles)
+        g = ground(parse_program(text))
+        for q in (parse_query(query_text), parse_query("\\+" + query_text)):
+            assert_expression_is_table(q, g, seed)
+
+
+def test_the_expression_shares_one_node_per_atom(neg_ground):
+    # E(covid(p2)) is one shared node: covid(p1)'s second clause calls it
+    # and so does the goal, and a fact's clause body adds no conjunct.
+    g = neg_ground
+    shared = query_expression(parse_query("covid(p2)"), g)
+    e = query_expression(parse_query("covid(p1), covid(p2)"), g)
+    assert isinstance(e, And) and e.children[1] is shared
+    assert shared in e.children[0].children[1].children
+    assert query_expression(parse_query("pcr(p1)"), g) is TOP
+    assert query_expression(parse_query("\\+pcr(p1)"), g) is BOT
+    assert query_expression(parse_query("covid(p3)"), g) is BOT
+
+
+def test_the_expression_unfolds_a_cycle_along_each_path():
+    # reach(a) calls reach(b), which calls reach(a) again: that call is cut
+    # by the loop check.  Each unfolding counts against the limit.
+    g = ground(parse_program(
+        "reach(X) :- goal(X).\nreach(X) :- edge(X,Y), reach(Y).\n"
+        "edge(a,b):0.5.\nedge(b,a):0.5.\nedge(b,c):0.5.\ngoal(c).\n"
+    ))
+    q = parse_query("reach(a)")
+    assert_expression_is_table(q, g, "reach(a)")
+    assert query_expression(q, g, limit=3) == query_expression(q, g)
+    with pytest.raises(EnumerationLimitError) as info:
+        query_expression(q, g, limit=1)
+    assert str(info.value) == (
+        "unfold: 2 unfoldings of atoms in cyclic components exceed the limit 1 (--limit)"
+    )
+    # loop(a) :- loop(a) is cut below itself: only its fact proves it.
+    loop = ground(parse_program("loop(X) :- loop(X).\nloop(a).\n"))
+    assert query_expression(parse_query("loop(a)"), loop) is TOP
+
+
+def test_the_expression_unfolds_a_long_cycle_without_recursion():
+    # A ring of 3,000 atoms, each calling the next: one path round it.
+    n = 3000
+    text = "".join(f"r{i} :- e{i}, r{(i + 1) % n}.\ne{i}:0.5.\n" for i in range(n)) + "r0 :- g.\ng:0.5.\n"
+    g = ground(parse_program(text))
+    e = query_expression(parse_query("r1"), g)
+    diagram = Diagram(g)
+    assert diagram.compile(e) == query_diagram(parse_query("r1"), g, diagram)
+
+
+def test_the_expression_is_linear_on_a_long_chain():
+    # s_i :- c_i, s_{i+1}: each E(s_i) is one ∧ over c_i and E(s_{i+1}).
+    n = 10_000
+    text = "".join(f"s{i} :- c{i}, s{i + 1}.\nc{i}:0.9.\n" for i in range(n)) + f"s{n}:0.7.\n"
+    g = ground(parse_program(text))
+    e, depth = query_expression(parse_query("s0"), g), 0
+    while isinstance(e, And):
+        (choice, e), depth = e.children, depth + 1
+    assert depth == n and str(e) == f"(c{n + 1},{{}},1)"
+
+
+def test_the_expression_flounders_and_rejects_unknown_predicates_as_the_walk_does():
+    g = ground(parse_program("r(a):0.5.\np(a).\nc(1):0.5; c(2):0.5.\nq :- c(1), c(2).\n"))
+    with pytest.raises(ProgramError, match=r"^floundering: negative literal \\\+r\(X\) is not ground$"):
+        query_expression(parse_query("p(Y), \\+r(X)"), g)
+    with pytest.raises(ProgramError, match=r"^unknown predicate mystery/1 in query$"):
+        query_expression(parse_query("mystery(a)"), g)
+    # q holds in no world, though its expression is not ⊥: the walk selects
+    # no literal after it, so neither flounders.
+    q = parse_query("q, \\+r(X)")
+    assert query_diagram(q, g, Diagram(g)) == FALSE
+    assert query_expression(q, g) is BOT

@@ -8,6 +8,7 @@ from lpadexpl.choice_algebra import (
     And,
     AtomicChoice,
     Not,
+    Or,
     conj,
     disj,
     dnf,
@@ -15,10 +16,11 @@ from lpadexpl.choice_algebra import (
 )
 from lpadexpl.grounder import ground
 from lpadexpl.semantics import event_prob, success_prob
-from lpadexpl.slpdnf import build_tree, success_expressions
+from lpadexpl.slpdnf import build_tree, query_expression, success_expressions
 from lpadexpl.syntax import parse_program, parse_query, print_program, query_str
 from lpadexpl.transform import prob_via_transform, trc, trp
 
+from conftest import load_families
 import genprog
 
 
@@ -180,3 +182,96 @@ def test_three_routes_agree_on_random_programs(full_heads):
         oracle = success_prob(q, g, method="oracle")
         assert transformed == pytest.approx(engine, abs=1e-9), seed
         assert oracle == pytest.approx(engine, abs=1e-9), seed
+
+
+def test_trc_translates_a_shared_node_once(neg_ground_min):
+    g = neg_ground_min
+    shared = disj([ac(g, "c5", ["p1"], 1), ac(g, "c6", ["p1"], 2)])
+    e = Or((And((ac(g, "c1", ["p1"], 1), shared)), And((ac(g, "c4", ["p1"], 1), shared))))
+    assert translation(e, g) == (
+        "aux1",
+        [
+            "aux2 :- ch(c5,[p1],1).",
+            "aux2 :- ch(c6,[p1],2).",
+            "aux1 :- ch(c1,[p1],1), aux2.",
+            "aux1 :- ch(c4,[p1],1), aux2.",
+        ],
+    )
+
+
+def test_trc_names_an_and_inside_an_and(neg_ground_min):
+    # Its literals are not copied into the outer conjunction's query.
+    g = neg_ground_min
+    inner = And((ac(g, "c5", ["p1"], 1), ac(g, "c6", ["p1"], 2)))
+    e = And((ac(g, "c1", ["p1"], 1), inner))
+    assert translation(e, g) == (
+        "ch(c1,[p1],1), aux1",
+        ["aux1 :- ch(c5,[p1],1), ch(c6,[p1],2)."],
+    )
+    assert prob_via_transform(e, g) == event_prob(e, g)
+
+
+def test_trc_of_a_long_chain_is_linear():
+    # E(s0) nests 10,000 conjunctions: one aux clause each, no recursion.
+    n = 10_000
+    text = "".join(f"s{i} :- c{i}, s{i + 1}.\nc{i}:0.5.\n" for i in range(n)) + f"s{n}:0.7.\n"
+    g = ground(parse_program(text))
+    aux, query = trc(query_expression(parse_query("s0"), g), g)
+    assert len(aux) == n - 1 and len(query) == 2
+    assert all(len(c.body) == 2 for c in aux)
+
+
+def transform_routes(q, g):
+    """The choice-fact probability of E(q), and of the tree's DNFs."""
+    return (
+        prob_via_transform(query_expression(q, g), g),
+        prob_via_transform(disj(success_expressions(q, g)), g),
+    )
+
+
+def test_the_expression_route_is_the_tree_route_on_the_fixtures(pos_ground, neg_ground, neg_ground_min):
+    """Both end in the canonical diagram of one function under ``trp``'s
+
+    instance order, so the probabilities are equal, bit for bit."""
+    for g in (pos_ground, neg_ground, neg_ground_min):
+        for atom in g.by_head:
+            for q in (parse_query(str(atom)), parse_query(f"\\+{atom}")):
+                by_expression, by_tree = transform_routes(q, g)
+                assert by_expression == by_tree, query_str(q)
+    for text in ("covid(X)", "covid(X), \\+protected(X)", "contact(X,Y), covid(Y), \\+covid(X)"):
+        by_expression, by_tree = transform_routes(parse_query(text), neg_ground)
+        assert by_expression == by_tree, text
+
+
+def test_the_expression_route_is_the_tree_route_on_the_benchmark_families():
+    """chain 2-3, star 3-4, positive star 3-8 and deep 20-40, the sizes the
+
+    benchmark's catalogue calls."""
+    families = load_families()
+    cases = []
+    for n in (2, 3):
+        cases += [(families.chain(n), f"covid(p{i})") for i in range(1, n + 1)]
+    for n in (3, 4):
+        cases += [(families.star(n), "covid(p1)"), (families.star(n), "covid(p2)")]
+    cases += [(families.positive_star(n), "covid(p1)") for n in range(3, 9)]
+    for n in range(20, 41, 5):
+        cases += [(families.deep(n), f"reach(n{k})") for k in (0, 1, n - 4)]
+    for (text, restriction), query in cases:
+        g = ground(parse_program(text), restriction=restriction)
+        for q in (parse_query(query), parse_query("\\+" + query)):
+            by_expression, by_tree = transform_routes(q, g)
+            assert by_expression == by_tree, (text.count("\n"), query_str(q))
+
+
+@pytest.mark.parametrize(
+    "full_heads, cycles",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-cycles", "True-cycles"],
+)
+def test_the_expression_route_is_the_tree_route_on_random_programs(full_heads, cycles):
+    for seed in range(500):
+        text, query_text = genprog.generate(seed, full_heads=full_heads, cycles=cycles)
+        g = ground(parse_program(text))
+        for q in (parse_query(query_text), parse_query("\\+" + query_text)):
+            by_expression, by_tree = transform_routes(q, g)
+            assert by_expression == by_tree, (seed, query_str(q))
